@@ -25,7 +25,6 @@ from .recognizer import (
 from .scripts import (
     EventGroup,
     FieldValue,
-    Finding,
     Script,
     build_script,
     inherited_field,
@@ -41,8 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "ActivationSet", "Answer", "Assertion", "CensusRow",
-    "DEFAULT_UNITS", "Diagnostic", "EventGroup", "FieldValue", "Finding",
-    "Grid", "KnowledgeBase", "Language", "Measure", "NA", "ObjectBlock",
+    "DEFAULT_UNITS", "Diagnostic", "EventGroup", "FieldValue", "Grid",
+    "KnowledgeBase", "Language", "Measure", "NA", "ObjectBlock",
     "Ontology", "Question", "QuestionKind", "RecognitionResult", "ROOT",
     "Script", "SummaryRow", "activate", "answer", "build_script", "census",
     "format_results", "has_errors", "inherited_field", "instance_assertion",

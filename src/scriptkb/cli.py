@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 from .diagnostics import ERROR, has_errors
@@ -23,9 +24,9 @@ from .kb import KnowledgeBase
 from .ontology import Language
 from .qa import Answer, QuestionKind, RoleUse, Usage, answer, parse_question
 from .recognizer import activate, format_results, score_scripts
-from .scripts import EventGroup, Script, build_script, is_script, timeline
+from .scripts import EventGroup, Script, build_script, is_script, timeline, validate
 from .stats import census, census_csv, format_census, format_comparison, summary
-from .terms import Assertion, Measure, NaType, render_term
+from .terms import FIELDS, MEASURE, Assertion, Measure, NaType, render_term
 from . import cyc
 from . import grid as gridmod
 
@@ -48,7 +49,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("validate", help="parse files and print diagnostics")
+    p = sub.add_parser("validate", help="load files, check scripts, print diagnostics")
     p.add_argument("files", nargs="+")
 
     p = sub.add_parser("show", help="print the script view of a concept")
@@ -160,15 +161,16 @@ def _cmd_validate(args, out, out_err) -> int:
     except (OSError, KbError) as e:
         print(f"load error: {e}", file=out_err)
         return 2
+    diagnostics = list(kb.diagnostics)
+    if not has_errors(diagnostics):  # scripts are only built from a clean load
+        for name in kb.script_concepts():
+            diagnostics += validate(kb, build_script(kb, name))
     if args.json:
-        payload = [{"file": d.file, "line": d.line, "col": d.col,
-                    "severity": d.severity, "code": d.code, "message": d.message}
-                   for d in kb.diagnostics]
-        _emit_json(out, {"diagnostics": payload})
+        _emit_json(out, {"diagnostics": [asdict(d) for d in diagnostics]})
     else:
-        for d in kb.diagnostics:
+        for d in diagnostics:
             print(d.render(), file=out)
-    return 2 if has_errors(kb.diagnostics) else 0
+    return 2 if has_errors(diagnostics) else 0
 
 
 def _cmd_show(kb, args, out, out_err) -> int:
@@ -233,8 +235,7 @@ def _cmd_recognize(kb, args, out, out_err) -> int:
     results = score_scripts(activations, kb,
                             generalization=not args.no_generalization)
     if args.json:
-        _emit_json(out, [{"script": r.script, "score": r.score,
-                          "evidence": list(r.evidence)} for r in results])
+        _emit_json(out, [asdict(r) for r in results])
         return 0
     for line in format_results(results):
         print(line, file=out)
@@ -282,16 +283,9 @@ def _answer_lines(a: Answer) -> list[str]:
 def _cmd_stats(kb, args, out, out_err) -> int:
     rows = census(kb)
     if args.json:
-        payload = {"census": [{"script": r.script, "subevents": r.subevents,
-                               "roles": r.roles, "places": r.places,
-                               "other": r.other} for r in rows]}
+        payload = {"census": [asdict(r) for r in rows]}
         if rows:
-            s = summary(kb)
-            payload["summary"] = {
-                "scripts": s.scripts, "avg_subevents": round(s.avg_subevents, 2),
-                "avg_roles": round(s.avg_roles, 2),
-                "avg_places": round(s.avg_places, 2),
-                "avg_other": round(s.avg_other, 2)}
+            payload["summary"] = {k: round(v, 2) for k, v in asdict(summary(kb)).items()}
         _emit_json(out, payload)
         return 0
     if args.csv:
@@ -356,16 +350,9 @@ def _cmd_cyc_extract(args, out, out_err) -> int:
     tuples = cyc.extract_all(forms, known)
     rows, s = cyc.event_census(tuples, known)
     if args.json:
-        _emit_json(out, {
-            "tuples": cyc.tuple_lines(tuples),
-            "census": [{"event": r.event, "subevents": r.subevents,
-                        "roles": r.roles, "places": r.places, "other": r.other}
-                       for r in rows],
-            "summary": {"events": s.events, "scripts": s.scripts,
-                        "avg_subevents": round(s.avg_subevents, 2),
-                        "avg_roles": round(s.avg_roles, 2),
-                        "avg_places": round(s.avg_places, 2),
-                        "avg_other": round(s.avg_other, 2)}})
+        _emit_json(out, {"tuples": cyc.tuple_lines(tuples),
+                         "census": [asdict(r) for r in rows],
+                         "summary": {k: round(v, 2) for k, v in asdict(s).items()}})
         return 0
     for line in cyc.tuple_lines(tuples):
         print(line, file=out)
@@ -398,21 +385,18 @@ def _group_json(g: EventGroup):
 
 
 def _script_json(s: Script):
-    # keys follow the predicate vocabulary of the file format
     out = {
         "concept": s.concept,
         "roles": {f"{i:02d}": c for i, c in s.roles.items()},
         "role-scripts": {f"{i:02d}": c for i, c in s.role_scripts.items()},
         "events": [_group_json(g) for g in s.events],
-        "entry-condition-of": [_term_json(t) for t in s.entry_conditions],
-        "result-of": [_term_json(t) for t in s.results],
-        "goal-of": [_term_json(t) for t in s.goals],
-        "emotion-of": [_term_json(t) for t in s.emotions],
-        "performed-in": list(s.places),
     }
-    for key, m in (("duration-of", s.duration), ("period-of", s.period),
-                   ("cost-of", s.cost)):
-        out[key] = _term_json(m) if m is not None else None
+    # the unnumbered fields are keyed by their predicate names
+    for predicate, spec in FIELDS.items():
+        if spec.index is None:
+            value = getattr(s, spec.attr)
+            out[predicate] = (_term_json(value) if spec.shape == MEASURE
+                              else [_term_json(t) for t in value])
     return out
 
 
@@ -446,3 +430,7 @@ def _emit_json(out, payload) -> None:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,14 +5,16 @@ parents.  Symbols that are referenced but never declared are auto-registered
 as children of the root with a warning, since source excerpts routinely
 mention concepts defined elsewhere.  A trailing-digit name like
 ``hotel-room1`` is treated as an instance and re-parented under its base
-concept when the base exists.  After the cycle check the base is immutable
-and all queries are pure reads.
+concept when the base exists.  A field assertion whose argument has the
+wrong shape is a load error.  The base is a mutable dataclass that queries
+treat as read-only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .diagnostics import ERROR, WARNING, Diagnostic
@@ -20,21 +22,10 @@ from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
-from .terms import DEFAULT_UNITS, Assertion, ObjectBlock, term_symbols
+from .terms import (AKO, DEFAULT_UNITS, EVENT_PREDICATES, STRUCTURAL, Assertion,
+                    ObjectBlock, malformed, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
-_EVENT_RE = re.compile(r"event\d{2}-of")
-
-# predicates the file format itself defines; registered without a warning
-_STRUCTURAL_RE = re.compile(r"(?:event|role)\d{2}-of|role\d{2}-script-of")
-_STRUCTURAL = frozenset({
-    "ako", "goto", "performed-in", "duration-of", "period-of", "cost-of",
-    "entry-condition-of", "result-of", "goal-of", "emotion-of",
-})
-
-
-def _is_structural(symbol: str) -> bool:
-    return symbol in _STRUCTURAL or bool(_STRUCTURAL_RE.fullmatch(symbol))
 
 
 def instance_base(name: str) -> str | None:
@@ -62,13 +53,30 @@ class KnowledgeBase:
             raise UnknownConcept(concept)
         return tuple(self._by_subject.get(concept, ()))
 
+    def sites_about(self, concept: str) -> tuple[tuple[Assertion, str, int], ...]:
+        """``assertions_about`` with the file and line of each assertion; empty
+        for a concept the base does not know."""
+        return tuple(self._sites.get(concept, ()))
+
     def script_concepts(self) -> list[str]:
         """Concepts with at least one event assertion, sorted by name."""
-        out = []
-        for concept, assertions in self._by_subject.items():
-            if any(_EVENT_RE.fullmatch(a.predicate) for a in assertions):
-                out.append(concept)
-        return sorted(out)
+        return sorted(concept for concept, assertions in self._by_subject.items()
+                      if any(a.predicate in EVENT_PREDICATES for a in assertions))
+
+    @cached_property
+    def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
+        # built on first use: only validation reads positions
+        sites: dict[str, list[tuple[Assertion, str, int]]] = {}
+        for a, file, line in self._located():
+            if a.args and isinstance(a.args[0], str):
+                sites.setdefault(a.args[0], []).append((a, file, line))
+        return sites
+
+    def _located(self):
+        """(assertion, file, line) for every assertion, in file order."""
+        for block in self.blocks:
+            for i, a in enumerate(block.assertions):
+                yield a, block.file, block.assertion_line(i)
 
     # -- loading -------------------------------------------------------------
 
@@ -124,20 +132,32 @@ class KnowledgeBase:
                         f"grid {grid.name!r} defined again; last definition wins"))
                 self.grids[grid.name] = grid
 
-        # hierarchy links come from ako assertions anywhere in the files
+        # one pass over the assertions: ako links (from anywhere in the files),
+        # the first mention of each symbol, and the subject index
         ako_parents: dict[str, list[str]] = {}
-        for block in self.blocks:
-            for i, a in enumerate(block.assertions):
-                if a.predicate == "ako" and a.args and isinstance(a.args[0], str):
-                    child = a.args[0]
-                    for parent in a.args[1:]:
-                        if isinstance(parent, str):
-                            ako_parents.setdefault(child, []).append(parent)
-                        else:
-                            self.diagnostics.append(Diagnostic(
-                                block.file, block.assertion_line(i), 1, WARNING,
-                                "BadAkoArgument",
-                                f"ignoring non-symbol ako argument in {a.render()}"))
+        mentioned: dict[str, tuple[str, int]] = {}
+        for a, file, line in self._located():
+            for sym in term_symbols(a):
+                if sym not in mentioned:
+                    mentioned[sym] = (file, line)
+            if not (a.args and isinstance(a.args[0], str)):
+                continue
+            self._by_subject.setdefault(a.args[0], []).append(a)
+            problem = malformed(a)
+            if problem:
+                self.diagnostics.append(Diagnostic(
+                    file, line, 1, ERROR, "MalformedField", problem))
+            if a.predicate == AKO:
+                for parent in a.args[1:]:
+                    if isinstance(parent, str):
+                        ako_parents.setdefault(a.args[0], []).append(parent)
+                    else:
+                        self.diagnostics.append(Diagnostic(
+                            file, line, 1, WARNING, "BadAkoArgument",
+                            f"ignoring non-symbol ako argument in {a.render()}"))
+        for grid in self.grids.values():
+            for sym in (grid.name, *grid.legend.values(), *grid.extended_keys.values()):
+                mentioned.setdefault(sym, (grid.file, grid.line))
 
         ontology = self.ontology
         if ROOT not in ontology:
@@ -145,23 +165,6 @@ class KnowledgeBase:
         for block in self.blocks:
             if block.concept not in ontology:
                 ontology.add_concept(block.concept, ako_parents.get(block.concept, ()))
-
-        mentioned: dict[str, tuple[str, int]] = {}
-
-        def mention(sym, file, line):
-            if sym not in mentioned:
-                mentioned[sym] = (file, line)
-
-        for block in self.blocks:
-            for i, a in enumerate(block.assertions):
-                for sym in term_symbols(a):
-                    mention(sym, block.file, block.assertion_line(i))
-        for grid in self.grids.values():
-            mention(grid.name, grid.file, grid.line)
-            for concept in grid.legend.values():
-                mention(concept, grid.file, grid.line)
-            for concept in grid.extended_keys.values():
-                mention(concept, grid.file, grid.line)
 
         auto: list[str] = []
         for sym, (file, line) in mentioned.items():
@@ -176,7 +179,7 @@ class KnowledgeBase:
                         f"cannot register concept named {sym!r}"))
                     continue
                 auto.append(sym)
-                if not _is_structural(sym):
+                if sym not in STRUCTURAL:
                     self.diagnostics.append(Diagnostic(
                         file, line, 1, WARNING, "AutoRegistered",
                         f"undeclared concept {sym!r} registered under {ROOT!r}"))
@@ -194,11 +197,6 @@ class KnowledgeBase:
             for lang, phrases in block.lexicon:
                 for phrase in phrases:
                     ontology.link_lexeme(phrase, lang, block.concept)
-
-        for block in self.blocks:
-            for a in block.assertions:
-                if a.args and isinstance(a.args[0], str):
-                    self._by_subject.setdefault(a.args[0], []).append(a)
 
 
 def load(paths, units=DEFAULT_UNITS) -> KnowledgeBase:

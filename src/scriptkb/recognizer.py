@@ -17,7 +17,7 @@ from importlib import resources
 from .kb import KnowledgeBase
 from .ontology import Language
 from .scripts import Script, build_script
-from .terms import Assertion, term_symbols
+from .terms import GOTO, Assertion, term_symbols
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
@@ -103,7 +103,7 @@ def mention_set(script: Script) -> frozenset[str]:
     symbols: set[str] = set(script.roles.values())
     for group in script.events:
         for term in group.events:
-            if isinstance(term, Assertion) and term.predicate == "goto":
+            if isinstance(term, Assertion) and term.predicate == GOTO:
                 continue
             symbols.update(term_symbols(term))
     symbols.update(script.places)

@@ -10,9 +10,9 @@ a caller-supplied limit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
+from .diagnostics import ERROR, INFO, WARNING, Diagnostic
 from .errors import (
     BadGotoTarget,
     MalformedField,
@@ -21,20 +21,8 @@ from .errors import (
     UnknownConcept,
 )
 from .kb import KnowledgeBase
-from .terms import NA, Assertion, Measure, NaType, Term, term_symbols
-
-EVENT_RE = re.compile(r"event(\d{2})-of")
-ROLE_RE = re.compile(r"role(\d{2})-of")
-ROLE_SCRIPT_RE = re.compile(r"role(\d{2})-script-of")
-
-SCALAR_PREDICATES = {"duration-of": "duration", "period-of": "period", "cost-of": "cost"}
-LIST_PREDICATES = {
-    "entry-condition-of": "entry_conditions",
-    "result-of": "results",
-    "goal-of": "goals",
-    "emotion-of": "emotions",
-}
-PLACE_PREDICATE = "performed-in"
+from .terms import (EVENT_PREDICATES, FIELDS, GOTO, MEASURE, NA, Assertion, Measure,
+                    NaType, Term, malformed, term_symbols)
 
 
 @dataclass(frozen=True)
@@ -63,13 +51,6 @@ class Script:
 
 
 @dataclass(frozen=True)
-class Finding:
-    severity: str
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
 class FieldValue:
     """A field value together with the concept it came from."""
 
@@ -79,60 +60,43 @@ class FieldValue:
 
 
 def _goto_target(term: Term) -> int | None:
-    if isinstance(term, Assertion) and term.predicate == "goto" \
-            and len(term.args) == 1 and isinstance(term.args[0], str):
-        m = EVENT_RE.fullmatch(term.args[0])
-        if m:
-            return int(m.group(1))
+    if isinstance(term, Assertion) and term.predicate == GOTO \
+            and len(term.args) == 1 and term.args[0] in EVENT_PREDICATES:
+        return FIELDS[term.args[0]].index
     return None
 
 
 def build_script(kb: KnowledgeBase, concept: str) -> Script:
     """Materialize the script view of a concept from its assertions.
 
-    Assertions are grouped by predicate with file order preserved; the
-    first value wins for scalar fields.  Raises MalformedField when a field
-    argument has the wrong shape (e.g. duration without a measure).
+    Assertions are grouped by field with file order preserved; the first
+    value wins for roles, role scripts and measures.  Raises MalformedField
+    on a field argument of the wrong shape, which loading also reports.
     """
-    assertions = kb.assertions_about(concept)
     script = Script(concept)
     groups: dict[int, list[Term]] = {}
     gotos: dict[int, int] = {}
 
-    for a in assertions:
-        pred = a.predicate
-        value = a.args[1] if len(a.args) > 1 else None
-        if m := ROLE_RE.fullmatch(pred):
-            if not isinstance(value, str):
-                raise MalformedField(f"{concept}: {pred} needs a concept argument")
-            script.roles.setdefault(int(m.group(1)), value)
-        elif m := ROLE_SCRIPT_RE.fullmatch(pred):
-            if not isinstance(value, str):
-                raise MalformedField(f"{concept}: {pred} needs a concept argument")
-            script.role_scripts.setdefault(int(m.group(1)), value)
-        elif m := EVENT_RE.fullmatch(pred):
-            if value is None:
-                raise MalformedField(f"{concept}: {pred} needs an event argument")
-            index = int(m.group(1))
-            groups.setdefault(index, []).append(value)
+    for a in kb.assertions_about(concept):
+        spec = FIELDS.get(a.predicate)
+        if spec is None:
+            continue
+        problem = malformed(a)
+        if problem:
+            raise MalformedField(problem)
+        value = a.args[1]
+        if spec.attr == "events":
+            groups.setdefault(spec.index, []).append(value)
             target = _goto_target(value)
             if target is not None:
-                gotos.setdefault(index, target)
-        elif pred in SCALAR_PREDICATES:
-            if not isinstance(value, Measure):
-                raise MalformedField(f"{concept}: {pred} needs a measure argument")
-            name = SCALAR_PREDICATES[pred]
-            if getattr(script, name) is None:
-                setattr(script, name, value)
-        elif pred in LIST_PREDICATES:
-            if value is None:
-                raise MalformedField(f"{concept}: {pred} needs an argument")
-            name = LIST_PREDICATES[pred]
-            setattr(script, name, getattr(script, name) + (value,))
-        elif pred == PLACE_PREDICATE:
-            if not isinstance(value, str):
-                raise MalformedField(f"{concept}: {pred} needs a place argument")
-            script.places = script.places + (value,)
+                gotos.setdefault(spec.index, target)
+        elif spec.index is not None:
+            getattr(script, spec.attr).setdefault(spec.index, value)
+        elif spec.shape == MEASURE:
+            if getattr(script, spec.attr) is None:
+                setattr(script, spec.attr, value)
+        else:
+            setattr(script, spec.attr, getattr(script, spec.attr) + (value,))
 
     script.roles = dict(sorted(script.roles.items()))
     script.role_scripts = dict(sorted(script.role_scripts.items()))
@@ -143,7 +107,7 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
 
 def is_script(kb: KnowledgeBase, concept: str) -> bool:
     """A concept is a script when it has at least one event assertion of its own."""
-    return any(EVENT_RE.fullmatch(a.predicate) for a in kb.assertions_about(concept))
+    return any(a.predicate in EVENT_PREDICATES for a in kb.assertions_about(concept))
 
 
 def timeline(script: Script, unroll_limit: int = 3) -> list[EventGroup]:
@@ -201,71 +165,87 @@ def instance_assertion(kb: KnowledgeBase, script: Script, bindings) -> Assertion
     return Assertion(script.concept, tuple(args))
 
 
-def validate(kb: KnowledgeBase, script: Script) -> list[Finding]:
-    """Sanity findings for a script; errors, warnings, and notes, not exceptions."""
-    findings: list[Finding] = []
+def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
+    """Sanity checks on a script: errors, warnings, and notes, not exceptions.
+
+    Each diagnostic sits at the assertion it is about.  One about the whole
+    script sits at the script's first assertion, or at ``<script>:0:0`` when
+    the base holds no assertion about the script.
+    """
+    sites = kb.sites_about(script.concept)
+    out: list[Diagnostic] = []
+
+    def report(severity, code, message, attr=None, index=None, value=None):
+        # at the first assertion filling the given field, else the script's first
+        position = (sites[0][1], sites[0][2], 1) if sites else ("<script>", 0, 0)
+        for a, file, line in sites:
+            spec = FIELDS.get(a.predicate)
+            if spec and spec.attr == attr and index in (None, spec.index) \
+                    and (value is None or value in a.args[1:2]):
+                position = (file, line, 1)
+                break
+        out.append(Diagnostic(*position, severity, code, message))
 
     indices = list(script.roles)
     if indices and indices != list(range(1, len(indices) + 1)):
-        findings.append(Finding("error", "RoleGap",
-                                f"role indices {indices} are not contiguous from 01"))
+        report(ERROR, "RoleGap", f"role indices {indices} are not contiguous from 01")
     for index in script.role_scripts:
         if index not in script.roles:
-            findings.append(Finding("warning", "RoleScriptWithoutRole",
-                                    f"role{index:02d}-script-of has no matching role"))
+            report(WARNING, "RoleScriptWithoutRole",
+                   f"role{index:02d}-script-of has no matching role",
+                   "role_scripts", index)
 
     group_indices = {g.index for g in script.events}
     for g in script.events:
         if not g.events:
-            findings.append(Finding("error", "EmptyEventGroup",
-                                    f"event group {g.index:02d} is empty"))
+            report(ERROR, "EmptyEventGroup", f"event group {g.index:02d} is empty")
         if g.goto_target is not None:
+            goto = next((t for t in g.events if _goto_target(t) is not None), None)
             if g.goto_target not in group_indices:
-                findings.append(Finding("error", "BadGotoTarget",
-                                        f"goto in group {g.index:02d} targets missing "
-                                        f"group {g.goto_target:02d}"))
+                report(ERROR, "BadGotoTarget",
+                       f"goto in group {g.index:02d} targets missing group "
+                       f"{g.goto_target:02d}", "events", g.index, goto)
             if len(g.events) > 1:
-                findings.append(Finding("warning", "GotoNotAlone",
-                                        f"group {g.index:02d} mixes a goto with other "
-                                        f"events"))
+                report(WARNING, "GotoNotAlone",
+                       f"group {g.index:02d} mixes a goto with other events",
+                       "events", g.index, goto)
 
-    for measure, label in ((script.duration, "duration"), (script.period, "period")):
+    for label in ("duration", "period"):
+        measure = getattr(script, label)
         if measure is not None and measure.quantity <= 0:
-            findings.append(Finding("error", "NonPositiveMeasure",
-                                    f"{label} must be positive, got {measure.text}"))
+            report(ERROR, "NonPositiveMeasure",
+                   f"{label} must be positive, got {measure.text}", label)
     if script.cost is not None and script.cost.quantity < 0:
-        findings.append(Finding("error", "NonPositiveMeasure",
-                                f"cost must not be negative, got {script.cost.text}"))
+        report(ERROR, "NonPositiveMeasure",
+               f"cost must not be negative, got {script.cost.text}", "cost")
 
-    counts: dict[str, int] = {}
-    if script.concept in kb.ontology:
-        for a in kb.assertions_about(script.concept):
-            if a.predicate in SCALAR_PREDICATES or ROLE_RE.fullmatch(a.predicate) \
-                    or ROLE_SCRIPT_RE.fullmatch(a.predicate):
-                counts[a.predicate] = counts.get(a.predicate, 0) + 1
-    for pred, count in counts.items():
-        if count > 1:
-            findings.append(Finding("warning", "DuplicateField",
-                                    f"{pred} given {count} times; first wins"))
+    # roles, role scripts and measures keep their first value
+    repeats: dict[str, list[tuple[str, int]]] = {}
+    for a, file, line in sites:
+        spec = FIELDS.get(a.predicate)
+        if spec and spec.attr != "events" \
+                and (spec.index is not None or spec.shape == MEASURE):
+            repeats.setdefault(a.predicate, []).append((file, line))
+    for pred, places in repeats.items():
+        if len(places) > 1:
+            file, line = places[1]
+            out.append(Diagnostic(file, line, 1, WARNING, "DuplicateField",
+                                  f"{pred} given {len(places)} times; first wins"))
 
     role_concepts = set(script.roles.values())
     flagged: set[str] = set()
     for g in script.events:
         for term in g.events:
-            if _goto_target(term) is not None:
+            if not isinstance(term, Assertion) or _goto_target(term) is not None:
                 continue
-            args = term.args if isinstance(term, Assertion) else ()
-            for sym in args:
-                for name in term_symbols(sym, include_predicates=False):
-                    if name in flagged:
-                        continue
-                    if not _role_related(kb, name, role_concepts):
-                        flagged.add(name)
-                        findings.append(Finding(
-                            "info", "EventArgOutsideRoles",
-                            f"event argument {name!r} names no declared role "
-                            f"concept (nor an ancestor or descendant of one)"))
-    return findings
+            for name in term_symbols(term, include_predicates=False):
+                if name not in flagged and not _role_related(kb, name, role_concepts):
+                    flagged.add(name)
+                    report(INFO, "EventArgOutsideRoles",
+                           f"event argument {name!r} names no declared role "
+                           f"concept (nor an ancestor or descendant of one)",
+                           "events", g.index, term)
+    return out
 
 
 def _role_related(kb: KnowledgeBase, name: str, role_concepts: set[str]) -> bool:

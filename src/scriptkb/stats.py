@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass, fields
 
 from .errors import EmptyDatabase
 from .kb import KnowledgeBase
-from .scripts import EVENT_RE, ROLE_RE, ROLE_SCRIPT_RE
-
-OTHER_PREDICATES = frozenset({
-    "entry-condition-of", "result-of", "goal-of", "emotion-of",
-    "duration-of", "period-of", "cost-of",
-})
+from .terms import FIELDS
 
 
 @dataclass(frozen=True)
@@ -68,18 +64,10 @@ def census(kb: KnowledgeBase) -> list[CensusRow]:
     """One row per script concept, name ascending."""
     rows = []
     for concept in kb.script_concepts():
-        subevents = roles = places = other = 0
-        for a in kb.assertions_about(concept):
-            pred = a.predicate
-            if EVENT_RE.fullmatch(pred):
-                subevents += 1
-            elif ROLE_RE.fullmatch(pred):
-                roles += 1
-            elif pred == "performed-in":
-                places += 1
-            elif pred in OTHER_PREDICATES or ROLE_SCRIPT_RE.fullmatch(pred):
-                other += 1
-        rows.append(CensusRow(concept, subevents, roles, places, other))
+        counts = Counter(FIELDS[a.predicate].attr for a in kb.assertions_about(concept)
+                         if a.predicate in FIELDS)
+        own = [counts.pop(attr, 0) for attr in ("events", "roles", "places")]
+        rows.append(CensusRow(concept, *own, sum(counts.values())))
     return rows
 
 
@@ -88,13 +76,8 @@ def summary(kb: KnowledgeBase) -> SummaryRow:
     if not rows:
         raise EmptyDatabase("no scripts loaded; averages are undefined")
     n = len(rows)
-    return SummaryRow(
-        n,
-        sum(r.subevents for r in rows) / n,
-        sum(r.roles for r in rows) / n,
-        sum(r.places for r in rows) / n,
-        sum(r.other for r in rows) / n,
-    )
+    return SummaryRow(n, *(sum(getattr(r, column) for r in rows) / n
+                           for column in ("subevents", "roles", "places", "other")))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -114,11 +97,9 @@ def format_census(rows) -> str:
 def format_comparison(local: SummaryRow) -> str:
     table = [_COMPARISON_HEADER]
     table.append(("local database", str(local.scripts),
-                  f"{local.avg_subevents:.2f}", f"{local.avg_roles:.2f}",
-                  f"{local.avg_places:.2f}", f"{local.avg_other:.2f}"))
+                  *(f"{v:.2f}" for v in astuple(local)[1:])))
     for row in PUBLISHED:
-        table.append((f"{row.name} (published)", row.scripts, row.subevents,
-                      row.roles, row.places, row.other))
+        table.append((f"{row.name} (published)", *astuple(row)[1:]))
     return _align(table)
 
 
@@ -132,10 +113,8 @@ def census_csv(kb: KnowledgeBase) -> str:
     if rows:
         s = summary(kb)
         writer.writerow([])
-        writer.writerow(["scripts", "avg_subevents", "avg_roles", "avg_places",
-                         "avg_other"])
-        writer.writerow([s.scripts, f"{s.avg_subevents:.2f}", f"{s.avg_roles:.2f}",
-                         f"{s.avg_places:.2f}", f"{s.avg_other:.2f}"])
+        writer.writerow([f.name for f in fields(SummaryRow)])
+        writer.writerow([s.scripts, *(f"{v:.2f}" for v in astuple(s)[1:])])
     return out.getvalue()
 
 

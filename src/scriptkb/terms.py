@@ -5,13 +5,17 @@ one of: a concept symbol (plain ``str``), the ``na`` placeholder, a unit
 measure, or a nested assertion.  The ``^`` self-reference that appears in
 source files is resolved to the enclosing block's concept during parsing
 and never survives into the model.
+
+The predicate vocabulary lives here too: ``FIELDS`` says which script field
+each field predicate fills and what argument it needs, and ``ako`` and
+``goto`` are the two other predicates the file format defines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import MalformedNumber
 from .ontology import Language
@@ -103,6 +107,55 @@ def render_term(term: Term) -> str:
     if isinstance(term, NaType):
         return "na"
     return term
+
+
+# -- predicate vocabulary ----------------------------------------------------------
+
+AKO = "ako"  # hierarchy parents
+GOTO = "goto"  # the [goto eventNN-of] pseudo-event that restarts a timeline
+
+CONCEPT, MEASURE, TERM = "concept", "measure", "term"  # argument shapes
+_SHAPE_TYPES = {CONCEPT: str, MEASURE: Measure, TERM: object}
+
+
+class Field(NamedTuple):
+    """What a field predicate fills: a ``Script`` attribute, the ``NN`` of a
+    numbered predicate (None otherwise), and the argument shape it needs."""
+
+    attr: str
+    index: int | None
+    shape: str
+
+
+FIELDS: dict[str, Field] = {
+    "entry-condition-of": Field("entry_conditions", None, TERM),
+    "result-of": Field("results", None, TERM),
+    "goal-of": Field("goals", None, TERM),
+    "emotion-of": Field("emotions", None, TERM),
+    "performed-in": Field("places", None, CONCEPT),
+    "duration-of": Field("duration", None, MEASURE),
+    "period-of": Field("period", None, MEASURE),
+    "cost-of": Field("cost", None, MEASURE),
+}
+for _n in range(100):
+    FIELDS[f"role{_n:02d}-of"] = Field("roles", _n, CONCEPT)
+    FIELDS[f"role{_n:02d}-script-of"] = Field("role_scripts", _n, CONCEPT)
+    FIELDS[f"event{_n:02d}-of"] = Field("events", _n, TERM)
+
+EVENT_PREDICATES = frozenset(p for p, f in FIELDS.items() if f.attr == "events")
+# predicates the file format itself defines
+STRUCTURAL = frozenset(FIELDS) | {AKO, GOTO}
+
+
+def malformed(a: Assertion) -> str | None:
+    """For a field assertion about a concept whose argument (the one after
+    the concept) has the wrong shape, what it needs; None for every other
+    assertion."""
+    spec = FIELDS.get(a.predicate)
+    if spec is None or (len(a.args) > 1
+                        and isinstance(a.args[1], _SHAPE_TYPES[spec.shape])):
+        return None
+    return f"{a.args[0]}: {a.predicate} needs a {spec.shape} argument"
 
 
 def term_symbols(term: Term, include_predicates: bool = True):

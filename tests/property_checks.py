@@ -7,6 +7,7 @@ budget.
 
 import random
 
+from scriptkb.diagnostics import has_errors
 from scriptkb.errors import CycleDetected, MalformedHeader
 from scriptkb.grid import parse_grid
 from scriptkb.kb import KnowledgeBase
@@ -14,6 +15,7 @@ from scriptkb.ontology import Language, Ontology
 from scriptkb.parser import parse_database, serialize
 from scriptkb.recognizer import Activation, ActivationSet, mention_set, score_scripts
 from scriptkb.scripts import EventGroup, Script, build_script, timeline
+from scriptkb.stats import census
 from scriptkb.terms import Assertion
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
@@ -177,10 +179,8 @@ def run_lexicon_consistency(cases=1000, seed=20260808):
 _ALPHABET = "abno [];^-:\n.,0123456789eE+"
 
 
-def run_parser_totality(texts, cases=1000, seed=20260808):
-    """Mutated fixture text never crashes the parser: blocks plus diagnostics
-    come back, whatever survives still serializes to a reparseable form, and
-    the loader path only ever reports problems or a cycle."""
+def _mutations(texts, cases, seed):
+    """Fixture texts with one to eight random character edits each."""
     rng = random.Random(seed)
     for case in range(cases):
         text = texts[case % len(texts)]
@@ -194,8 +194,14 @@ def run_parser_totality(texts, cases=1000, seed=20260808):
                 del chars[pos]
             else:
                 chars.insert(pos, rng.choice(_ALPHABET))
-        mutated = "".join(chars)
+        yield "".join(chars)
 
+
+def run_parser_totality(texts, cases=1000, seed=20260808):
+    """Mutated fixture text never crashes the parser: blocks plus diagnostics
+    come back, whatever survives still serializes to a reparseable form, and
+    the loader path only ever reports problems or a cycle."""
+    for mutated in _mutations(texts, cases, seed):
         result = parse_database(mutated)
         assert isinstance(result.blocks, list)
         assert isinstance(result.diagnostics, list)
@@ -210,3 +216,25 @@ def run_parser_totality(texts, cases=1000, seed=20260808):
             KnowledgeBase.from_texts([("m", mutated)])
         except CycleDetected:
             pass  # mutations can close an ako loop; anything else is a bug
+
+
+def run_clean_load_builds_scripts(texts, cases=1000, seed=20260808):
+    """A mutated fixture that loads without error diagnostics builds a script
+    view of every concept with assertions, and each census row counts as
+    subevents exactly the events that view groups."""
+    clean = 0
+    for mutated in _mutations(texts, cases, seed):
+        try:
+            kb = KnowledgeBase.from_texts([("m", mutated)])
+        except CycleDetected:
+            continue
+        if has_errors(kb.diagnostics):
+            continue
+        clean += 1
+        for concept in list(kb.ontology.concepts()):
+            if kb.assertions_about(concept):
+                build_script(kb, concept)
+        for row in census(kb):
+            script = build_script(kb, row.script)
+            assert row.subevents == sum(len(g.events) for g in script.events)
+    assert clean, "no mutation loaded cleanly; the property checked nothing"

@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import scriptkb
 from scriptkb.cli import bundled_kb_paths, run
 from conftest import data_path
 
@@ -223,3 +230,54 @@ def test_output_is_deterministic():
 def test_help_exits_zero():
     code, *_ = invoke("--help")
     assert code == 0
+
+
+def test_malformed_field_fails_validate_and_refuses_queries(tmp_path):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("Object thing\n[event01-of ^ [hum thing]]\n[duration-of ^ hello]\n",
+                   encoding="utf-8")
+    message = f"{bad}:3:1: error: thing: duration-of needs a measure argument"
+    code, out, _ = invoke("validate", str(bad))
+    assert code == 2
+    assert message in out.splitlines()
+    code, out, err = invoke("--kb", str(bad), "recognize", "hum")
+    assert (code, out) == (2, "")
+    assert message in err.splitlines()
+
+
+def test_validate_runs_the_script_checks(tmp_path):
+    looper = tmp_path / "looper.kb"
+    looper.write_text("Object looper\n[event01-of ^ [sing looper]]\n"
+                      "[event02-of ^ [goto event07-of]]\n", encoding="utf-8")
+    code, out, _ = invoke("validate", str(looper))
+    assert code == 2
+    assert f"{looper}:3:1: error: goto in group 02 targets missing group 07" in out
+
+
+def test_validate_fixtures_lists_script_notes():
+    code, out, _ = invoke("--json", "validate", *bundled_kb_paths())
+    assert code == 0
+    notes = [d for d in json.loads(out)["diagnostics"] if d["code"] == "EventArgOutsideRoles"]
+    assert notes and all(d["severity"] == "info" and d["line"] > 0 for d in notes)
+
+
+def test_validate_skips_script_checks_after_load_errors(tmp_path):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("Object looper\n[event01-of ^ [sing looper]]\n"
+                   "[event02-of ^ [goto event07-of]]\n[broken !!!]\n", encoding="utf-8")
+    code, out, _ = invoke("validate", str(bad))
+    assert code == 2
+    assert "goto" not in out
+
+
+@pytest.mark.parametrize("module", ["scriptkb", "scriptkb.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("Object thing\n[broken !!!]\n", encoding="utf-8")
+    src = str(Path(scriptkb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", module, "validate", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert f"{bad}:2:" in proc.stdout

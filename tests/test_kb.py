@@ -1,5 +1,6 @@
 import pytest
 
+from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import CycleDetected, UnknownConcept
 from scriptkb.kb import KnowledgeBase, instance_base
 
@@ -93,3 +94,19 @@ def test_load_from_paths_merges_in_order(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         KnowledgeBase.from_paths([tmp_path / "absent.kb"])
+
+
+def test_malformed_field_is_a_positioned_load_error():
+    text = "Object thing\n[event01-of ^ [hum thing]]\n[duration-of ^ apple]\n"
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [d for d in kb.diagnostics if d.severity == "error"] == [
+        Diagnostic("t", 3, 1, "error", "MalformedField",
+                   "thing: duration-of needs a measure argument")]
+
+
+def test_sites_about_gives_each_assertion_its_line():
+    text = "Object thing\n[event01-of ^ [hum thing]]\n\n[goal-of ^ [hum thing]]\n"
+    kb = KnowledgeBase.from_texts([("t", text)])
+    sites = kb.sites_about("thing")
+    assert tuple(a for a, _, _ in sites) == kb.assertions_about("thing")
+    assert [(file, line) for _, file, line in sites] == [("t", 2), ("t", 4)]

@@ -28,6 +28,10 @@ def test_parser_totality_on_mutated_fixtures(core_text, scripts_text, demo_text)
     pc.run_parser_totality([core_text, scripts_text, demo_text], cases=1000)
 
 
+def test_clean_loads_build_every_script(core_text, scripts_text, demo_text):
+    pc.run_clean_load_builds_scripts([core_text, scripts_text, demo_text], cases=1000)
+
+
 # -- hypothesis spot checks --------------------------------------------------------
 
 decimals = st.decimals(allow_nan=False, allow_infinity=False,

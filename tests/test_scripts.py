@@ -1,5 +1,6 @@
 import pytest
 
+from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import (
     BadGotoTarget,
     MalformedField,
@@ -217,6 +218,38 @@ def test_validate_event_args_outside_roles_is_informational(kb):
     outside = [f for f in findings if f.code == "EventArgOutsideRoles"]
     assert outside and all(f.severity == "info" for f in outside)
     assert any("light-source" in f.message for f in outside)
+
+
+def test_validate_duplicate_field_sits_on_second_line():
+    text = ("Object thing\n[event01-of ^ [hum thing]]\n"
+            "[duration-of ^ NUMBER:second:5]\n[duration-of ^ NUMBER:second:9]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [d for d in validate(kb, build_script(kb, "thing"))
+            if d.code == "DuplicateField"] == [
+        Diagnostic("t", 4, 1, "warning", "DuplicateField",
+                   "duration-of given 2 times; first wins")]
+
+
+def test_validate_diagnostics_sit_at_the_offending_assertion():
+    text = ("Object looper\n[role01-of ^ singer]\n[role03-of ^ hall]\n"
+            "[event01-of ^ [sing singer]]\n[event01-of ^ [tune piano]]\n"
+            "[event02-of ^ [goto event09-of]]\n[role05-script-of ^ encore]\n"
+            "[duration-of ^ NUMBER:second:0]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    found = {d.code: (d.file, d.line, d.col) for d in validate(kb, build_script(kb, "looper"))}
+    assert found == {
+        "RoleGap": ("t", 2, 1),  # about the whole script: its first assertion
+        "RoleScriptWithoutRole": ("t", 7, 1),
+        "BadGotoTarget": ("t", 6, 1),
+        "NonPositiveMeasure": ("t", 8, 1),
+        "EventArgOutsideRoles": ("t", 5, 1),  # piano, in the second event of group 01
+    }
+
+
+def test_validate_script_without_assertions_sits_at_script_origin(kb):
+    s = Script("synthetic", roles={1: "human", 3: "dog"})
+    assert [(d.file, d.line, d.col, d.code) for d in validate(kb, s)] == [
+        ("<script>", 0, 0, "RoleGap")]
 
 
 # -- inheritance ----------------------------------------------------------------------

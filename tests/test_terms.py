@@ -1,7 +1,8 @@
 import pytest
 
 from scriptkb.errors import MalformedNumber
-from scriptkb.terms import NA, Assertion, Measure, NaType, render_term, term_symbols
+from scriptkb.terms import (CONCEPT, FIELDS, MEASURE, NA, TERM, Assertion, Field, Measure,
+                            NaType, malformed, render_term, term_symbols)
 
 
 def test_na_is_singleton():
@@ -70,3 +71,29 @@ def test_term_symbols_recursive():
         "event02-of", "blackout", "fetch-from", "human", "light-source"]
     assert list(term_symbols(outer, include_predicates=False)) == [
         "blackout", "human", "light-source"]
+
+
+def test_field_table_expands_every_numbered_predicate():
+    assert FIELDS["event00-of"] == Field("events", 0, TERM)
+    assert FIELDS["role07-of"] == Field("roles", 7, CONCEPT)
+    assert FIELDS["role99-script-of"] == Field("role_scripts", 99, CONCEPT)
+    assert FIELDS["cost-of"] == Field("cost", None, MEASURE)
+    for name in ("event1-of", "event100-of", "role01-script", "ako", "goto"):
+        assert name not in FIELDS
+    assert len(FIELDS) == 8 + 3 * 100
+
+
+@pytest.mark.parametrize("assertion, problem", [
+    (Assertion("role01-of", ("thing", NA)), "thing: role01-of needs a concept argument"),
+    (Assertion("performed-in", ("thing", Measure("USD", "1"))),
+     "thing: performed-in needs a concept argument"),
+    (Assertion("duration-of", ("thing", "apple")),
+     "thing: duration-of needs a measure argument"),
+    (Assertion("event02-of", ("thing",)), "thing: event02-of needs a term argument"),
+    (Assertion("goal-of", ("thing",)), "thing: goal-of needs a term argument"),
+    (Assertion("event02-of", ("thing", "nap")), None),
+    (Assertion("cost-of", ("thing", Measure("USD", "1"))), None),
+    (Assertion("made-of", ("thing",)), None),
+])
+def test_malformed_checks_the_shape_each_field_needs(assertion, problem):
+    assert malformed(assertion) == problem
