@@ -15,17 +15,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from importlib import resources
+from pathlib import Path
 
-from .diagnostics import ERROR, has_errors
+from .diagnostics import ERROR, Diagnostic, has_errors
 from .errors import KbError, PositionedError
 from .kb import KnowledgeBase
 from .ontology import Language
-from .qa import Answer, QuestionKind, RoleUse, Usage, answer, parse_question
-from .recognizer import activate, format_results, score_scripts
-from .scripts import EventGroup, Script, build_script, is_script, timeline, validate
-from .stats import census, census_csv, format_census, format_comparison, summary
+from .qa import Answer, RoleUse, Usage, answer, parse_question
+from .recognizer import RecognitionResult, activate, format_results, score_scripts
+from .scripts import EventGroup, Script, build_script, require_script, timeline, validate
+from .stats import SummaryRow, census, census_csv, format_census, format_comparison, summary
 from .terms import FIELDS, MEASURE, Assertion, Measure, NaType, render_term
 from . import cyc
 from . import grid as gridmod
@@ -35,6 +37,10 @@ KB_ENV = "SCRIPTKB_KB"
 
 class _UsageError(Exception):
     pass
+
+
+class _Exit(Exception):
+    """``_Exit(code, message)`` ends a command early; the message goes to stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,35 +57,43 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="load files, check scripts, print diagnostics")
     p.add_argument("files", nargs="+")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("show", help="print the script view of a concept")
     p.add_argument("concept")
+    p.set_defaults(handler=_cmd_show)
 
     p = sub.add_parser("timeline", help="print the unrolled event timeline")
     p.add_argument("script")
     p.add_argument("--unroll", type=int, default=3, metavar="N",
                    help="goto traversal budget (default 3)")
+    p.set_defaults(handler=_cmd_timeline)
 
     p = sub.add_parser("recognize", help="rank scripts matching free text")
     p.add_argument("text")
     p.add_argument("--language", default="English", choices=["English", "French"])
     p.add_argument("--no-generalization", action="store_true",
                    help="require exact mention-set membership")
+    p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("ask", help="answer a templated question")
     p.add_argument("question")
+    p.set_defaults(handler=_cmd_ask)
 
     p = sub.add_parser("stats", help="per-script census and averages")
     p.add_argument("--csv", action="store_true")
+    p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("grid", help="print a grid or the concept at a cell")
     p.add_argument("name")
     p.add_argument("--at", metavar="COL,ROW")
+    p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("cyc-extract", help="extract census tuples from rule files")
     p.add_argument("rules")
     p.add_argument("--events", required=True, metavar="FILE",
                    help="file listing known event names")
+    p.set_defaults(handler=_cmd_cyc_extract)
     return parser
 
 
@@ -98,18 +112,11 @@ def _kb_paths(args) -> list[str]:
     return bundled_kb_paths()
 
 
-def _load(args, out_err) -> KnowledgeBase | None:
+def _load(paths) -> KnowledgeBase:
     try:
-        kb = KnowledgeBase.from_paths(_kb_paths(args))
+        return KnowledgeBase.from_paths(paths)
     except (OSError, KbError) as e:
-        print(f"load error: {e}", file=out_err)
-        return None
-    bad = [d for d in kb.diagnostics if d.severity == ERROR]
-    if bad:
-        for d in bad:
-            print(d.render(), file=out_err)
-        return None
-    return kb
+        raise _Exit(2, f"load error: {e}") from e
 
 
 def run(argv, out=None, out_err=None) -> int:
@@ -117,211 +124,103 @@ def run(argv, out=None, out_err=None) -> int:
     out_err = out_err if out_err is not None else sys.stderr
     parser = _build_parser()
     try:
-        if not argv:
-            raise _UsageError("a command is required")
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
+        code, payload = _dispatch(args)
     except _UsageError as e:
         parser.print_usage(out_err)
         print(f"scriptkb: error: {e}", file=out_err)
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
-
-    try:
-        return _dispatch(args, out, out_err)
+    except _Exit as e:
+        print(e.args[1], file=out_err)
+        return e.args[0]
     except KbError as e:
         print(f"error: {e}", file=out_err)
         return 3
+    if args.json:
+        print(json.dumps(_json(payload), indent=2, sort_keys=True, ensure_ascii=False), file=out)
+        return code
+    if isinstance(payload, Answer):
+        out_err.writelines(f"note: {note}\n" for note in payload.notes)
+    out.writelines(line + "\n" for line in _lines(payload))
+    return code
 
 
-def _dispatch(args, out, out_err) -> int:
-    if args.command == "validate":
-        return _cmd_validate(args, out, out_err)
-    if args.command == "cyc-extract":
-        return _cmd_cyc_extract(args, out, out_err)
-
-    kb = _load(args, out_err)
-    if kb is None:
-        return 2
-    return {
-        "show": _cmd_show,
-        "timeline": _cmd_timeline,
-        "recognize": _cmd_recognize,
-        "ask": _cmd_ask,
-        "stats": _cmd_stats,
-        "grid": _cmd_grid,
-    }[args.command](kb, args, out, out_err)
+def _dispatch(args):
+    """Run the command; returns its exit code and its payload."""
+    if args.command in ("validate", "cyc-extract"):  # these read their own files
+        return args.handler(args)
+    kb = _load(_kb_paths(args))
+    bad = [d.render() for d in kb.diagnostics if d.severity == ERROR]
+    if bad:
+        raise _Exit(2, "\n".join(bad))
+    return 0, args.handler(kb, args)
 
 
-def _cmd_validate(args, out, out_err) -> int:
-    try:
-        kb = KnowledgeBase.from_paths(args.files)
-    except (OSError, KbError) as e:
-        print(f"load error: {e}", file=out_err)
-        return 2
+def _cmd_validate(args):
+    kb = _load(args.files)
     diagnostics = list(kb.diagnostics)
     if not has_errors(diagnostics):  # scripts are only built from a clean load
         for name in kb.script_concepts():
             diagnostics += validate(kb, build_script(kb, name))
-    if args.json:
-        _emit_json(out, {"diagnostics": [asdict(d) for d in diagnostics]})
-    else:
-        for d in diagnostics:
-            print(d.render(), file=out)
-    return 2 if has_errors(diagnostics) else 0
+    return 2 if has_errors(diagnostics) else 0, {"diagnostics": diagnostics}
 
 
-def _cmd_show(kb, args, out, out_err) -> int:
-    if args.concept not in kb.ontology:
-        print(f"error: unknown concept {args.concept!r}", file=out_err)
-        return 3
-    if not is_script(kb, args.concept):
-        print(f"error: {args.concept!r} is not a script (no events)", file=out_err)
-        return 3
-    script = build_script(kb, args.concept)
-    if args.json:
-        _emit_json(out, _script_json(script))
-        return 0
-    for line in _script_lines(script):
-        print(line, file=out)
-    return 0
+def _cmd_show(kb, args) -> Script:
+    require_script(kb, args.concept)
+    return build_script(kb, args.concept)
 
 
-def _script_lines(s: Script) -> list[str]:
-    lines = [f"script {s.concept}", "roles:"]
-    lines += [f"  {i:02d} {c}" for i, c in s.roles.items()]
-    if s.role_scripts:
-        lines.append("role scripts:")
-        lines += [f"  {i:02d} {c}" for i, c in s.role_scripts.items()]
-    lines.append("events:")
-    for g in s.events:
-        lines += [f"  {g.index:02d} {render_term(t)}" for t in g.events]
-    for label, value in (("entry conditions", s.entry_conditions),
-                         ("results", s.results), ("goals", s.goals),
-                         ("emotions", s.emotions)):
-        if value:
-            lines.append(f"{label}:")
-            lines += [f"  {render_term(t)}" for t in value]
-    if s.places:
-        lines.append("places: " + ", ".join(s.places))
-    for label, m in (("duration", s.duration), ("period", s.period),
-                     ("cost", s.cost)):
-        if m is not None:
-            lines.append(f"{label}: {m.text} {m.unit}")
-    return lines
-
-
-def _cmd_timeline(kb, args, out, out_err) -> int:
+def _cmd_timeline(kb, args) -> list[EventGroup]:
     if args.unroll < 0:
-        print("error: --unroll must be nonnegative", file=out_err)
-        return 1
-    if args.script not in kb.ontology or not is_script(kb, args.script):
-        print(f"error: {args.script!r} is not a script", file=out_err)
-        return 3
-    groups = timeline(build_script(kb, args.script), args.unroll)
-    if args.json:
-        _emit_json(out, [_group_json(g) for g in groups])
-        return 0
-    for g in groups:
-        for t in g.events:
-            print(f"{g.index:02d} {render_term(t)}", file=out)
-    return 0
+        raise _Exit(1, "error: --unroll must be nonnegative")
+    require_script(kb, args.script)
+    return timeline(build_script(kb, args.script), args.unroll)
 
 
-def _cmd_recognize(kb, args, out, out_err) -> int:
+def _cmd_recognize(kb, args) -> list[RecognitionResult]:
     activations = activate(args.text, kb, Language(args.language))
-    results = score_scripts(activations, kb,
-                            generalization=not args.no_generalization)
-    if args.json:
-        _emit_json(out, [asdict(r) for r in results])
-        return 0
-    for line in format_results(results):
-        print(line, file=out)
-    return 0
+    return score_scripts(activations, kb, generalization=not args.no_generalization)
 
 
-def _cmd_ask(kb, args, out, out_err) -> int:
-    question = parse_question(kb, args.question)
-    result = answer(kb, question)
-    if args.json:
-        _emit_json(out, _answer_json(result))
-        return 0
-    for note in result.notes:
-        print(f"note: {note}", file=out_err)
-    for line in _answer_lines(result):
-        print(line, file=out)
-    return 0
+def _cmd_ask(kb, args) -> Answer:
+    return answer(kb, parse_question(kb, args.question))
 
 
-def _answer_lines(a: Answer) -> list[str]:
-    if a.payload is None or a.payload == []:
-        return ["unknown"]
-    if isinstance(a.payload, Measure):
-        return [f"{a.payload.text} {a.payload.unit} ({a.sources[0]})"]
-    if a.kind in (QuestionKind.WHERE_DOES_ONE, QuestionKind.WHERE_FOUND):
-        return list(a.payload)
-    lines = []
-    for item in a.payload:
-        if isinstance(item, RoleUse):
-            head = f"{item.script} (role {item.role_index:02d})"
-            if item.role_script:
-                head += f" -> {item.role_script}"
-            lines.append(head)
-            lines += [f"  {render_term(t)}" for t in item.events]
-        elif isinstance(item, Usage):
-            lines.append(item.script)
-            lines += [f"  {render_term(t)}" for t in item.events]
-        elif isinstance(item, EventGroup):
-            lines += [f"{item.index:02d} {render_term(t)}" for t in item.events]
-        else:
-            lines.append(render_term(item))
-    return lines
+@dataclass(frozen=True)
+class _Stats:
+    census: list
+    summary: SummaryRow | None  # None when the base holds no script
 
 
-def _cmd_stats(kb, args, out, out_err) -> int:
+def _cmd_stats(kb, args):
+    if args.csv and not args.json:
+        return census_csv(kb)
     rows = census(kb)
-    if args.json:
-        payload = {"census": [asdict(r) for r in rows]}
-        if rows:
-            payload["summary"] = {k: round(v, 2) for k, v in asdict(summary(kb)).items()}
-        _emit_json(out, payload)
-        return 0
-    if args.csv:
-        out.write(census_csv(kb))
-        return 0
-    print(format_census(rows), file=out)
-    if rows:
-        print("", file=out)
-        print(format_comparison(summary(kb)), file=out)
-    return 0
+    return _Stats(rows, summary(kb) if rows else None)
 
 
-def _cmd_grid(kb, args, out, out_err) -> int:
+@dataclass(frozen=True)
+class _Cell:
+    col: int
+    row: int
+    concept: str | None
+
+
+def _cmd_grid(kb, args):
     grid = kb.grids.get(args.name)
     if grid is None:
-        print(f"error: no grid named {args.name!r}", file=out_err)
-        return 3
-    if args.at:
-        try:
-            col, row = (int(v) for v in args.at.split(","))
-        except ValueError:
-            print("error: --at expects COL,ROW", file=out_err)
-            return 1
-        concept = grid.object_at(col, row)
-        if args.json:
-            _emit_json(out, {"col": col, "row": row, "concept": concept})
-        else:
-            print(concept if concept else "(empty)", file=out)
-        return 0
-    if args.json:
-        _emit_json(out, {"name": grid.name, "rows": grid.rows,
-                         "legend": dict(sorted(grid.legend.items())),
-                         "extended_keys": grid.extended_keys})
-        return 0
-    out.write(gridmod.render(grid))
-    return 0
+        raise _Exit(3, f"error: no grid named {args.name!r}")
+    if not args.at:
+        return grid
+    try:
+        col, row = (int(v) for v in args.at.split(","))
+    except ValueError:
+        raise _Exit(1, "error: --at expects COL,ROW") from None
+    return _Cell(col, row, grid.object_at(col, row))
 
 
 def _read_event_names(text: str) -> set[str]:
@@ -334,98 +233,131 @@ def _read_event_names(text: str) -> set[str]:
     return names
 
 
-def _cmd_cyc_extract(args, out, out_err) -> int:
+@dataclass(frozen=True)
+class _Extraction:
+    tuples: list[str]
+    census: list[cyc.EventCensusRow]
+    summary: cyc.EventSummary
+
+
+def _cmd_cyc_extract(args):
     try:
-        rules_text = open(args.rules, encoding="utf-8").read()
-        events_text = open(args.events, encoding="utf-8").read()
-    except OSError as e:
-        print(f"load error: {e}", file=out_err)
-        return 2
-    known = _read_event_names(events_text)
-    try:
+        rules_text = Path(args.rules).read_text(encoding="utf-8")
+        known = _read_event_names(Path(args.events).read_text(encoding="utf-8"))
         forms = cyc.parse_forms(rules_text)
-    except PositionedError as e:
-        print(f"load error: {e}", file=out_err)
-        return 2
+    except (OSError, PositionedError) as e:
+        raise _Exit(2, f"load error: {e}") from e
     tuples = cyc.extract_all(forms, known)
-    rows, s = cyc.event_census(tuples, known)
-    if args.json:
-        _emit_json(out, {"tuples": cyc.tuple_lines(tuples),
-                         "census": [asdict(r) for r in rows],
-                         "summary": {k: round(v, 2) for k, v in asdict(s).items()}})
-        return 0
-    for line in cyc.tuple_lines(tuples):
-        print(line, file=out)
-    print("", file=out)
-    print(f"scripts: {s.scripts} of {s.events} events", file=out)
-    for r in rows:
-        print(f"{r.event}: subevents {r.subevents}, roles {r.roles}, "
-              f"places {r.places}, other {r.other}", file=out)
-    return 0
+    return 0, _Extraction(cyc.tuple_lines(tuples), *cyc.event_census(tuples, known))
 
 
-# -- JSON shapes ---------------------------------------------------------------
+# -- output: one text renderer and one JSON encoder over every payload ----------
+
+def _indented(lines) -> list[str]:
+    return [f"  {line}" for line in lines]
 
 
-def _term_json(term):
-    if isinstance(term, Assertion):
-        return {"predicate": term.predicate, "args": [_term_json(a) for a in term.args]}
-    if isinstance(term, Measure):
-        return {"unit": term.unit, "value": term.value, "text": term.text}
-    if isinstance(term, NaType):
+def _lines(value) -> list[str]:
+    """The text-mode lines of a payload."""
+    if isinstance(value, (list, tuple)):
+        return [line for item in value for line in _lines(item)]
+    if isinstance(value, dict):
+        return _lines(list(value.values()))
+    if isinstance(value, (str, Assertion, Measure, NaType)):  # a term, or a text block
+        return render_term(value).splitlines()
+    if isinstance(value, EventGroup):
+        return [f"{value.index:02d} {render_term(t)}" for t in value.events]
+    if isinstance(value, Script):
+        return _script_lines(value)
+    if isinstance(value, Answer):
+        if value.payload is None or value.payload == []:
+            return ["unknown"]
+        if isinstance(value.payload, Measure):
+            return [f"{value.payload.text} {value.payload.unit} ({value.sources[0]})"]
+        return _lines(value.payload)
+    if isinstance(value, RoleUse):
+        head = f"{value.script} (role {value.role_index:02d})"
+        if value.role_script:
+            head += f" -> {value.role_script}"
+        return [head] + _indented(_lines(value.events))
+    if isinstance(value, Usage):
+        return [value.script] + _indented(_lines(value.events))
+    if isinstance(value, Diagnostic):
+        return [value.render()]
+    if isinstance(value, RecognitionResult):
+        return format_results([value])
+    if isinstance(value, _Stats):
+        lines = format_census(value.census).splitlines()
+        if value.summary is not None:
+            lines += [""] + format_comparison(value.summary).splitlines()
+        return lines
+    if isinstance(value, _Extraction):
+        s = value.summary
+        return value.tuples + ["", f"scripts: {s.scripts} of {s.events} events"] + [
+            f"{r.event}: subevents {r.subevents}, roles {r.roles}, "
+            f"places {r.places}, other {r.other}" for r in value.census]
+    if isinstance(value, gridmod.Grid):
+        return gridmod.render(value).splitlines()
+    if isinstance(value, _Cell):
+        return [value.concept or "(empty)"]
+    raise TypeError(f"no text form for {type(value).__name__}")
+
+
+def _script_lines(s: Script) -> list[str]:
+    lines = [f"script {s.concept}", "roles:"]
+    lines += _indented(f"{i:02d} {c}" for i, c in s.roles.items())
+    if s.role_scripts:
+        lines.append("role scripts:")
+        lines += _indented(f"{i:02d} {c}" for i, c in s.role_scripts.items())
+    lines += ["events:"] + _indented(_lines(s.events))
+    for spec in FIELDS.values():  # the unnumbered fields, in file-format order
+        label, value = spec.attr.replace("_", " "), getattr(s, spec.attr)
+        if spec.index is not None or not value:
+            continue
+        if spec.shape == MEASURE:
+            lines.append(f"{label}: {value.text} {value.unit}")
+        elif spec.attr == "places":
+            lines.append(f"{label}: " + ", ".join(value))
+        else:
+            lines += [f"{label}:"] + _indented(_lines(value))
+    return lines
+
+
+def _json(value):
+    """A payload's JSON: dataclasses by field name unless their keys differ."""
+    if isinstance(value, Assertion):
+        return {"predicate": value.predicate, "args": _json(value.args)}
+    if isinstance(value, Measure):
+        return {"unit": value.unit, "value": value.value, "text": value.text}
+    if isinstance(value, NaType):
         return "na"
-    return term
-
-
-def _group_json(g: EventGroup):
-    out = {"index": g.index, "events": [_term_json(t) for t in g.events]}
-    if g.goto_target is not None:
-        out["goto"] = g.goto_target
-    return out
-
-
-def _script_json(s: Script):
-    out = {
-        "concept": s.concept,
-        "roles": {f"{i:02d}": c for i, c in s.roles.items()},
-        "role-scripts": {f"{i:02d}": c for i, c in s.role_scripts.items()},
-        "events": [_group_json(g) for g in s.events],
-    }
-    # the unnumbered fields are keyed by their predicate names
-    for predicate, spec in FIELDS.items():
-        if spec.index is None:
-            value = getattr(s, spec.attr)
-            out[predicate] = (_term_json(value) if spec.shape == MEASURE
-                              else [_term_json(t) for t in value])
-    return out
-
-
-def _answer_json(a: Answer):
-    if isinstance(a.payload, Measure):
-        payload = _term_json(a.payload)
-    elif a.payload is None:
-        payload = None
-    else:
-        payload = [_payload_item_json(item) for item in a.payload]
-    return {"kind": a.kind.value, "subject": a.subject, "payload": payload,
-            "sources": list(a.sources), "notes": list(a.notes)}
-
-
-def _payload_item_json(item):
-    if isinstance(item, RoleUse):
-        return {"script": item.script, "role": f"{item.role_index:02d}",
-                "role-script": item.role_script,
-                "events": [_term_json(t) for t in item.events]}
-    if isinstance(item, Usage):
-        return {"script": item.script, "events": [_term_json(t) for t in item.events]}
-    if isinstance(item, EventGroup):
-        return _group_json(item)
-    return _term_json(item)
-
-
-def _emit_json(out, payload) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True, ensure_ascii=False)
-    out.write("\n")
+    if isinstance(value, EventGroup):
+        goto = {} if value.goto_target is None else {"goto": value.goto_target}
+        return {"index": value.index, "events": _json(value.events), **goto}
+    if isinstance(value, Script):
+        return {"concept": value.concept,
+                "roles": {f"{i:02d}": c for i, c in value.roles.items()},
+                "role-scripts": {f"{i:02d}": c for i, c in value.role_scripts.items()},
+                "events": _json(value.events),
+                **{p: _json(getattr(value, spec.attr))
+                   for p, spec in FIELDS.items() if spec.index is None}}
+    if isinstance(value, RoleUse):
+        return {"script": value.script, "role": f"{value.role_index:02d}",
+                "role-script": value.role_script, "events": _json(value.events)}
+    if isinstance(value, _Stats) and value.summary is None:
+        return {"census": []}
+    if is_dataclass(value):
+        # source positions take no part in equality and stay out of the JSON
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value) if f.compare}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, float):
+        return round(value, 2)  # scores and averages carry two decimals
+    return value
 
 
 def main() -> None:

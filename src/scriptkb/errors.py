@@ -84,11 +84,11 @@ class TooManyBindings(KbError):
     pass
 
 
-# question answering
 class NotAScript(KbError):
     pass
 
 
+# question answering
 class UnrecognizedTemplate(KbError):
     pass
 

@@ -50,7 +50,7 @@ class KnowledgeBase:
     def assertions_about(self, concept: str) -> tuple[Assertion, ...]:
         """All loaded assertions whose first argument is the concept, in file order."""
         if concept not in self.ontology:
-            raise UnknownConcept(concept)
+            raise UnknownConcept(f"unknown concept {concept!r}")
         return tuple(self._by_subject.get(concept, ()))
 
     def sites_about(self, concept: str) -> tuple[tuple[Assertion, str, int], ...]:

@@ -11,11 +11,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotAScript, UnknownConcept, UnknownSubjectPhrase, UnrecognizedTemplate
+from .errors import UnknownConcept, UnknownSubjectPhrase, UnrecognizedTemplate
 from .kb import KnowledgeBase, instance_base
 from .ontology import Language
 from .recognizer import mention_set
-from .scripts import build_script, inherited_field, is_script, timeline
+from .scripts import build_script, inherited_field, is_script, require_script, timeline
 from .terms import term_symbols
 
 
@@ -131,10 +131,10 @@ def render_question(kb: KnowledgeBase, question: Question) -> str:
 
 
 def answer(kb: KnowledgeBase, question: Question) -> Answer:
-    if question.subject not in kb.ontology:
+    if question.kind in SCRIPT_KINDS:
+        require_script(kb, question.subject)
+    elif question.subject not in kb.ontology:
         raise UnknownConcept(question.subject)
-    if question.kind in SCRIPT_KINDS and not is_script(kb, question.subject):
-        raise NotAScript(f"{question.subject!r} has no events")
     notes = (question.note,) if question.note else ()
     payload, sources = _ANSWERERS[question.kind](kb, question.subject)
     return Answer(question.kind, question.subject, payload, tuple(sources), notes)

@@ -16,6 +16,7 @@ from .diagnostics import ERROR, INFO, WARNING, Diagnostic
 from .errors import (
     BadGotoTarget,
     MalformedField,
+    NotAScript,
     RoleTypeMismatch,
     TooManyBindings,
     UnknownConcept,
@@ -108,6 +109,12 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
 def is_script(kb: KnowledgeBase, concept: str) -> bool:
     """A concept is a script when it has at least one event assertion of its own."""
     return any(a.predicate in EVENT_PREDICATES for a in kb.assertions_about(concept))
+
+
+def require_script(kb: KnowledgeBase, concept: str) -> None:
+    """Raise UnknownConcept or NotAScript unless the concept is a script."""
+    if not is_script(kb, concept):  # an unknown concept raises UnknownConcept here
+        raise NotAScript(f"{concept!r} is not a script (no events)")
 
 
 def timeline(script: Script, unroll_limit: int = 3) -> list[EventGroup]:
@@ -232,14 +239,15 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
             out.append(Diagnostic(file, line, 1, WARNING, "DuplicateField",
                                   f"{pred} given {len(places)} times; first wins"))
 
-    role_concepts = set(script.roles.values())
+    # an event may name the script's places as well as its roles
+    related = set(script.roles.values()) | set(script.places)
     flagged: set[str] = set()
     for g in script.events:
         for term in g.events:
             if not isinstance(term, Assertion) or _goto_target(term) is not None:
                 continue
             for name in term_symbols(term, include_predicates=False):
-                if name not in flagged and not _role_related(kb, name, role_concepts):
+                if name not in flagged and not _role_related(kb, name, related):
                     flagged.add(name)
                     report(INFO, "EventArgOutsideRoles",
                            f"event argument {name!r} names no declared role "
@@ -248,10 +256,10 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
     return out
 
 
-def _role_related(kb: KnowledgeBase, name: str, role_concepts: set[str]) -> bool:
+def _role_related(kb: KnowledgeBase, name: str, related: set[str]) -> bool:
     if name not in kb.ontology:
         return False
-    for rc in role_concepts:
+    for rc in related:
         if rc in kb.ontology and (
                 kb.ontology.is_a(name, rc) or kb.ontology.is_a(rc, name)):
             return True

@@ -87,11 +87,8 @@ _COMPARISON_HEADER = ("Name", "Scripts (#)", "Subevents (#/script)",
 
 
 def format_census(rows) -> str:
-    header = ("Script", "Subevents", "Roles", "Places", "Other")
-    table = [header] + [
-        (r.script, str(r.subevents), str(r.roles), str(r.places), str(r.other))
-        for r in rows]
-    return _align(table)
+    header = tuple(f.name.capitalize() for f in fields(CensusRow))
+    return _align([header] + [tuple(str(v) for v in astuple(r)) for r in rows])
 
 
 def format_comparison(local: SummaryRow) -> str:
@@ -106,10 +103,9 @@ def format_comparison(local: SummaryRow) -> str:
 def census_csv(kb: KnowledgeBase) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["script", "subevents", "roles", "places", "other"])
+    writer.writerow([f.name for f in fields(CensusRow)])
     rows = census(kb)
-    for r in rows:
-        writer.writerow([r.script, r.subevents, r.roles, r.places, r.other])
+    writer.writerows(astuple(r) for r in rows)
     if rows:
         s = summary(kb)
         writer.writerow([])

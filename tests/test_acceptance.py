@@ -10,7 +10,7 @@ import io
 import time
 
 import property_checks as pc
-from conftest import data_path
+from conftest import data_path, data_text
 from scriptkb.cli import run as cli_run
 from scriptkb.cyc import ExtractedTuple, event_census, extract_tuples, parse_forms
 from scriptkb.grid import parse_grid, render as render_grid
@@ -134,9 +134,8 @@ def test_census(kb_classic):
 @criterion(7, "rule extraction")
 def test_rule_extraction():
     from scriptkb.cli import _read_event_names
-    rules = open(data_path("cyc-rules.txt"), encoding="utf-8").read()
-    events = _read_event_names(
-        open(data_path("cyc-events.txt"), encoding="utf-8").read())
+    rules = data_text("cyc-rules.txt")
+    events = _read_event_names(data_text("cyc-events.txt"))
     assert len(events) == 17
     forms = parse_forms(rules)
     by_head = {}

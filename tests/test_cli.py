@@ -140,6 +140,63 @@ def test_show_non_script_is_query_error():
     assert code == 3
 
 
+SHOW_BLACKOUT = """\
+script blackout
+roles:
+  01 human
+  02 electricity-network
+events:
+  01 [anger human]
+  01 [electronic-device-broken electricity-network]
+  01 [unhappy-surprise human]
+  01 [worry human]
+  02 [fetch-from human na light-source]
+emotions:
+  [anger human]
+  [unhappy-surprise human]
+  [worry human]
+places: apartment, house, office
+duration: 3600 second
+period: 3.1536e+07 second
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["show", "blackout"], SHOW_BLACKOUT),
+    (["ask", "What does a dog do?"],
+     "walk-the-dog (role 02)\n"
+     "  [attach-to dog-walker leash dog]\n"
+     "  [ptrans-walk dog na street]\n"),
+    (["ask", "What does a waiter do?"],
+     "blackout (role 01)\n"
+     "  [anger human]\n"
+     "  [unhappy-surprise human]\n"
+     "  [worry human]\n"
+     "  [fetch-from human na light-source]\n"
+     "eat-in-restaurant (role 02) -> wait-tables\n"
+     "  [order customer waiter food]\n"
+     "  [serve waiter customer food]\n"
+     "  [pay customer waiter]\n"
+     "wait-tables (role 01)\n"
+     "  [take-order waiter customer]\n"
+     "  [serve waiter customer food]\n"),
+    (["ask", "What does sleep consist of?"],
+     "01 [lie-on sleeper bed]\n"
+     "02 [asleep sleeper]\n"),
+])
+def test_exact_text_output(argv, expected):
+    assert invoke(*ALL, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "green-pea"],
+    ["timeline", "green-pea"],
+    ["ask", "How long does green pea take?"],
+])
+def test_non_script_is_one_query_error(argv):
+    assert invoke(*ALL, *argv) == (3, "", "error: 'green-pea' is not a script (no events)\n")
+
+
 def test_timeline_unroll(tmp_path):
     kb_file = tmp_path / "loop.kb"
     kb_file.write_text("Object looper\n[event01-of ^ [sing looper]]\n"

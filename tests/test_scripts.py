@@ -4,6 +4,7 @@ from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import (
     BadGotoTarget,
     MalformedField,
+    NotAScript,
     RoleTypeMismatch,
     TooManyBindings,
     UnknownConcept,
@@ -16,6 +17,7 @@ from scriptkb.scripts import (
     inherited_field,
     instance_assertion,
     is_script,
+    require_script,
     timeline,
     validate,
 )
@@ -94,6 +96,14 @@ def test_is_script_cases(kb):
     assert not is_script(kb, "green-pea")
     # a parent with script children but no events of its own is not a script
     assert not is_script(kb, "mail-letter")
+
+
+def test_require_script(kb):
+    require_script(kb, "blackout")
+    with pytest.raises(NotAScript, match="'green-pea' is not a script"):
+        require_script(kb, "green-pea")
+    with pytest.raises(UnknownConcept, match="unknown concept 'no-such-thing'"):
+        require_script(kb, "no-such-thing")
 
 
 def test_is_script_matches_events(kb):
@@ -218,6 +228,12 @@ def test_validate_event_args_outside_roles_is_informational(kb):
     outside = [f for f in findings if f.code == "EventArgOutsideRoles"]
     assert outside and all(f.severity == "info" for f in outside)
     assert any("light-source" in f.message for f in outside)
+
+
+def test_validate_event_args_may_name_the_scripts_places(kb):
+    # attend-class is performed in a classroom, which its events name
+    findings = validate(kb, build_script(kb, "attend-class"))
+    assert not [f for f in findings if "'classroom'" in f.message]
 
 
 def test_validate_duplicate_field_sits_on_second_line():
