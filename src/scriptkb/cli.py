@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 load error, 3 query error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +28,8 @@ from .ontology import Language
 from .qa import Answer, RoleUse, Usage, answer, parse_question
 from .recognizer import RecognitionResult, activate, format_results, score_scripts
 from .scripts import EventGroup, Script, build_script, require_script, timeline, validate
-from .stats import SummaryRow, census, census_csv, format_census, format_comparison, summary
+from .stats import (SummaryRow, census, census_csv, format_census, format_comparison,
+                    summarize)
 from .terms import FIELDS, MEASURE, Assertion, Measure, NaType, render_term
 from . import cyc
 from . import grid as gridmod
@@ -115,7 +117,7 @@ def _kb_paths(args) -> list[str]:
 def _load(paths) -> KnowledgeBase:
     try:
         return KnowledgeBase.from_paths(paths)
-    except (OSError, KbError) as e:
+    except (OSError, UnicodeDecodeError, KbError) as e:
         raise _Exit(2, f"load error: {e}") from e
 
 
@@ -124,7 +126,8 @@ def run(argv, out=None, out_err=None) -> int:
     out_err = out_err if out_err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
         code, payload = _dispatch(args)
@@ -200,7 +203,7 @@ def _cmd_stats(kb, args):
     if args.csv and not args.json:
         return census_csv(kb)
     rows = census(kb)
-    return _Stats(rows, summary(kb) if rows else None)
+    return _Stats(rows, summarize(rows) if rows else None)
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def _cmd_cyc_extract(args):
         rules_text = Path(args.rules).read_text(encoding="utf-8")
         known = _read_event_names(Path(args.events).read_text(encoding="utf-8"))
         forms = cyc.parse_forms(rules_text)
-    except (OSError, PositionedError) as e:
+    except (OSError, UnicodeDecodeError, PositionedError) as e:
         raise _Exit(2, f"load error: {e}") from e
     tuples = cyc.extract_all(forms, known)
     return 0, _Extraction(cyc.tuple_lines(tuples), *cyc.event_census(tuples, known))

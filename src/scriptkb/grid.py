@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import MalformedHeader, OutOfBounds
 
-_ENTRY_RE = re.compile(r"[^\s:]+:\S+$")
+_LEGEND_GAP = 4  # spaces between a raster row and its legend entry, at least
+_GAP_RE = re.compile(" {%d,}" % _LEGEND_GAP)
 _LOOSE_ENTRY_RE = re.compile(r"\S*:\S*$")
 
 
@@ -64,22 +65,22 @@ class Grid:
                 for c, ch in enumerate(row) if ch in chars]
 
 
-def _split_row(line: str, min_gap: int) -> tuple[str, str | None]:
+def _split_row(line: str) -> tuple[str, str | None]:
     """Split a grid line into raster part and legend text.
 
-    The legend starts at the first run of ``min_gap`` spaces whose remainder
-    matches ``key:concept``; interior space runs inside the raster do not
-    match and are kept.
+    The legend starts at the first run of ``_LEGEND_GAP`` or more spaces
+    whose remainder matches ``key:concept``; interior space runs inside the
+    raster do not match and are kept.
     """
-    for m in re.finditer(" {%d,}" % min_gap, line):
+    for m in _GAP_RE.finditer(line):
         rest = line[m.end():].rstrip()
         if rest and _LOOSE_ENTRY_RE.fullmatch(rest):
             return line[:m.start()], rest
     return line.rstrip(), None
 
 
-def parse_grid(text: str, *, filename: str = "<grid>", line: int = 1,
-               min_gap: int = 4) -> tuple[Grid, list[Diagnostic]]:
+def parse_grid(text: str, *, filename: str = "<grid>",
+               line: int = 1) -> tuple[Grid, list[Diagnostic]]:
     lines = text.split("\n")
     header = lines[0].rstrip()
     if not header.startswith("==") or not header.endswith("//") or len(header) < 5:
@@ -94,7 +95,7 @@ def parse_grid(text: str, *, filename: str = "<grid>", line: int = 1,
         if not raw.strip():
             break
         lineno = line + offset
-        row_part, entry = _split_row(raw, min_gap)
+        row_part, entry = _split_row(raw)
         if entry is not None:
             key, _, concept = entry.partition(":")
             if not key or not concept:
@@ -123,7 +124,7 @@ def parse_grid(text: str, *, filename: str = "<grid>", line: int = 1,
     return grid, diags
 
 
-def render(grid: Grid, *, gap: int = 4) -> str:
+def render(grid: Grid) -> str:
     """Canonical text for a grid; reparsing it yields an equal grid."""
     entries = []
     for ch, concept in grid.legend.items():
@@ -138,7 +139,7 @@ def render(grid: Grid, *, gap: int = 4) -> str:
     for i in range(max(len(grid.rows), len(entries))):
         row = grid.rows[i] if i < len(grid.rows) else " " * width
         if i < len(entries):
-            lines.append(row + " " * gap + entries[i])
+            lines.append(row + " " * _LEGEND_GAP + entries[i])
         else:
             lines.append(row.rstrip())
     return "\n".join(lines) + "\n"

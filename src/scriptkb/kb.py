@@ -22,8 +22,8 @@ from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
-from .terms import (AKO, DEFAULT_UNITS, EVENT_PREDICATES, STRUCTURAL, Assertion,
-                    ObjectBlock, malformed, term_symbols)
+from .terms import (AKO, EVENT_PREDICATES, STRUCTURAL, Assertion, ObjectBlock, malformed,
+                    term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 
@@ -81,18 +81,17 @@ class KnowledgeBase:
     # -- loading -------------------------------------------------------------
 
     @classmethod
-    def from_texts(cls, named_texts, units=DEFAULT_UNITS) -> "KnowledgeBase":
+    def from_texts(cls, named_texts) -> "KnowledgeBase":
         """Build a base from (name, text) pairs, merged in order."""
         kb = cls()
-        results = [parse_database(text, filename=str(name), units=units)
-                   for name, text in named_texts]
+        results = [parse_database(text, filename=str(name)) for name, text in named_texts]
         kb._assemble(results)
         return kb
 
     @classmethod
-    def from_paths(cls, paths, units=DEFAULT_UNITS) -> "KnowledgeBase":
+    def from_paths(cls, paths) -> "KnowledgeBase":
         texts = [(str(p), Path(p).read_text(encoding="utf-8")) for p in paths]
-        return cls.from_texts(texts, units=units)
+        return cls.from_texts(texts)
 
     def _assemble(self, results: list[ParseResult]) -> None:
         for r in results:
@@ -199,5 +198,5 @@ class KnowledgeBase:
                     ontology.link_lexeme(phrase, lang, block.concept)
 
 
-def load(paths, units=DEFAULT_UNITS) -> KnowledgeBase:
-    return KnowledgeBase.from_paths(paths, units=units)
+def load(paths) -> KnowledgeBase:
+    return KnowledgeBase.from_paths(paths)

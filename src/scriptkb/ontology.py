@@ -28,16 +28,8 @@ class Language(str, Enum):
     FRENCH = "French"
 
 
-def _coerce_language(language) -> Language:
-    if isinstance(language, Language):
-        return language
-    return Language(str(language))
-
-
 def _normalize_phrase(phrase: str) -> str:
-    if not phrase:
-        return phrase
-    return phrase[0].lower() + phrase[1:]
+    return phrase[:1].lower() + phrase[1:]
 
 
 class Ontology:
@@ -47,6 +39,7 @@ class Ontology:
         self._parents: dict[str, tuple[str, ...]] = {}
         self._by_phrase: dict[tuple[Language, str], list[str]] = {}
         self._by_concept: dict[tuple[str, Language], list[str]] = {}
+        self._reach: dict[tuple[Language, str], int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -169,22 +162,30 @@ class Ontology:
     def link_lexeme(self, phrase: str, language, concept: str) -> None:
         """Attach a phrase to a concept; repeated links are no-ops."""
         self._require(concept)
-        lang = _coerce_language(language)
+        lang = Language(language)
         key = (lang, _normalize_phrase(phrase))
         concepts = self._by_phrase.setdefault(key, [])
         if concept not in concepts:
             concepts.append(concept)
+        words = key[1].split()
+        if words:
+            first = (lang, words[0])
+            self._reach[first] = max(self._reach.get(first, 0), len(words))
         phrases = self._by_concept.setdefault((concept, lang), [])
         if phrase not in phrases:
             phrases.append(phrase)
 
     def lookup_phrase(self, phrase: str, language) -> tuple[str, ...]:
-        lang = _coerce_language(language)
+        lang = Language(language)
         return tuple(self._by_phrase.get((lang, _normalize_phrase(phrase)), ()))
+
+    def phrase_reach(self, word: str, language) -> int:
+        """Word count of the longest phrase starting with ``word``; 0 for none."""
+        return self._reach.get((Language(language), _normalize_phrase(word)), 0)
 
     def lexemes_of(self, concept: str, language) -> list[str]:
         self._require(concept)
-        lang = _coerce_language(language)
+        lang = Language(language)
         return list(self._by_concept.get((concept, lang), ()))
 
     def _require(self, name: str) -> None:

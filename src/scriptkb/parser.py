@@ -66,14 +66,14 @@ def is_symbol(token: str) -> bool:
     return True
 
 
-def parse_measure(token: str, units=DEFAULT_UNITS) -> Measure:
+def parse_measure(token: str) -> Measure:
     """Parse ``NUMBER:<unit>:<value>`` or a suffixed number like ``.25in``."""
     if token.startswith("NUMBER:"):
         parts = token.split(":", 2)
         if len(parts) != 3 or not parts[1] or not parts[2]:
             raise MalformedNumber(f"expected NUMBER:<unit>:<value>, got {token!r}")
         unit, num = parts[1], parts[2]
-        if unit not in units:
+        if unit not in DEFAULT_UNITS:
             raise UnknownUnit(f"unknown unit {unit!r}")
         if not _NUM_RE.fullmatch(num):
             raise MalformedNumber(f"bad number {num!r}")
@@ -81,7 +81,7 @@ def parse_measure(token: str, units=DEFAULT_UNITS) -> Measure:
     m = _SUFFIX_RE.fullmatch(token)
     if m:
         num, unit = m.groups()
-        if unit not in units:
+        if unit not in DEFAULT_UNITS:
             raise UnknownUnit(f"unknown unit {unit!r}")
         return Measure(unit, num)
     raise MalformedNumber(f"not a measure token: {token!r}")
@@ -115,7 +115,7 @@ def _pos(text: str, idx: int, base_line: int) -> tuple[int, int]:
 
 
 def parse_assertion(text: str, self_concept: str | None = None, *,
-                    units=DEFAULT_UNITS, line: int = 1) -> Assertion:
+                    line: int = 1) -> Assertion:
     """Parse one bracket expression, resolving ``^`` to ``self_concept``.
 
     ``line`` is the file line the text starts on; error positions are
@@ -124,14 +124,14 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
     toks = list(_tokens(text))
     if not toks or toks[0][0] != "[":
         raise KbSyntaxError("assertion must start with '['", line, 1)
-    node, nxt = _parse_node(toks, 0, text, self_concept, units, line)
+    node, nxt = _parse_node(toks, 0, text, self_concept, line)
     if nxt != len(toks):
         _, val, idx = toks[nxt]
         raise KbSyntaxError(f"unexpected trailing {val!r}", *_pos(text, idx, line))
     return node
 
 
-def _parse_node(toks, i, text, self_concept, units, base_line):
+def _parse_node(toks, i, text, self_concept, base_line):
     open_idx = toks[i][2]
     i += 1
     if i >= len(toks):
@@ -151,11 +151,10 @@ def _parse_node(toks, i, text, self_concept, units, base_line):
             i += 1
             break
         if kind == "[":
-            node, i = _parse_node(toks, i, text, self_concept, units, base_line)
+            node, i = _parse_node(toks, i, text, self_concept, base_line)
             args.append(node)
         else:
-            args.append(_classify_atom(val, self_concept, units,
-                                       *_pos(text, idx, base_line)))
+            args.append(_classify_atom(val, self_concept, *_pos(text, idx, base_line)))
             i += 1
     if not args:
         raise KbSyntaxError(f"assertion [{predicate}] needs at least one argument",
@@ -163,7 +162,7 @@ def _parse_node(toks, i, text, self_concept, units, base_line):
     return Assertion(predicate, tuple(args)), i
 
 
-def _classify_atom(val, self_concept, units, line, col):
+def _classify_atom(val, self_concept, line, col):
     if val == "na":
         return NA
     if val == "^":
@@ -172,14 +171,14 @@ def _classify_atom(val, self_concept, units, line, col):
         return self_concept
     if val.startswith("NUMBER:"):
         try:
-            return parse_measure(val, units)
+            return parse_measure(val)
         except PositionedError as e:
             e.line, e.col = line, col
             raise
     m = _SUFFIX_RE.fullmatch(val)
     if m:
         num, unit = m.groups()
-        if unit in units:
+        if unit in DEFAULT_UNITS:
             return Measure(unit, num)
         if is_symbol(val):
             return val
@@ -210,7 +209,7 @@ class ParseResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def parse_database(text: str, *, filename: str = "<kb>", units=DEFAULT_UNITS,
+def parse_database(text: str, *, filename: str = "<kb>",
                    default_concept: str | None = None) -> ParseResult:
     """Parse a whole knowledge-base document.
 
@@ -305,7 +304,7 @@ def parse_database(text: str, *, filename: str = "<kb>", units=DEFAULT_UNITS,
                 else:
                     try:
                         current.assertions.append(parse_assertion(
-                            "\n".join(chunk), current.concept, units=units, line=lineno))
+                            "\n".join(chunk), current.concept, line=lineno))
                         current.assertion_lines.append(lineno)
                     except PositionedError as e:
                         err(e.line or lineno, e.col or 1, type(e).__name__, e.message)

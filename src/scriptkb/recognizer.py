@@ -1,9 +1,9 @@
 """Script recognition from free text.
 
 Text activates concepts through the lexicon: greedy longest match over
-token n-grams (up to four words), with naive suffix stripping as a
-fallback for single tokens and a stop-word list to keep closed-class words
-from firing.  Each distinct activated concept then contributes 1.0 to
+token n-grams of any length, naive suffix stripping as a fallback for
+single tokens, and, in English text, a stop-word list to keep closed-class
+words from firing.  Each distinct activated concept then contributes 1.0 to
 every script that mentions it, either directly or, with generalization on,
 through a more general concept in the script's mention set.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .kb import KnowledgeBase
@@ -21,16 +22,14 @@ from .terms import GOTO, Assertion, term_symbols
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
-_stopwords: frozenset[str] | None = None
 
 
+@cache
 def stopwords() -> frozenset[str]:
-    global _stopwords
-    if _stopwords is None:
-        text = resources.files("scriptkb.data").joinpath("stopwords_en.txt").read_text("utf-8")
-        _stopwords = frozenset(
-            w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#"))
-    return _stopwords
+    """The English closed-class words that never activate on their own."""
+    text = resources.files("scriptkb.data").joinpath("stopwords_en.txt").read_text("utf-8")
+    return frozenset(
+        w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#"))
 
 
 @dataclass(frozen=True)
@@ -51,23 +50,24 @@ class ActivationSet:
         return tuple(dict.fromkeys(a.concept for a in self.items))
 
 
-def activate(text: str, kb: KnowledgeBase, language=Language.ENGLISH, *,
-             max_ngram: int = 4, stop=None) -> ActivationSet:
+def activate(text: str, kb: KnowledgeBase, language=Language.ENGLISH) -> ActivationSet:
     """Map text spans to concepts via the lexicon.
 
-    Spans never overlap: after a phrase match the scan resumes past it.
-    Matching is case-insensitive at the start of a phrase (the lexicon's
-    own rule); unmatched single tokens are retried with -s/-es/-ed/-ing
-    stripped.
+    At each token the longest lexicon phrase wins; spans never overlap:
+    after a phrase match the scan resumes past it.  Matching is
+    case-insensitive at the start of a phrase (the lexicon's own rule);
+    unmatched single tokens are retried with -s/-es/-ed/-ing stripped.
+    English stop words never activate on their own; French text has none.
     """
-    stop = stopwords() if stop is None else stop
-    lookup = kb.ontology.lookup_phrase
+    language = Language(language)
+    stop = stopwords() if language == Language.ENGLISH else frozenset()
+    lookup, reach = kb.ontology.lookup_phrase, kb.ontology.phrase_reach
     tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
     items: list[Activation] = []
     i = 0
     while i < len(tokens):
-        advanced = False
-        for n in range(min(max_ngram, len(tokens) - i), 0, -1):
+        longest = min(reach(tokens[i][0], language), len(tokens) - i)
+        for n in range(max(longest, 1), 0, -1):  # one token always, for the suffix fallback
             if n == 1 and tokens[i][0].casefold() in stop:
                 break
             phrase = " ".join(tokens[i + k][0] for k in range(n))
@@ -78,11 +78,8 @@ def activate(text: str, kb: KnowledgeBase, language=Language.ENGLISH, *,
                 start, end = tokens[i][1], tokens[i + n - 1][2]
                 for concept in concepts:
                     items.append(Activation(concept, start, end, text[start:end], phrase))
-                i += n
-                advanced = True
                 break
-        if not advanced:
-            i += 1
+        i += n  # the matched length, or 1 when nothing matched
     return ActivationSet(tuple(items))
 
 

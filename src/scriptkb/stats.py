@@ -72,7 +72,11 @@ def census(kb: KnowledgeBase) -> list[CensusRow]:
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:
-    rows = census(kb)
+    return summarize(census(kb))
+
+
+def summarize(rows) -> SummaryRow:
+    """Averages over census rows."""
     if not rows:
         raise EmptyDatabase("no scripts loaded; averages are undefined")
     n = len(rows)
@@ -107,7 +111,7 @@ def census_csv(kb: KnowledgeBase) -> str:
     rows = census(kb)
     writer.writerows(astuple(r) for r in rows)
     if rows:
-        s = summary(kb)
+        s = summarize(rows)
         writer.writerow([])
         writer.writerow([f.name for f in fields(SummaryRow)])
         writer.writerow([s.scripts, *(f"{v:.2f}" for v in astuple(s)[1:])])

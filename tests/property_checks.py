@@ -13,7 +13,8 @@ from scriptkb.grid import parse_grid
 from scriptkb.kb import KnowledgeBase
 from scriptkb.ontology import Language, Ontology
 from scriptkb.parser import parse_database, serialize
-from scriptkb.recognizer import Activation, ActivationSet, mention_set, score_scripts
+from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, activate, mention_set,
+                                 score_scripts, stopwords)
 from scriptkb.scripts import EventGroup, Script, build_script, timeline
 from scriptkb.stats import census
 from scriptkb.terms import Assertion
@@ -107,6 +108,54 @@ def run_recognizer_properties(kb, cases=1000, seed=20260808):
             if evidence:
                 expected[name] = (float(len(evidence)), evidence)
         assert {r.script: (r.score, r.evidence) for r in exact} == expected
+
+
+_FILLER = ("then", "quickly", "zork", "Yesterday", "o'clock", "x-ray", "42", "café", "ing")
+
+
+def run_lexicon_activation(kb, cases=1000, seed=20260808) -> int:
+    """Every lexicon phrase whose tokens join back to itself, other than a
+    single English stop word, activates alone as one span covering the whole
+    text, with exactly its lookup as concepts.  On seeded texts built from
+    phrases, stop words and filler, activations come in text order, never
+    overlap, each surface is its text slice, and each concept is a lookup
+    of its phrase.  Returns the number of phrases checked alone."""
+    rng = random.Random(seed)
+    onto = kb.ontology
+    phrases = sorted({(lang, p) for c in onto.concepts() for lang in Language
+                      for p in onto.lexemes_of(c, lang)})
+    checked = 0
+    for lang, phrase in phrases:
+        if " ".join(_TOKEN_RE.findall(phrase)) != phrase:
+            continue
+        if lang == Language.ENGLISH and phrase.casefold() in stopwords():
+            continue
+        acts = activate(phrase, kb, lang)
+        assert {(a.start, a.end, a.surface) for a in acts.items} == {(0, len(phrase), phrase)}, \
+            (lang, phrase, acts)
+        assert tuple(a.concept for a in acts.items) == onto.lookup_phrase(phrase, lang)
+        checked += 1
+
+    pieces = [p for _, p in phrases] + sorted(stopwords()) + list(_FILLER)
+    for _ in range(cases):
+        lang = rng.choice(tuple(Language))
+        words = []
+        for _ in range(rng.randint(0, 12)):
+            word = rng.choice(pieces)
+            roll = rng.random()
+            if roll < 0.15:
+                word = word.capitalize()
+            elif roll < 0.3:
+                word += rng.choice(("s", "es", "ed", "ing"))
+            words.append(word)
+        text = "".join(w + rng.choice((" ", " ", "  ", ", ", ". ")) for w in words)
+        items = activate(text, kb, lang).items
+        for a in items:
+            assert a.start < a.end and a.surface == text[a.start:a.end], (text, a)
+            assert a.concept in onto.lookup_phrase(a.phrase, lang), (text, a)
+        for a, b in zip(items, items[1:]):
+            assert (a.start, a.end) == (b.start, b.end) or a.end <= b.start, (text, a, b)
+    return checked
 
 
 def run_timeline_bound(cases=1000, seed=20260808):
@@ -238,3 +287,15 @@ def run_clean_load_builds_scripts(texts, cases=1000, seed=20260808):
             script = build_script(kb, row.script)
             assert row.subevents == sum(len(g.events) for g in script.events)
     assert clean, "no mutation loaded cleanly; the property checked nothing"
+
+
+def run_mutated_lexicon_activation(texts, cases=1000, seed=20260808):
+    """``run_lexicon_activation`` on every mutated fixture that loads."""
+    checked = 0
+    for case, mutated in enumerate(_mutations(texts, cases, seed)):
+        try:
+            kb = KnowledgeBase.from_texts([("m", mutated)])
+        except CycleDetected:
+            continue
+        checked += run_lexicon_activation(kb, cases=5, seed=seed + case)
+    assert checked, "no phrase was checked"

@@ -289,6 +289,52 @@ def test_help_exits_zero():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: scriptkb [-h]"),
+    (["ask", "--help"], "usage: scriptkb ask [-h] question"),
+])
+def test_help_goes_to_the_given_stream(argv, usage, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0
+    assert out.startswith(usage)
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_non_utf8_kb_is_a_load_error(tmp_path):
+    latin = tmp_path / "latin.kb"
+    latin.write_bytes(b"\xff\xfeObject caf\xe9\n")
+    code, out, err = invoke("--kb", str(latin), "stats")
+    assert (code, out) == (2, "")
+    assert err.startswith("load error: ") and "Traceback" not in err
+
+
+def test_non_utf8_cyc_rules_are_a_load_error(tmp_path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"\xff\xfe(subEvents Bathing WashingHair)\n")
+    code, out, err = invoke("cyc-extract", str(latin), "--events", data_path("cyc-events.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("load error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["stats", "--csv"], ["--json", "stats"]])
+def test_stats_builds_the_census_once(argv, monkeypatch):
+    import scriptkb.cli
+    import scriptkb.stats
+    calls = []
+    census = scriptkb.stats.census
+
+    def counted(kb):
+        calls.append(kb)
+        return census(kb)
+
+    for module in (scriptkb.stats, scriptkb.cli):  # every module that binds the name
+        monkeypatch.setattr(module, "census", counted)
+    code, out, _ = invoke(*PAPER, *argv)
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 def test_malformed_field_fails_validate_and_refuses_queries(tmp_path):
     bad = tmp_path / "bad.kb"
     bad.write_text("Object thing\n[event01-of ^ [hum thing]]\n[duration-of ^ hello]\n",

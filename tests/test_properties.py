@@ -16,6 +16,14 @@ def test_recognizer_score_and_monotonicity(kb):
     pc.run_recognizer_properties(kb, cases=1000)
 
 
+def test_every_lexicon_phrase_activates(kb):
+    assert pc.run_lexicon_activation(kb, cases=1000) > 0
+
+
+def test_every_lexicon_phrase_activates_on_mutated_bases(core_text, scripts_text, demo_text):
+    pc.run_mutated_lexicon_activation([core_text, scripts_text, demo_text], cases=1000)
+
+
 def test_timeline_length_bound():
     pc.run_timeline_bound(cases=1000)
 

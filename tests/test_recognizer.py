@@ -1,3 +1,5 @@
+import pytest
+
 from scriptkb.recognizer import (
     ActivationSet,
     activate,
@@ -52,6 +54,25 @@ def test_suffix_stripping(kb):
 def test_stopwords_never_activate(kb):
     # "a", "on", "his" are closed-class; nothing here is in the lexicon
     assert concepts(kb, "on his a the of") == ()
+
+
+@pytest.mark.parametrize("text, concept, span", [
+    ("I went to mail a letter at the post office",
+     "mail-letter-at-post-office", "mail a letter at the post office"),
+    ("We eat in a fast food restaurant tonight",
+     "eat-in-fast-food-restaurant", "eat in a fast food restaurant"),
+])
+def test_phrases_longer_than_four_words_activate(kb, text, concept, span):
+    acts = activate(text, kb)
+    assert [(a.concept, a.surface, a.phrase) for a in acts.items] == [(concept, span, span)]
+    assert text[acts.items[0].start:acts.items[0].end] == span
+
+
+def test_french_text_has_no_stop_words():
+    from scriptkb.kb import KnowledgeBase
+    kb = KnowledgeBase.from_texts([("t", "Object ore\n[English] ore; [French] on, or\n")])
+    assert activate("on or", kb, "French").concepts() == ("ore",)
+    assert activate("on or", kb, "English").concepts() == ()
 
 
 def test_ambiguous_phrase_fans_out(kb):
