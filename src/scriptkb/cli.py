@@ -19,11 +19,10 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 
 from .diagnostics import ERROR, Diagnostic, has_errors
-from .errors import KbError, PositionedError
-from .kb import KnowledgeBase
+from .errors import KbError
+from .kb import KnowledgeBase, read_text
 from .ontology import Language
 from .qa import Answer, RoleUse, Usage, answer, parse_question
 from .recognizer import RecognitionResult, activate, format_results, score_scripts
@@ -117,7 +116,7 @@ def _kb_paths(args) -> list[str]:
 def _load(paths) -> KnowledgeBase:
     try:
         return KnowledgeBase.from_paths(paths)
-    except (OSError, UnicodeDecodeError, KbError) as e:
+    except (OSError, KbError) as e:
         raise _Exit(2, f"load error: {e}") from e
 
 
@@ -245,10 +244,10 @@ class _Extraction:
 
 def _cmd_cyc_extract(args):
     try:
-        rules_text = Path(args.rules).read_text(encoding="utf-8")
-        known = _read_event_names(Path(args.events).read_text(encoding="utf-8"))
+        rules_text = read_text(args.rules)
+        known = _read_event_names(read_text(args.events))
         forms = cyc.parse_forms(rules_text)
-    except (OSError, UnicodeDecodeError, PositionedError) as e:
+    except (OSError, KbError) as e:
         raise _Exit(2, f"load error: {e}") from e
     tuples = cyc.extract_all(forms, known)
     return 0, _Extraction(cyc.tuple_lines(tuples), *cyc.event_census(tuples, known))

@@ -4,10 +4,11 @@ Loading merges any number of files.  ``ako`` assertions supply hierarchy
 parents.  Symbols that are referenced but never declared are auto-registered
 as children of the root with a warning, since source excerpts routinely
 mention concepts defined elsewhere.  A trailing-digit name like
-``hotel-room1`` is treated as an instance and re-parented under its base
+``hotel-room1`` is treated as an instance and registered under its base
 concept when the base exists.  A field assertion whose argument has the
-wrong shape is a load error.  The base is a mutable dataclass that queries
-treat as read-only.
+wrong shape is a load error.  The base is frozen.  Whole-base queries read
+one script index, built by the first of them; per-script queries read
+``assertions_about`` only.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
-from .terms import (AKO, EVENT_PREDICATES, STRUCTURAL, Assertion, ObjectBlock, malformed,
-                    term_symbols)
+from .terms import AKO, STRUCTURAL, Assertion, ObjectBlock, malformed, term_symbols
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 
@@ -34,7 +35,24 @@ def instance_base(name: str) -> str | None:
     return m.group(1) if m else None
 
 
-@dataclass
+def read_text(path) -> str:
+    """A UTF-8 file's text; undecodable bytes raise a KbError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise KbError(f"{path}: {e}") from e
+
+
+class ScriptIndex(NamedTuple):
+    """What the whole-base queries read; script lists are sorted by name."""
+
+    sites: dict[str, list[tuple[Assertion, str, int]]]  # subject -> (assertion, file, line)
+    scripts: tuple[str, ...]
+    by_mention: dict[str, list[str]]  # concept -> scripts whose mention set holds it
+    by_role: dict[str, list[str]]  # concept -> scripts with a role of that concept
+
+
+@dataclass(frozen=True)
 class KnowledgeBase:
     ontology: Ontology = field(default_factory=Ontology)
     blocks: list[ObjectBlock] = field(default_factory=list)
@@ -56,21 +74,32 @@ class KnowledgeBase:
     def sites_about(self, concept: str) -> tuple[tuple[Assertion, str, int], ...]:
         """``assertions_about`` with the file and line of each assertion; empty
         for a concept the base does not know."""
-        return tuple(self._sites.get(concept, ()))
+        return tuple(self.index.sites.get(concept, ()))
 
     def script_concepts(self) -> list[str]:
         """Concepts with at least one event assertion, sorted by name."""
-        return sorted(concept for concept, assertions in self._by_subject.items()
-                      if any(a.predicate in EVENT_PREDICATES for a in assertions))
+        return list(self.index.scripts)
 
     @cached_property
-    def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
-        # built on first use: only validation reads positions
+    def index(self) -> ScriptIndex:
+        """The script index, built on first use: loading and per-script
+        queries never pay for it, and it keeps no script views."""
+        from .recognizer import mention_set  # imported here: both modules import this one
+        from .scripts import build_script, is_script
         sites: dict[str, list[tuple[Assertion, str, int]]] = {}
         for a, file, line in self._located():
             if a.args and isinstance(a.args[0], str):
                 sites.setdefault(a.args[0], []).append((a, file, line))
-        return sites
+        scripts = tuple(sorted(c for c in self._by_subject if is_script(self, c)))
+        by_mention: dict[str, list[str]] = {}
+        by_role: dict[str, list[str]] = {}
+        for name in scripts:
+            script = build_script(self, name)
+            for concept in mention_set(script):
+                by_mention.setdefault(concept, []).append(name)
+            for concept in dict.fromkeys(script.roles.values()):
+                by_role.setdefault(concept, []).append(name)
+        return ScriptIndex(sites, scripts, by_mention, by_role)
 
     def _located(self):
         """(assertion, file, line) for every assertion, in file order."""
@@ -90,8 +119,7 @@ class KnowledgeBase:
 
     @classmethod
     def from_paths(cls, paths) -> "KnowledgeBase":
-        texts = [(str(p), Path(p).read_text(encoding="utf-8")) for p in paths]
-        return cls.from_texts(texts)
+        return cls.from_texts([(str(p), read_text(p)) for p in paths])
 
     def _assemble(self, results: list[ParseResult]) -> None:
         for r in results:
@@ -165,11 +193,15 @@ class KnowledgeBase:
             if block.concept not in ontology:
                 ontology.add_concept(block.concept, ako_parents.get(block.concept, ()))
 
-        auto: list[str] = []
         for sym, (file, line) in mentioned.items():
             if sym not in ontology:
+                parents = ako_parents.get(sym, ())
+                base = instance_base(sym)
+                # an instance without parents of its own hangs below its base
+                if base and set(parents) <= {ROOT} and (base in ontology or base in mentioned):
+                    parents = (base,)
                 try:
-                    ontology.add_concept(sym, ako_parents.get(sym, ()))
+                    ontology.add_concept(sym, parents)
                 except KbError:
                     # grid names and legend values are free-form text; a name
                     # the hierarchy cannot hold is reported, not registered
@@ -177,18 +209,10 @@ class KnowledgeBase:
                         file, line, 1, ERROR, "InvalidConceptName",
                         f"cannot register concept named {sym!r}"))
                     continue
-                auto.append(sym)
                 if sym not in STRUCTURAL:
                     self.diagnostics.append(Diagnostic(
                         file, line, 1, WARNING, "AutoRegistered",
                         f"undeclared concept {sym!r} registered under {ROOT!r}"))
-
-        # hang auto-registered instances below their base concept
-        for sym in auto:
-            base = instance_base(sym)
-            if base and base != sym and base in ontology \
-                    and ontology.parents(sym) == (ROOT,):
-                ontology.reparent(sym, (base,))
 
         ontology.resolve()
 

@@ -65,14 +65,6 @@ class Ontology:
         self._parents[name] = parent_list
         return name
 
-    def reparent(self, name: str, parents: Iterable[str]) -> None:
-        """Replace a concept's parent links (loader use, before :meth:`resolve`)."""
-        self._require(name)
-        parent_list = tuple(dict.fromkeys(parents))
-        if name == ROOT and parent_list:
-            raise KbError("the root concept takes no parents")
-        self._parents[name] = parent_list if parent_list or name == ROOT else (ROOT,)
-
     def resolve(self) -> None:
         """Check parent existence and acyclicity for the whole hierarchy."""
         for name, parents in self._parents.items():

@@ -14,7 +14,6 @@ from enum import Enum
 from .errors import UnknownConcept, UnknownSubjectPhrase, UnrecognizedTemplate
 from .kb import KnowledgeBase, instance_base
 from .ontology import Language
-from .recognizer import mention_set
 from .scripts import build_script, inherited_field, is_script, require_script, timeline
 from .terms import term_symbols
 
@@ -150,34 +149,26 @@ def _events_mentioning(script, concept):
 
 
 def _what_does(kb, subject):
+    # the subject fills a role when the role concept is the subject or an ancestor
+    fills = {subject, *kb.ontology.ancestors(subject)}
     items = []
-    for name in kb.script_concepts():
+    for name in sorted({s for concept in fills for s in kb.index.by_role.get(concept, ())}):
         script = build_script(kb, name)
-        for index, role_concept in script.roles.items():
-            if kb.ontology.is_a(subject, role_concept):
-                items.append(RoleUse(name, index, script.role_scripts.get(index),
-                                     _events_mentioning(script, role_concept)))
-                break
+        index, role_concept = next((i, c) for i, c in script.roles.items() if c in fills)
+        items.append(RoleUse(name, index, script.role_scripts.get(index),
+                             _events_mentioning(script, role_concept)))
     return items, [item.script for item in items]
 
 
 def _used_for(kb, subject):
-    items = []
-    for name in kb.script_concepts():
-        script = build_script(kb, name)
-        if subject in mention_set(script):
-            items.append(Usage(name, _events_mentioning(script, subject)))
+    items = [Usage(name, _events_mentioning(build_script(kb, name), subject))
+             for name in kb.index.by_mention.get(subject, ())]
     return items, [item.script for item in items]
 
 
 def _where_found(kb, subject):
-    places: list[str] = []
-    sources: list[str] = []
-    for name in kb.script_concepts():
-        script = build_script(kb, name)
-        if subject in mention_set(script):
-            sources.append(name)
-            places.extend(script.places)
+    sources = list(kb.index.by_mention.get(subject, ()))
+    places = [place for name in sources for place in build_script(kb, name).places]
     for grid_name in sorted(kb.grids):
         grid = kb.grids[grid_name]
         if subject in grid.legend.values():

@@ -17,7 +17,7 @@ from importlib import resources
 
 from .kb import KnowledgeBase
 from .ontology import Language
-from .scripts import Script, build_script
+from .scripts import Script
 from .terms import GOTO, Assertion, term_symbols
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
@@ -125,20 +125,14 @@ def score_scripts(activations: ActivationSet, kb: KnowledgeBase, *,
     1.0; zero-scoring scripts are omitted.  Sorted by score descending,
     then script name.
     """
-    activated = activations.concepts()
-    reach: dict[str, set[str]] = {}
-    for concept in activated:
-        names = {concept}
+    evidence: dict[str, list[str]] = {}  # script -> the activated concepts it mentions
+    for concept in activations.concepts():
+        names = [concept]
         if generalization:
-            names.update(kb.ontology.ancestors(concept, max_depth=max_hops))
-        reach[concept] = names
-
-    results = []
-    for name in kb.script_concepts():
-        mentions = mention_set(build_script(kb, name))
-        evidence = tuple(c for c in activated if reach[c] & mentions)
-        if evidence:
-            results.append(RecognitionResult(name, float(len(evidence)), evidence))
+            names += kb.ontology.ancestors(concept, max_depth=max_hops)
+        for script in {s for name in names for s in kb.index.by_mention.get(name, ())}:
+            evidence.setdefault(script, []).append(concept)
+    results = [RecognitionResult(s, float(len(e)), tuple(e)) for s, e in evidence.items()]
     results.sort(key=lambda r: (-r.score, r.script))
     return results
 

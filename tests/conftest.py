@@ -1,3 +1,4 @@
+import sys
 from importlib import resources
 
 import pytest
@@ -45,3 +46,20 @@ def kb_classic(core_text, scripts_text):
         ("core.kb", core_text),
         ("scripts.kb", scripts_text),
     ])
+
+
+@pytest.fixture()
+def built_scripts(monkeypatch):
+    """The concepts passed to ``build_script`` while the test runs, wrapped in
+    every ``scriptkb`` module that binds the function."""
+    from scriptkb import scripts
+    original, calls = scripts.build_script, []
+
+    def counted(kb, concept):
+        calls.append(concept)
+        return original(kb, concept)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "scriptkb" and vars(module).get("build_script") is original:
+            monkeypatch.setattr(module, "build_script", counted)
+    return calls

@@ -10,14 +10,15 @@ import random
 from scriptkb.diagnostics import has_errors
 from scriptkb.errors import CycleDetected, MalformedHeader
 from scriptkb.grid import parse_grid
-from scriptkb.kb import KnowledgeBase
+from scriptkb.kb import KnowledgeBase, instance_base
 from scriptkb.ontology import Language, Ontology
 from scriptkb.parser import parse_database, serialize
-from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, activate, mention_set,
-                                 score_scripts, stopwords)
-from scriptkb.scripts import EventGroup, Script, build_script, timeline
+from scriptkb.qa import SCRIPT_KINDS, Question, QuestionKind, RoleUse, Usage, answer
+from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, RecognitionResult,
+                                 activate, mention_set, score_scripts, stopwords)
+from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
 from scriptkb.stats import census
-from scriptkb.terms import Assertion
+from scriptkb.terms import Assertion, term_symbols
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
           "green pea", "night table", "power failure")
@@ -299,3 +300,91 @@ def run_mutated_lexicon_activation(texts, cases=1000, seed=20260808):
             continue
         checked += run_lexicon_activation(kb, cases=5, seed=seed + case)
     assert checked, "no phrase was checked"
+
+
+def _full_scan(kb):
+    """The whole-base answers as every query computed them before the script
+    index: a loop over every script view and its mention set."""
+    scripts = sorted(c for c in kb.ontology.concepts() if is_script(kb, c))
+    views = {name: build_script(kb, name) for name in scripts}
+    mentions = {name: mention_set(view) for name, view in views.items()}
+
+    def events(script, concept):
+        return tuple(t for g in script.events for t in g.events if concept in term_symbols(t))
+
+    def scores(concept, generalization):
+        reach = {concept, *(kb.ontology.ancestors(concept) if generalization else ())}
+        return [RecognitionResult(name, 1.0, (concept,))
+                for name in scripts if reach & mentions[name]]
+
+    def what_does(subject):
+        items = []
+        for name, script in views.items():
+            for index, role_concept in script.roles.items():
+                if kb.ontology.is_a(subject, role_concept):
+                    items.append(RoleUse(name, index, script.role_scripts.get(index),
+                                         events(script, role_concept)))
+                    break
+        return items, tuple(item.script for item in items)
+
+    def used_for(subject):
+        items = [Usage(name, events(views[name], subject))
+                 for name in scripts if subject in mentions[name]]
+        return items, tuple(item.script for item in items)
+
+    def where_found(subject):
+        sources = [name for name in scripts if subject in mentions[name]]
+        places = [p for name in sources for p in views[name].places]
+        for grid_name in sorted(kb.grids):
+            if subject in kb.grids[grid_name].legend.values():
+                sources.append(grid_name)
+                base = instance_base(grid_name)
+                places.append(base if base and base in kb.ontology else grid_name)
+        return list(dict.fromkeys(places)), tuple(sources)
+
+    return scripts, scores, {QuestionKind.WHAT_DOES: what_does,
+                             QuestionKind.USED_FOR: used_for,
+                             QuestionKind.WHERE_FOUND: where_found}
+
+
+def run_index_matches_full_scan(kb):
+    """On a base that loads without errors: the script list, recognition with
+    generalization on and off, and the what-does, used-for and where-found
+    answers equal a full scan of every script for every concept;
+    ``sites_about`` equals a walk of every assertion; and every query kind
+    over every script and concept returns without an exception."""
+    scripts, scores, answers = _full_scan(kb)
+    assert kb.script_concepts() == scripts
+    sites = {}
+    for a, file, line in kb._located():
+        if a.args and isinstance(a.args[0], str):
+            sites.setdefault(a.args[0], []).append((a, file, line))
+    for concept in kb.ontology.concepts():
+        assert kb.sites_about(concept) == tuple(sites.get(concept, ())), concept
+        for generalization in (True, False):
+            acts = ActivationSet((Activation(concept, 0, 1, "x", "x"),))
+            assert score_scripts(acts, kb, generalization=generalization) \
+                == scores(concept, generalization), (concept, generalization)
+        for kind in QuestionKind:
+            if kind in SCRIPT_KINDS and concept not in scripts:
+                continue
+            got = answer(kb, Question(kind, concept))
+            if kind in answers:
+                assert (got.payload, got.sources) == answers[kind](concept), (kind, concept)
+    for name in scripts:
+        validate(kb, build_script(kb, name))
+
+
+def run_mutated_index_matches_full_scan(texts, cases=1000, seed=20260808):
+    """``run_index_matches_full_scan`` on every mutated fixture that loads
+    without error diagnostics."""
+    clean = 0
+    for mutated in _mutations(texts, cases, seed):
+        try:
+            kb = KnowledgeBase.from_texts([("m", mutated)])
+        except CycleDetected:
+            continue
+        if not has_errors(kb.diagnostics):
+            run_index_matches_full_scan(kb)
+            clean += 1
+    assert clean, "no mutation loaded cleanly; the property checked nothing"

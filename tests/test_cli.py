@@ -317,6 +317,42 @@ def test_non_utf8_cyc_rules_are_a_load_error(tmp_path):
     assert err.startswith("load error: ") and "Traceback" not in err
 
 
+def test_non_utf8_load_error_names_the_file(tmp_path):
+    latin = tmp_path / "latin.kb"
+    latin.write_bytes(b"\xff\xfeObject caf\xe9\n")
+    code, out, err = invoke("--kb", data_path("core.kb"), "--kb", str(latin), "stats")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"load error: {latin}: 'utf-8' codec can't decode byte 0xff")
+    for rules, events in ((latin, data_path("cyc-events.txt")),
+                          (data_path("cyc-rules.txt"), latin)):
+        code, out, err = invoke("cyc-extract", str(rules), "--events", str(events))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"load error: {latin}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("argv, builds_index", [
+    (["show", "blackout"], False),
+    (["timeline", "blackout"], False),
+    (["ask", "What does a blackout consist of?"], False),
+    (["ask", "How long does a blackout take?"], False),
+    (["recognize", "John poured shampoo on his hair."], True),
+    (["ask", "What does a dog do?"], True),
+])
+def test_only_whole_base_queries_build_the_script_index(argv, builds_index, monkeypatch):
+    import scriptkb.cli
+    loaded = []
+    load = scriptkb.cli._load
+
+    def recorded(paths):
+        loaded.append(load(paths))
+        return loaded[-1]
+
+    monkeypatch.setattr(scriptkb.cli, "_load", recorded)
+    code, out, _ = invoke(*argv)
+    assert code == 0 and out
+    assert ("index" in vars(loaded[0])) == builds_index
+
+
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--csv"], ["--json", "stats"]])
 def test_stats_builds_the_census_once(argv, monkeypatch):
     import scriptkb.cli

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from scriptkb.diagnostics import Diagnostic
@@ -57,6 +59,26 @@ def test_instance_base():
 
 def test_grid_instance_reparented_under_base(kb):
     assert kb.ontology.is_a("hotel-room1", "hotel-room")
+
+
+@pytest.mark.parametrize("text, parents", [
+    # the instance is mentioned before its base is auto-registered
+    ("Object stay\n[event01-of ^ [sleep-in guest hotel-room1]]\n"
+     "[event02-of ^ [leave guest hotel-room]]\n", ("hotel-room",)),
+    ("Object stay\n[event01-of ^ [sleep-in guest hotel-room1]]\n"
+     "[ako hotel-room1 concept]\nObject hotel-room\n", ("hotel-room",)),
+    ("Object stay\n[event01-of ^ [sleep-in guest hotel-room1]]\n"
+     "[ako hotel-room1 suite]\nObject hotel-room\n", ("suite",)),
+    ("Object stay\n[event01-of ^ [sleep-in guest hotel-room1]]\n", ("concept",)),
+])
+def test_auto_registered_instance_hangs_below_its_base(text, parents):
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert kb.ontology.parents("hotel-room1") == parents
+
+
+def test_knowledge_base_is_frozen(kb):
+    with pytest.raises(FrozenInstanceError):
+        kb.blocks = []
 
 
 def test_multiple_ako_parents():

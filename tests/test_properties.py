@@ -24,6 +24,14 @@ def test_every_lexicon_phrase_activates_on_mutated_bases(core_text, scripts_text
     pc.run_mutated_lexicon_activation([core_text, scripts_text, demo_text], cases=1000)
 
 
+def test_script_index_matches_a_full_scan(kb):
+    pc.run_index_matches_full_scan(kb)
+
+
+def test_script_index_matches_a_full_scan_on_mutated_bases(core_text, scripts_text, demo_text):
+    pc.run_mutated_index_matches_full_scan([core_text, scripts_text, demo_text], cases=1000)
+
+
 def test_timeline_length_bound():
     pc.run_timeline_bound(cases=1000)
 

@@ -127,6 +127,16 @@ def test_used_for_shampoo(kb):
     assert any("shampoo" in t.render() for t in haircut.events)
 
 
+@pytest.mark.parametrize("question", [
+    "What does a dog do?", "What is shampoo used for?", "Where is shampoo found?"])
+def test_whole_base_answers_build_only_the_scripts_they_name(kb, built_scripts, question):
+    answer(kb, parse_question(kb, question))  # the first whole-base query builds the index
+    built_scripts.clear()
+    a = answer(kb, parse_question(kb, question))
+    scripts = [s for s in a.sources if s not in kb.grids]
+    assert scripts and sorted(built_scripts) == scripts
+
+
 def test_consist_of_timeline(kb):
     a = answer(kb, Question(QuestionKind.CONSIST_OF, "mail-letter-at-post-office"))
     assert [g.index for g in a.payload] == list(range(1, 11))

@@ -174,6 +174,13 @@ def test_concept_counts_once_despite_repeats(kb):
     assert once == twice
 
 
+def test_recognition_builds_no_script_once_the_index_exists(kb, built_scripts):
+    activations = activate("John poured shampoo on his hair.", kb)
+    score_scripts(activations, kb)  # the first whole-base query builds the index
+    built_scripts.clear()
+    assert score_scripts(activations, kb) and built_scripts == []
+
+
 def test_ordering_deterministic(kb):
     text = "shampoo hair dog bed menu"
     first = score_scripts(activate(text, kb), kb)
