@@ -6,9 +6,10 @@ as children of the root with a warning, since source excerpts routinely
 mention concepts defined elsewhere.  A trailing-digit name like
 ``hotel-room1`` is treated as an instance and registered under its base
 concept when the base exists.  A field assertion whose argument has the
-wrong shape is a load error.  The base is frozen.  Whole-base queries read
-one script index, built by the first of them; per-script queries read
-``assertions_about`` only.
+wrong shape is a load error.  The base is frozen.  Loading records each
+assertion's file and line under its subject, and the sorted script names.
+Recognition and the what-does, used-for and where-found questions also read
+two concept -> scripts maps, built by the first of them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
-from .terms import AKO, STRUCTURAL, Assertion, ObjectBlock, malformed, term_symbols
+from .terms import (AKO, EVENT_PREDICATES, STRUCTURAL, Assertion, ObjectBlock, malformed,
+                    term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 
@@ -44,10 +46,8 @@ def read_text(path) -> str:
 
 
 class ScriptIndex(NamedTuple):
-    """What the whole-base queries read; script lists are sorted by name."""
+    """The two concept -> scripts maps; script lists are sorted by name."""
 
-    sites: dict[str, list[tuple[Assertion, str, int]]]  # subject -> (assertion, file, line)
-    scripts: tuple[str, ...]
     by_mention: dict[str, list[str]]  # concept -> scripts whose mention set holds it
     by_role: dict[str, list[str]]  # concept -> scripts with a role of that concept
 
@@ -58,7 +58,8 @@ class KnowledgeBase:
     blocks: list[ObjectBlock] = field(default_factory=list)
     grids: dict[str, Grid] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    _by_subject: dict[str, list[Assertion]] = field(default_factory=dict)
+    _by_subject: dict[str, list[tuple[Assertion, str, int]]] = field(default_factory=dict)
+    _scripts: dict[str, None] = field(default_factory=dict)  # sorted script names, as keys
 
     # -- queries -------------------------------------------------------------
 
@@ -69,43 +70,32 @@ class KnowledgeBase:
         """All loaded assertions whose first argument is the concept, in file order."""
         if concept not in self.ontology:
             raise UnknownConcept(f"unknown concept {concept!r}")
-        return tuple(self._by_subject.get(concept, ()))
+        return tuple(a for a, _, _ in self._by_subject.get(concept, ()))
 
     def sites_about(self, concept: str) -> tuple[tuple[Assertion, str, int], ...]:
         """``assertions_about`` with the file and line of each assertion; empty
         for a concept the base does not know."""
-        return tuple(self.index.sites.get(concept, ()))
+        return tuple(self._by_subject.get(concept, ()))
 
     def script_concepts(self) -> list[str]:
         """Concepts with at least one event assertion, sorted by name."""
-        return list(self.index.scripts)
+        return list(self._scripts)
 
     @cached_property
     def index(self) -> ScriptIndex:
-        """The script index, built on first use: loading and per-script
-        queries never pay for it, and it keeps no script views."""
+        """The script index, built on first use: loading and the queries that
+        need no map never pay for it, and it keeps no script views."""
         from .recognizer import mention_set  # imported here: both modules import this one
-        from .scripts import build_script, is_script
-        sites: dict[str, list[tuple[Assertion, str, int]]] = {}
-        for a, file, line in self._located():
-            if a.args and isinstance(a.args[0], str):
-                sites.setdefault(a.args[0], []).append((a, file, line))
-        scripts = tuple(sorted(c for c in self._by_subject if is_script(self, c)))
+        from .scripts import build_script
         by_mention: dict[str, list[str]] = {}
         by_role: dict[str, list[str]] = {}
-        for name in scripts:
+        for name in self._scripts:
             script = build_script(self, name)
             for concept in mention_set(script):
                 by_mention.setdefault(concept, []).append(name)
             for concept in dict.fromkeys(script.roles.values()):
                 by_role.setdefault(concept, []).append(name)
-        return ScriptIndex(sites, scripts, by_mention, by_role)
-
-    def _located(self):
-        """(assertion, file, line) for every assertion, in file order."""
-        for block in self.blocks:
-            for i, a in enumerate(block.assertions):
-                yield a, block.file, block.assertion_line(i)
+        return ScriptIndex(by_mention, by_role)
 
     # -- loading -------------------------------------------------------------
 
@@ -160,16 +150,22 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # the first mention of each symbol, and the subject index
+        # the first mention of each symbol, each subject's sites, and the scripts
         ako_parents: dict[str, list[str]] = {}
         mentioned: dict[str, tuple[str, int]] = {}
-        for a, file, line in self._located():
+        scripts: set[str] = set()
+        sites = ((a, block.file, block.assertion_line(i))
+                 for block in self.blocks for i, a in enumerate(block.assertions))
+        for site in sites:
+            a, file, line = site
             for sym in term_symbols(a):
                 if sym not in mentioned:
                     mentioned[sym] = (file, line)
             if not (a.args and isinstance(a.args[0], str)):
                 continue
-            self._by_subject.setdefault(a.args[0], []).append(a)
+            self._by_subject.setdefault(a.args[0], []).append(site)
+            if a.predicate in EVENT_PREDICATES:
+                scripts.add(a.args[0])
             problem = malformed(a)
             if problem:
                 self.diagnostics.append(Diagnostic(
@@ -182,6 +178,7 @@ class KnowledgeBase:
                         self.diagnostics.append(Diagnostic(
                             file, line, 1, WARNING, "BadAkoArgument",
                             f"ignoring non-symbol ako argument in {a.render()}"))
+        self._scripts.update(dict.fromkeys(sorted(scripts)))
         for grid in self.grids.values():
             for sym in (grid.name, *grid.legend.values(), *grid.extended_keys.values()):
                 mentioned.setdefault(sym, (grid.file, grid.line))

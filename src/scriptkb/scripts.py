@@ -107,8 +107,10 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
 
 
 def is_script(kb: KnowledgeBase, concept: str) -> bool:
-    """A concept is a script when it has at least one event assertion of its own."""
-    return any(a.predicate in EVENT_PREDICATES for a in kb.assertions_about(concept))
+    """Whether the concept is one of ``kb.script_concepts()``."""
+    if concept not in kb:
+        raise UnknownConcept(f"unknown concept {concept!r}")
+    return concept in kb._scripts
 
 
 def require_script(kb: KnowledgeBase, concept: str) -> None:

@@ -1,7 +1,7 @@
 """Per-script census and database-level averages.
 
-A concept counts as a script when it has at least one event assertion.
-Rows count a script's own assertions only (no inheritance): events (gotos
+There is one row per concept of ``KnowledgeBase.script_concepts()``.  Rows
+count a script's own assertions only (no inheritance): events (gotos
 included, since they are event assertions), roles, places, and "other" =
 entry conditions + results + goals + emotions + duration + period + cost +
 role scripts.  Published figures for well-known databases ship alongside

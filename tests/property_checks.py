@@ -18,7 +18,7 @@ from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, Recogniti
                                  activate, mention_set, score_scripts, stopwords)
 from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
 from scriptkb.stats import census
-from scriptkb.terms import Assertion, term_symbols
+from scriptkb.terms import EVENT_PREDICATES, Assertion, term_symbols
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
           "green pea", "night table", "power failure")
@@ -305,7 +305,8 @@ def run_mutated_lexicon_activation(texts, cases=1000, seed=20260808):
 def _full_scan(kb):
     """The whole-base answers as every query computed them before the script
     index: a loop over every script view and its mention set."""
-    scripts = sorted(c for c in kb.ontology.concepts() if is_script(kb, c))
+    scripts = sorted(c for c in kb.ontology.concepts()
+                     if any(a.predicate in EVENT_PREDICATES for a in kb.assertions_about(c)))
     views = {name: build_script(kb, name) for name in scripts}
     mentions = {name: mention_set(view) for name, view in views.items()}
 
@@ -348,18 +349,20 @@ def _full_scan(kb):
 
 
 def run_index_matches_full_scan(kb):
-    """On a base that loads without errors: the script list, recognition with
-    generalization on and off, and the what-does, used-for and where-found
-    answers equal a full scan of every script for every concept;
+    """On a base that loads without errors: the script list, ``is_script``,
+    recognition with generalization on and off, and the what-does, used-for
+    and where-found answers equal a full scan of every script for every concept;
     ``sites_about`` equals a walk of every assertion; and every query kind
     over every script and concept returns without an exception."""
     scripts, scores, answers = _full_scan(kb)
     assert kb.script_concepts() == scripts
     sites = {}
-    for a, file, line in kb._located():
-        if a.args and isinstance(a.args[0], str):
-            sites.setdefault(a.args[0], []).append((a, file, line))
+    for block in kb.blocks:
+        for i, a in enumerate(block.assertions):
+            if a.args and isinstance(a.args[0], str):
+                sites.setdefault(a.args[0], []).append((a, block.file, block.assertion_line(i)))
     for concept in kb.ontology.concepts():
+        assert is_script(kb, concept) == (concept in scripts), concept
         assert kb.sites_about(concept) == tuple(sites.get(concept, ())), concept
         for generalization in (True, False):
             acts = ActivationSet((Activation(concept, 0, 1, "x", "x"),))

@@ -337,6 +337,10 @@ def test_non_utf8_load_error_names_the_file(tmp_path):
     (["ask", "How long does a blackout take?"], False),
     (["recognize", "John poured shampoo on his hair."], True),
     (["ask", "What does a dog do?"], True),
+    (["stats"], False),
+    (["stats", "--csv"], False),
+    (["--json", "stats"], False),
+    (["validate", *bundled_kb_paths()], False),
 ])
 def test_only_whole_base_queries_build_the_script_index(argv, builds_index, monkeypatch):
     import scriptkb.cli
@@ -351,6 +355,12 @@ def test_only_whole_base_queries_build_the_script_index(argv, builds_index, monk
     code, out, _ = invoke(*argv)
     assert code == 0 and out
     assert ("index" in vars(loaded[0])) == builds_index
+
+
+def test_validate_builds_each_script_once(built_scripts):
+    code, _, _ = invoke("validate", *bundled_kb_paths())
+    assert code == 0
+    assert sorted(built_scripts) == scriptkb.load(bundled_kb_paths()).script_concepts()
 
 
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--csv"], ["--json", "stats"]])

@@ -5,6 +5,8 @@ import pytest
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import CycleDetected, UnknownConcept
 from scriptkb.kb import KnowledgeBase, instance_base
+from scriptkb.scripts import build_script, validate
+from scriptkb.stats import census
 
 
 def test_auto_registration_with_warning():
@@ -124,6 +126,17 @@ def test_malformed_field_is_a_positioned_load_error():
     assert [d for d in kb.diagnostics if d.severity == "error"] == [
         Diagnostic("t", 3, 1, "error", "MalformedField",
                    "thing: duration-of needs a measure argument")]
+
+
+def test_a_malformed_field_fails_no_query_that_needs_no_index():
+    text = ("Object a\n[event01-of ^ [hum a]]\n\n"
+            "Object b\n[event01-of ^ [hum b]]\n[duration-of ^ apple]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [d.code for d in kb.diagnostics if d.severity == "error"] == ["MalformedField"]
+    assert kb.script_concepts() == ["a", "b"]
+    assert [(r.script, r.subevents, r.other) for r in census(kb)] == [("a", 1, 0), ("b", 1, 1)]
+    assert [line for _, _, line in kb.sites_about("a")] == [2]
+    assert [d.code for d in validate(kb, build_script(kb, "a"))] == ["EventArgOutsideRoles"]
 
 
 def test_sites_about_gives_each_assertion_its_line():
