@@ -6,10 +6,11 @@ as children of the root with a warning, since source excerpts routinely
 mention concepts defined elsewhere.  A trailing-digit name like
 ``hotel-room1`` is treated as an instance and registered under its base
 concept when the base exists.  A field assertion whose argument has the
-wrong shape is a load error.  The base is frozen.  Loading records each
-assertion's file and line under its subject, and the sorted script names.
-Recognition and the what-does, used-for and where-found questions also read
-two concept -> scripts maps, built by the first of them.
+wrong shape is a load error, and so is a goto to an event group its script
+lacks.  The base is frozen.  Loading records each assertion's file and line
+under its subject, and the sorted script names.  Recognition and the
+what-does, used-for and where-found questions also read two concept ->
+scripts maps, built by the first of them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
-from .terms import (AKO, EVENT_PREDICATES, STRUCTURAL, Assertion, ObjectBlock, malformed,
-                    term_symbols)
+from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, ObjectBlock,
+                    goto_target, malformed, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 
@@ -150,10 +151,12 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # the first mention of each symbol, each subject's sites, and the scripts
+        # the first mention of each symbol, each subject's sites, the scripts,
+        # and the first goto of each script's event group
         ako_parents: dict[str, list[str]] = {}
         mentioned: dict[str, tuple[str, int]] = {}
         scripts: set[str] = set()
+        gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
         sites = ((a, block.file, block.assertion_line(i))
                  for block in self.blocks for i, a in enumerate(block.assertions))
         for site in sites:
@@ -166,6 +169,9 @@ class KnowledgeBase:
             self._by_subject.setdefault(a.args[0], []).append(site)
             if a.predicate in EVENT_PREDICATES:
                 scripts.add(a.args[0])
+                target = goto_target(a.args[1]) if len(a.args) > 1 else None
+                if target is not None:
+                    gotos.setdefault((a.args[0], FIELDS[a.predicate].index), (target, file, line))
             problem = malformed(a)
             if problem:
                 self.diagnostics.append(Diagnostic(
@@ -179,6 +185,13 @@ class KnowledgeBase:
                             file, line, 1, WARNING, "BadAkoArgument",
                             f"ignoring non-symbol ako argument in {a.render()}"))
         self._scripts.update(dict.fromkeys(sorted(scripts)))
+        for (subject, group), (target, file, line) in gotos.items():
+            groups = {FIELDS[b.predicate].index for b, _, _ in self._by_subject[subject]
+                      if b.predicate in EVENT_PREDICATES}
+            if target not in groups:
+                self.diagnostics.append(Diagnostic(
+                    file, line, 1, ERROR, "BadGotoTarget",
+                    f"goto in group {group:02d} targets missing group {target:02d}"))
         for grid in self.grids.values():
             for sym in (grid.name, *grid.legend.values(), *grid.extended_keys.values()):
                 mentioned.setdefault(sym, (grid.file, grid.line))

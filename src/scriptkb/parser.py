@@ -29,7 +29,9 @@ module to parse.
 from __future__ import annotations
 
 import html
+import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, Diagnostic
@@ -49,13 +51,15 @@ _SUFFIX_RE = re.compile(rf"({_NUM_RE.pattern})([A-Za-z]+)")
 _OBJECT_RE = re.compile(r"Object\s+(\S+)\s*$")
 _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
+_TOKEN_RE = re.compile(r"[\[\]]|[^\s\[\]]+")
+_ASCII_SYMBOL = re.compile(r"[a-z0-9][a-z0-9-]*")
 
 
 def is_symbol(token: str) -> bool:
     """Symbols are lowercase-and-digit tokens with interior hyphens; accented
     lowercase letters are allowed for French-derived names."""
-    if not token:
-        return False
+    if token.isascii():
+        return _ASCII_SYMBOL.fullmatch(token) is not None
     first = token[0]
     if not (first.isdigit() or (first.isalpha() and first.islower())):
         return False
@@ -90,24 +94,9 @@ def parse_measure(token: str) -> Measure:
 # -- assertion parsing --------------------------------------------------------
 
 
-def _tokens(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[]":
-            yield (c, c, i)
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "[]":
-                j += 1
-            yield ("atom", text[i:j], i)
-            i = j
-
-
-def _pos(text: str, idx: int, base_line: int) -> tuple[int, int]:
+def _pos(text: str, token: int, base_line: int) -> tuple[int, int]:
+    """Line and column of the token with the given index; only errors need it."""
+    idx = next(itertools.islice(_TOKEN_RE.finditer(text), token, None)).start()
     newlines = text.count("\n", 0, idx)
     if newlines:
         return base_line + newlines, idx - text.rfind("\n", 0, idx)
@@ -121,73 +110,68 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
     ``line`` is the file line the text starts on; error positions are
     reported relative to it.
     """
-    toks = list(_tokens(text))
-    if not toks or toks[0][0] != "[":
+    toks = _TOKEN_RE.findall(text)
+    if not toks or toks[0] != "[":
         raise KbSyntaxError("assertion must start with '['", line, 1)
-    node, nxt = _parse_node(toks, 0, text, self_concept, line)
-    if nxt != len(toks):
-        _, val, idx = toks[nxt]
-        raise KbSyntaxError(f"unexpected trailing {val!r}", *_pos(text, idx, line))
+    # the innermost open node as [predicate, *args] with the token index of
+    # its '['; `outer` holds the nodes around it, `parts` is None once closed;
+    # an error is reported at token `at`
+    open_at, parts, outer = 0, [], []
+    try:
+        for at in range(1, len(toks)):
+            tok = toks[at]
+            if parts is None:
+                raise KbSyntaxError(f"unexpected trailing {tok!r}")
+            if not parts:
+                if not is_symbol(tok):
+                    raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
+                parts.append(sys.intern(tok))
+            elif tok == "[":
+                outer.append((open_at, parts))
+                open_at, parts = at, []
+            elif tok == "]":
+                if len(parts) < 2:
+                    at = open_at
+                    raise KbSyntaxError(f"assertion [{parts[0]}] needs at least one argument")
+                node = Assertion(parts[0], tuple(parts[1:]))
+                if outer:
+                    open_at, parts = outer.pop()
+                    parts.append(node)
+                else:
+                    parts = None
+            else:
+                parts.append(_classify_atom(tok, self_concept))
+        if parts is not None:
+            at = open_at
+            raise UnbalancedBracket("unclosed '['")
+    except PositionedError as e:
+        e.line, e.col = _pos(text, at, line)
+        raise
     return node
 
 
-def _parse_node(toks, i, text, self_concept, base_line):
-    open_idx = toks[i][2]
-    i += 1
-    if i >= len(toks):
-        raise UnbalancedBracket("unclosed '['", *_pos(text, open_idx, base_line))
-    kind, val, idx = toks[i]
-    if kind != "atom" or not is_symbol(val):
-        raise KbSyntaxError(f"expected a predicate symbol, got {val!r}",
-                            *_pos(text, idx, base_line))
-    predicate = val
-    i += 1
-    args = []
-    while True:
-        if i >= len(toks):
-            raise UnbalancedBracket("unclosed '['", *_pos(text, open_idx, base_line))
-        kind, val, idx = toks[i]
-        if kind == "]":
-            i += 1
-            break
-        if kind == "[":
-            node, i = _parse_node(toks, i, text, self_concept, base_line)
-            args.append(node)
-        else:
-            args.append(_classify_atom(val, self_concept, *_pos(text, idx, base_line)))
-            i += 1
-    if not args:
-        raise KbSyntaxError(f"assertion [{predicate}] needs at least one argument",
-                            *_pos(text, open_idx, base_line))
-    return Assertion(predicate, tuple(args)), i
-
-
-def _classify_atom(val, self_concept, line, col):
+def _classify_atom(val, self_concept):
     if val == "na":
         return NA
     if val == "^":
         if self_concept is None:
-            raise SelfRefWithoutContext("'^' used without an enclosing block", line, col)
+            raise SelfRefWithoutContext("'^' used without an enclosing block")
         return self_concept
     if val.startswith("NUMBER:"):
-        try:
-            return parse_measure(val)
-        except PositionedError as e:
-            e.line, e.col = line, col
-            raise
+        return parse_measure(val)
     m = _SUFFIX_RE.fullmatch(val)
     if m:
         num, unit = m.groups()
         if unit in DEFAULT_UNITS:
             return Measure(unit, num)
         if is_symbol(val):
-            return val
-        raise UnknownUnit(f"unknown unit {unit!r} in {val!r}", line, col)
+            return sys.intern(val)
+        raise UnknownUnit(f"unknown unit {unit!r} in {val!r}")
     if is_symbol(val):
-        return val
+        return sys.intern(val)
     if _NUM_RE.fullmatch(val):
-        raise MalformedNumber(f"number without a unit: {val!r}", line, col)
-    raise KbSyntaxError(f"invalid token {val!r}", line, col)
+        raise MalformedNumber(f"number without a unit: {val!r}")
+    raise KbSyntaxError(f"invalid token {val!r}")
 
 
 # -- whole-file parsing -------------------------------------------------------
@@ -259,7 +243,7 @@ def parse_database(text: str, *, filename: str = "<kb>",
             finish()
             m = _OBJECT_RE.match(stripped)
             if m and is_symbol(m.group(1)):
-                current = ObjectBlock(m.group(1), line=lineno, file=filename)
+                current = ObjectBlock(sys.intern(m.group(1)), line=lineno, file=filename)
             else:
                 err(lineno, 1, "MalformedHeader", f"bad Object header: {stripped!r}")
                 current = ObjectBlock("invalid", line=lineno, file=filename)

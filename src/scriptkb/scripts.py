@@ -22,8 +22,8 @@ from .errors import (
     UnknownConcept,
 )
 from .kb import KnowledgeBase
-from .terms import (EVENT_PREDICATES, FIELDS, GOTO, MEASURE, NA, Assertion, Measure,
-                    NaType, Term, malformed, term_symbols)
+from .terms import (FIELDS, MEASURE, NA, Assertion, Measure, NaType, Term, goto_target,
+                    malformed, term_symbols)
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,6 @@ class FieldValue:
     inherited: bool
 
 
-def _goto_target(term: Term) -> int | None:
-    if isinstance(term, Assertion) and term.predicate == GOTO \
-            and len(term.args) == 1 and term.args[0] in EVENT_PREDICATES:
-        return FIELDS[term.args[0]].index
-    return None
-
-
 def build_script(kb: KnowledgeBase, concept: str) -> Script:
     """Materialize the script view of a concept from its assertions.
 
@@ -88,7 +81,7 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
         value = a.args[1]
         if spec.attr == "events":
             groups.setdefault(spec.index, []).append(value)
-            target = _goto_target(value)
+            target = goto_target(value)
             if target is not None:
                 gotos.setdefault(spec.index, target)
         elif spec.index is not None:
@@ -209,7 +202,7 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
         if not g.events:
             report(ERROR, "EmptyEventGroup", f"event group {g.index:02d} is empty")
         if g.goto_target is not None:
-            goto = next((t for t in g.events if _goto_target(t) is not None), None)
+            goto = next((t for t in g.events if goto_target(t) is not None), None)
             if g.goto_target not in group_indices:
                 report(ERROR, "BadGotoTarget",
                        f"goto in group {g.index:02d} targets missing group "
@@ -246,7 +239,7 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
     flagged: set[str] = set()
     for g in script.events:
         for term in g.events:
-            if not isinstance(term, Assertion) or _goto_target(term) is not None:
+            if not isinstance(term, Assertion) or goto_target(term) is not None:
                 continue
             for name in term_symbols(term, include_predicates=False):
                 if name not in flagged and not _role_related(kb, name, related):

@@ -13,6 +13,7 @@ each field predicate fills and what argument it needs, and ``ako`` and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple, Union
@@ -44,25 +45,23 @@ class Measure:
     """A number with a unit, e.g. 3600 seconds or 0.33 USD.
 
     The numeric text is kept exactly as written so serialization is
-    bit-faithful; equality compares the decimal value, so ``3.1536e+07``
-    and ``31536000`` with the same unit are equal.
+    bit-faithful.  Its decimal value is parsed once, as ``quantity``, and
+    equality compares that, so ``3.1536e+07`` and ``31536000`` with the
+    same unit are equal.
     """
 
-    __slots__ = ("unit", "text")
+    __slots__ = ("unit", "text", "quantity")
 
     def __init__(self, unit: str, text):
         self.unit = unit
         self.text = str(text)
         try:
-            finite = Decimal(self.text).is_finite()
+            self.quantity = Decimal(self.text)
+            finite = self.quantity.is_finite()
         except InvalidOperation:
             finite = False
         if not finite:
             raise MalformedNumber(f"bad numeric text {self.text!r}")
-
-    @property
-    def quantity(self) -> Decimal:
-        return Decimal(self.text)
 
     @property
     def value(self) -> float:
@@ -141,6 +140,8 @@ for _n in range(100):
     FIELDS[f"role{_n:02d}-of"] = Field("roles", _n, CONCEPT)
     FIELDS[f"role{_n:02d}-script-of"] = Field("role_scripts", _n, CONCEPT)
     FIELDS[f"event{_n:02d}-of"] = Field("events", _n, TERM)
+# the parser interns predicates, so lookups of parsed ones find these very strings
+FIELDS = {sys.intern(p): f for p, f in FIELDS.items()}
 
 EVENT_PREDICATES = frozenset(p for p, f in FIELDS.items() if f.attr == "events")
 # predicates the file format itself defines
@@ -156,6 +157,14 @@ def malformed(a: Assertion) -> str | None:
                         and isinstance(a.args[1], _SHAPE_TYPES[spec.shape])):
         return None
     return f"{a.args[0]}: {a.predicate} needs a {spec.shape} argument"
+
+
+def goto_target(term: Term) -> int | None:
+    """The group a ``[goto eventNN-of]`` event restarts at; None for any other term."""
+    if isinstance(term, Assertion) and term.predicate == GOTO \
+            and len(term.args) == 1 and term.args[0] in EVENT_PREDICATES:
+        return FIELDS[term.args[0]].index
+    return None
 
 
 def term_symbols(term: Term, include_predicates: bool = True):

@@ -403,6 +403,17 @@ def test_validate_runs_the_script_checks(tmp_path):
     assert f"{looper}:3:1: error: goto in group 02 targets missing group 07" in out
 
 
+def test_a_goto_to_a_missing_group_refuses_the_base(tmp_path):
+    goto = tmp_path / "goto.kb"
+    goto.write_text("Object looper\n[event01-of ^ [sing singer]]\n"
+                    "[event02-of ^ [goto event09-of]]\n", encoding="utf-8")
+    message = f"{goto}:3:1: error: goto in group 02 targets missing group 09"
+    assert invoke("--kb", str(goto), "timeline", "looper") == (2, "", message + "\n")
+    code, out, _ = invoke("validate", str(goto))
+    assert code == 2
+    assert [line for line in out.splitlines() if "targets missing group" in line] == [message]
+
+
 def test_validate_fixtures_lists_script_notes():
     code, out, _ = invoke("--json", "validate", *bundled_kb_paths())
     assert code == 0

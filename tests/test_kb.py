@@ -145,3 +145,18 @@ def test_sites_about_gives_each_assertion_its_line():
     sites = kb.sites_about("thing")
     assert tuple(a for a, _, _ in sites) == kb.assertions_about("thing")
     assert [(file, line) for _, file, line in sites] == [("t", 2), ("t", 4)]
+
+
+def test_a_goto_to_a_missing_group_is_a_positioned_load_error():
+    text = "Object looper\n[event01-of ^ [sing singer]]\n[event02-of ^ [goto event09-of]]\n"
+    kb = KnowledgeBase.from_texts([("goto.kb", text)])
+    assert [d for d in kb.diagnostics if d.severity == "error"] == [
+        Diagnostic("goto.kb", 3, 1, "error", "BadGotoTarget",
+                   "goto in group 02 targets missing group 09")]
+
+
+def test_a_goto_target_may_sit_in_another_block_of_its_script():
+    kb = KnowledgeBase.from_texts([
+        ("a", "Object looper\n[event02-of ^ [goto event01-of]]\n"),
+        ("b", "Object looper\n[event01-of ^ [sing singer]]\n")])
+    assert not [d for d in kb.diagnostics if d.severity == "error"]

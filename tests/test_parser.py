@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scriptkb.diagnostics import has_errors
@@ -10,7 +12,7 @@ from scriptkb.errors import (
 )
 from scriptkb.ontology import Language
 from scriptkb.parser import is_symbol, parse_assertion, parse_database, parse_measure, serialize
-from scriptkb.terms import NA, Assertion, Measure
+from scriptkb.terms import FIELDS, NA, Assertion, Measure
 
 
 def assertion_line_count(text: str) -> int:
@@ -40,6 +42,27 @@ def test_symbol_accepts(token):
 @pytest.mark.parametrize("token", ["", "Blackout", "-x", "foo_bar", "a b", "^"])
 def test_symbol_rejects(token):
     assert not is_symbol(token)
+
+
+def symbol_reference(token: str) -> bool:
+    """The definition of a symbol, one character at a time."""
+    if not token:
+        return False
+    first = token[0]
+    if not (first.isdigit() or (first.isalpha() and first.islower())):
+        return False
+    return all(ch == "-" or ch.isdigit() or (ch.isalpha() and ch.islower())
+               for ch in token[1:])
+
+
+def test_symbol_matches_the_character_reference():
+    chars = [chr(cp) for cp in range(0x3000)]
+    mixed = [chr(cp) for cp in range(0x20, 0x7F)] + list("éÉßº²٣ǅ\u00a0")
+    rng = random.Random(20261018)
+    tokens = chars + [a + b for a in mixed for b in mixed] + [
+        "".join(rng.choice(mixed if rng.random() < 0.8 else chars)
+                for _ in range(rng.randint(1, 8))) for _ in range(20000)]
+    assert [t for t in tokens if is_symbol(t) != symbol_reference(t)] == []
 
 
 # -- measures ------------------------------------------------------------------
@@ -125,6 +148,34 @@ def test_error_position_on_later_line():
     assert info.value.line == 11
 
 
+@pytest.mark.parametrize("text, concept, error, message, line, col", [
+    ("[event01-of ^\n  [sing singer]\n  [Bad x]]", "looper",
+     KbSyntaxError, "expected a predicate symbol, got 'Bad'", 12, 4),
+    ("[event01-of ^\n  [sing Singer]]", "looper",
+     KbSyntaxError, "invalid token 'Singer'", 11, 9),
+    ("[duration-of ^\n  [x y]\n     3ZZ]", "looper",
+     UnknownUnit, "unknown unit 'ZZ' in '3ZZ'", 12, 6),
+    ("[duration-of\n ^ NUMBER:parsec:3]", "looper", UnknownUnit, "unknown unit 'parsec'", 11, 4),
+    ("[cost-of\n ^\n   4.2]", "looper", MalformedNumber, "number without a unit: '4.2'", 12, 4),
+    ("[ako\n  ^ disaster]", None, SelfRefWithoutContext, "'^' used without an enclosing block",
+     11, 3),
+    ("[event01-of ^\n  [sing singer]\n  [rest singer", "looper",
+     UnbalancedBracket, "unclosed '['", 12, 3),
+    ("[event01-of ^\n  [sing singer]]\n  extra", "looper",
+     KbSyntaxError, "unexpected trailing 'extra'", 12, 3),
+    ("[event01-of ^\n  [lonely]]", "looper",
+     KbSyntaxError, "assertion [lonely] needs at least one argument", 11, 3),
+    # a suffixed number too large for a decimal sits at its token too
+    ("[cost-of ^\n  1e99999999999999999999999999in]", "looper",
+     MalformedNumber, "bad numeric text '1e99999999999999999999999999'", 11, 3),
+])
+def test_error_kind_on_a_continuation_line(text, concept, error, message, line, col):
+    with pytest.raises(error) as info:
+        parse_assertion(text, concept, line=10)
+    e = info.value
+    assert (type(e), e.message, e.line, e.col) == (error, message, line, col)
+
+
 # -- whole documents -------------------------------------------------------------
 
 def test_blackout_block_counts(scripts_text):
@@ -200,6 +251,19 @@ def test_diagnostic_positions():
     assert (d.line, d.severity) == (2, "error")
     assert d.col > 1
     assert ":" in d.render()
+
+
+def test_continued_assertion_error_sits_at_its_token():
+    result = parse_database("Object looper\n[event01-of ^\n  [sing singer]\n  [rest Singer]]\n",
+                            filename="t")
+    assert [d.render() for d in result.diagnostics] == ["t:4:9: error: invalid token 'Singer'"]
+
+
+def test_parsed_symbols_are_shared_strings():
+    result = parse_database("Object looper\n[role01-of ^ singer]\n[event01-of ^ [sing singer]]\n")
+    role, event = block_of(result, "looper").assertions
+    assert role.args[1] is event.args[1].args[0]
+    assert next(p for p in FIELDS if p == event.predicate) is event.predicate
 
 
 def test_unbalanced_block_diagnosed():
