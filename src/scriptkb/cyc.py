@@ -19,6 +19,8 @@ recorded for each known event named in it.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -31,6 +33,11 @@ ACTS_IN_CAPACITY = "actsInCapacity"
 EVENT_OCCURS_AT = "eventOccursAt"
 OTHER = "Other"
 OTHER_TAIL = "other"
+
+# relation -> positions of the head and the tail among the formula's terms
+_RELATIONS = {SUBEVENTS: (1, 2), ACTS_IN_CAPACITY: (3, 1), EVENT_OCCURS_AT: (1, 2)}
+# a comment, a parenthesis (group 1) or an atom (group 2); the rest is whitespace
+_TOKEN_RE = re.compile(r";[^\n]*|([()])|([^\s();]+)")
 
 
 def is_variable(atom: str) -> bool:
@@ -47,50 +54,30 @@ class ExtractedTuple:
         return f"{self.head}:{self.relation}:{self.tail}"
 
 
+def _pos(text: str, idx: int) -> tuple[int, int]:
+    """Line and column of a character index; only errors need it."""
+    return text.count("\n", 0, idx) + 1, idx - text.rfind("\n", 0, idx)
+
+
 def parse_forms(text: str) -> list[Sexp]:
     """Parse all top-level s-expressions; ``;`` starts a line comment."""
     forms: list[Sexp] = []
-    stack: list[list] = []
-    opens: list[int] = []
-
-    def pos(idx: int) -> tuple[int, int]:
-        line = text.count("\n", 0, idx) + 1
-        last = text.rfind("\n", 0, idx)
-        return line, idx - last if last >= 0 else idx + 1
-
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "(":
-            stack.append([])
-            opens.append(i)
-            i += 1
-        elif ch == ")":
-            if not stack:
-                raise UnbalancedParen("unmatched ')'", *pos(i))
-            done = stack.pop()
-            opens.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                forms.append(done)
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            if stack:
-                stack[-1].append(text[i:j])
-            else:
-                forms.append(text[i:j])
-            i = j
-    if stack:
-        raise UnbalancedParen("unclosed '('", *pos(opens[0]))
+    stack = [forms]  # the top level, then every open list, innermost last
+    for m in _TOKEN_RE.finditer(text):
+        paren, atom = m.groups()
+        if atom:
+            stack[-1].append(atom)
+        elif paren == "(":
+            if len(stack) == 1:
+                opened = m.start()
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif paren:
+            if len(stack) == 1:
+                raise UnbalancedParen("unmatched ')'", *_pos(text, m.start()))
+            stack.pop()
+    if len(stack) > 1:
+        raise UnbalancedParen("unclosed '('", *_pos(text, opened))
     return forms
 
 
@@ -119,31 +106,17 @@ def extract_tuples(form: Sexp, known_events) -> frozenset[ExtractedTuple]:
                 and not is_variable(f[2]):
             bindings.setdefault(f[1], []).append(f[2])
 
-    variables = {a for a in atoms(form) if is_variable(a)}
     tuples: set[ExtractedTuple] = set()
-    if variables <= bindings.keys():
-        def ground(term) -> list[str]:
-            if not isinstance(term, str):
-                return []
-            if is_variable(term):
-                return bindings.get(term, [])
-            return [term]
+    if {a for a in atoms(form) if is_variable(a)} <= bindings.keys():
+        def ground(term) -> list[str]:  # every variable is bound here
+            return bindings.get(term, [term]) if isinstance(term, str) else []
 
         for f in subforms(form):
-            if not f or not isinstance(f[0], str):
-                continue
-            if f[0] == SUBEVENTS and len(f) >= 3:
-                pairs = [(h, t) for h in ground(f[1]) for t in ground(f[2])]
-                relation = SUBEVENTS
-            elif f[0] == ACTS_IN_CAPACITY and len(f) >= 4:
-                pairs = [(h, t) for h in ground(f[3]) for t in ground(f[1])]
-                relation = ACTS_IN_CAPACITY
-            elif f[0] == EVENT_OCCURS_AT and len(f) >= 3:
-                pairs = [(h, t) for h in ground(f[1]) for t in ground(f[2])]
-                relation = EVENT_OCCURS_AT
-            else:
-                continue
-            tuples.update(ExtractedTuple(h, relation, t) for h, t in pairs)
+            positions = _RELATIONS.get(f[0]) if f and isinstance(f[0], str) else None
+            if positions and len(f) > max(positions):
+                head, tail = (f[p] for p in positions)
+                tuples.update(ExtractedTuple(h, f[0], t)
+                              for h in ground(head) for t in ground(tail))
 
     if not tuples:
         known = set(known_events)
@@ -184,28 +157,14 @@ def event_census(tuples, known_events) -> tuple[list[EventCensusRow], EventSumma
     Only events heading at least one subEvents tuple count as scripts;
     averages run over those scripts.
     """
-    by_head: dict[str, set[ExtractedTuple]] = {}
-    for t in tuples:
-        by_head.setdefault(t.head, set()).add(t)
-
-    rows = []
-    for event in sorted(by_head):
-        group = by_head[event]
-        counts = {rel: sum(1 for t in group if t.relation == rel)
-                  for rel in (SUBEVENTS, ACTS_IN_CAPACITY, EVENT_OCCURS_AT, OTHER)}
-        if counts[SUBEVENTS] >= 1:
-            rows.append(EventCensusRow(event, counts[SUBEVENTS],
-                                       counts[ACTS_IN_CAPACITY],
-                                       counts[EVENT_OCCURS_AT], counts[OTHER]))
-    n = len(rows)
-    summary = EventSummary(
-        len(set(known_events)), n,
-        sum(r.subevents for r in rows) / n if n else 0.0,
-        sum(r.roles for r in rows) / n if n else 0.0,
-        sum(r.places for r in rows) / n if n else 0.0,
-        sum(r.other for r in rows) / n if n else 0.0,
-    )
-    return rows, summary
+    counts = Counter((t.head, t.relation) for t in set(tuples))
+    relations = (SUBEVENTS, ACTS_IN_CAPACITY, EVENT_OCCURS_AT, OTHER)  # in column order
+    rows = [EventCensusRow(event, *(counts[event, r] for r in relations))
+            for event in sorted({head for head, _ in counts}) if counts[event, SUBEVENTS]]
+    n = max(len(rows), 1)  # no rows: every sum is 0, and so every average 0.0
+    averages = [sum(getattr(r, column) for r in rows) / n
+                for column in ("subevents", "roles", "places", "other")]
+    return rows, EventSummary(len(set(known_events)), len(rows), *averages)
 
 
 def tuple_lines(tuples) -> list[str]:

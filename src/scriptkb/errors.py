@@ -68,10 +68,6 @@ class OutOfBounds(KbError):
 
 
 # script views
-class MalformedField(KbError):
-    pass
-
-
 class BadGotoTarget(KbError):
     pass
 

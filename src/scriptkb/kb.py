@@ -186,8 +186,9 @@ class KnowledgeBase:
                             f"ignoring non-symbol ako argument in {a.render()}"))
         self._scripts.update(dict.fromkeys(sorted(scripts)))
         for (subject, group), (target, file, line) in gotos.items():
+            # a malformed event is left out of the view, so it cannot be a target
             groups = {FIELDS[b.predicate].index for b, _, _ in self._by_subject[subject]
-                      if b.predicate in EVENT_PREDICATES}
+                      if b.predicate in EVENT_PREDICATES and not malformed(b)}
             if target not in groups:
                 self.diagnostics.append(Diagnostic(
                     file, line, 1, ERROR, "BadGotoTarget",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import UnknownConcept, UnknownSubjectPhrase, UnrecognizedTemplate
 from .kb import KnowledgeBase, instance_base
@@ -30,37 +32,7 @@ class QuestionKind(Enum):
     HOW_MUCH = "how-much"
 
 
-SCRIPT_KINDS = frozenset({
-    QuestionKind.CONSIST_OF, QuestionKind.RESULT_OF, QuestionKind.WHERE_DOES_ONE,
-    QuestionKind.HOW_LONG, QuestionKind.HOW_OFTEN, QuestionKind.HOW_MUCH,
-})
-
-# more specific templates first: "...consist of" must win over "...do"
-_TEMPLATES: list[tuple[QuestionKind, re.Pattern]] = [
-    (QuestionKind.CONSIST_OF, re.compile(r"what does (.+) consist of", re.I)),
-    (QuestionKind.RESULT_OF, re.compile(r"what is the result of (.+)", re.I)),
-    (QuestionKind.USED_FOR, re.compile(r"what is (.+) used for", re.I)),
-    (QuestionKind.WHERE_FOUND, re.compile(r"where is (.+) found", re.I)),
-    (QuestionKind.WHERE_DOES_ONE, re.compile(r"where does one (.+)", re.I)),
-    (QuestionKind.HOW_LONG, re.compile(r"how long does (.+) take", re.I)),
-    (QuestionKind.HOW_OFTEN, re.compile(r"how often does one (.+)", re.I)),
-    (QuestionKind.HOW_MUCH, re.compile(r"how much does (.+) cost", re.I)),
-    (QuestionKind.WHAT_DOES, re.compile(r"what does (.+) do", re.I)),
-]
-
-_RENDER = {
-    QuestionKind.WHAT_DOES: "What does a {} do?",
-    QuestionKind.USED_FOR: "What is a {} used for?",
-    QuestionKind.WHERE_FOUND: "Where is a {} found?",
-    QuestionKind.CONSIST_OF: "What does {} consist of?",
-    QuestionKind.RESULT_OF: "What is the result of {}?",
-    QuestionKind.WHERE_DOES_ONE: "Where does one {}?",
-    QuestionKind.HOW_LONG: "How long does {} take?",
-    QuestionKind.HOW_OFTEN: "How often does one {}?",
-    QuestionKind.HOW_MUCH: "How much does {} cost?",
-}
-
-_ARTICLE_RE = re.compile(r"(a|an|the)\s+", re.I)
+_ARTICLE_RE = re.compile(r"^(a|an|the)\s+", re.I)
 
 
 @dataclass(frozen=True)
@@ -100,19 +72,16 @@ def parse_question(kb: KnowledgeBase, text: str) -> Question:
     the first script-compatible concept and records a note.
     """
     normalized = re.sub(r"\s+", " ", text).strip().rstrip("?.! ")
-    for kind, pattern in _TEMPLATES:
-        m = pattern.fullmatch(normalized)
+    for kind, template in _TEMPLATES.items():
+        m = template.pattern.fullmatch(normalized)
         if not m:
             continue
-        phrase = m.group(1).strip()
-        stripped = _ARTICLE_RE.match(phrase)
-        if stripped:
-            phrase = phrase[stripped.end():]
+        phrase = _ARTICLE_RE.sub("", m.group(1).strip(), count=1)
         candidates = kb.ontology.lookup_phrase(phrase, Language.ENGLISH)
         if not candidates:
             raise UnknownSubjectPhrase(f"no concept for phrase {phrase!r}")
         subject = candidates[0]
-        if kind in SCRIPT_KINDS:
+        if template.about_script:
             subject = next((c for c in candidates if is_script(kb, c)), candidates[0])
         note = None
         if len(candidates) > 1:
@@ -126,7 +95,7 @@ def render_question(kb: KnowledgeBase, question: Question) -> str:
     """Surface form of a question, using the subject's first English phrase."""
     phrases = kb.ontology.lexemes_of(question.subject, Language.ENGLISH)
     phrase = phrases[0] if phrases else question.subject.replace("-", " ")
-    return _RENDER[question.kind].format(phrase)
+    return _TEMPLATES[question.kind].render.format(phrase)
 
 
 def answer(kb: KnowledgeBase, question: Question) -> Answer:
@@ -135,17 +104,13 @@ def answer(kb: KnowledgeBase, question: Question) -> Answer:
     elif question.subject not in kb.ontology:
         raise UnknownConcept(question.subject)
     notes = (question.note,) if question.note else ()
-    payload, sources = _ANSWERERS[question.kind](kb, question.subject)
+    payload, sources = _TEMPLATES[question.kind].answerer(kb, question.subject)
     return Answer(question.kind, question.subject, payload, tuple(sources), notes)
 
 
 def _events_mentioning(script, concept):
-    out = []
-    for group in script.events:
-        for term in group.events:
-            if concept in term_symbols(term):
-                out.append(term)
-    return tuple(out)
+    return tuple(term for group in script.events for term in group.events
+                 if concept in term_symbols(term))
 
 
 def _what_does(kb, subject):
@@ -186,24 +151,41 @@ def _result_of(kb, subject):
     return list(build_script(kb, subject).results), [subject]
 
 
-def _inherited(fieldname):
-    def answerer(kb, subject):
-        fv = inherited_field(kb, subject, fieldname)
-        if fv is None:
-            return None, []
-        value = list(fv.value) if fieldname == "places" else fv.value
-        return value, [fv.source]
-    return answerer
+def _inherited(fieldname, kb, subject):
+    fv = inherited_field(kb, subject, fieldname)
+    if fv is None:
+        return None, []
+    value = list(fv.value) if fieldname == "places" else fv.value
+    return value, [fv.source]
 
 
-_ANSWERERS = {
-    QuestionKind.WHAT_DOES: _what_does,
-    QuestionKind.USED_FOR: _used_for,
-    QuestionKind.WHERE_FOUND: _where_found,
-    QuestionKind.CONSIST_OF: _consist_of,
-    QuestionKind.RESULT_OF: _result_of,
-    QuestionKind.WHERE_DOES_ONE: _inherited("places"),
-    QuestionKind.HOW_LONG: _inherited("duration"),
-    QuestionKind.HOW_OFTEN: _inherited("period"),
-    QuestionKind.HOW_MUCH: _inherited("cost"),
-}
+class _Template(NamedTuple):
+    pattern: re.Pattern
+    render: str
+    answerer: Callable
+    about_script: bool
+
+
+# more specific templates first: "...consist of" must win over "...do"
+_TEMPLATES = {kind: _Template(re.compile(pattern, re.I), render, answerer, about_script)
+              for kind, pattern, render, answerer, about_script in [
+    (QuestionKind.CONSIST_OF, r"what does (.+) consist of", "What does {} consist of?",
+     _consist_of, True),
+    (QuestionKind.RESULT_OF, r"what is the result of (.+)", "What is the result of {}?",
+     _result_of, True),
+    (QuestionKind.USED_FOR, r"what is (.+) used for", "What is a {} used for?",
+     _used_for, False),
+    (QuestionKind.WHERE_FOUND, r"where is (.+) found", "Where is a {} found?",
+     _where_found, False),
+    (QuestionKind.WHERE_DOES_ONE, r"where does one (.+)", "Where does one {}?",
+     partial(_inherited, "places"), True),
+    (QuestionKind.HOW_LONG, r"how long does (.+) take", "How long does {} take?",
+     partial(_inherited, "duration"), True),
+    (QuestionKind.HOW_OFTEN, r"how often does one (.+)", "How often does one {}?",
+     partial(_inherited, "period"), True),
+    (QuestionKind.HOW_MUCH, r"how much does (.+) cost", "How much does {} cost?",
+     partial(_inherited, "cost"), True),
+    (QuestionKind.WHAT_DOES, r"what does (.+) do", "What does a {} do?",
+     _what_does, False),
+]}
+SCRIPT_KINDS = frozenset(kind for kind, t in _TEMPLATES.items() if t.about_script)

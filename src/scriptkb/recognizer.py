@@ -18,7 +18,7 @@ from importlib import resources
 from .kb import KnowledgeBase
 from .ontology import Language
 from .scripts import Script
-from .terms import GOTO, Assertion, term_symbols
+from .terms import goto_target, term_symbols
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
@@ -95,12 +95,12 @@ def _strip_suffix(token, lookup, language):
 
 def mention_set(script: Script) -> frozenset[str]:
     """Every concept a script touches: roles, event predicates and event
-    arguments (nested assertions included, ``na`` and gotos excluded), and
-    places."""
+    arguments (nested assertions included, ``na`` and ``[goto eventNN-of]``
+    excluded), and places."""
     symbols: set[str] = set(script.roles.values())
     for group in script.events:
         for term in group.events:
-            if isinstance(term, Assertion) and term.predicate == GOTO:
+            if goto_target(term) is not None:
                 continue
             symbols.update(term_symbols(term))
     symbols.update(script.places)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .diagnostics import ERROR, INFO, WARNING, Diagnostic
 from .errors import (
     BadGotoTarget,
-    MalformedField,
     NotAScript,
     RoleTypeMismatch,
     TooManyBindings,
@@ -64,8 +63,8 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
     """Materialize the script view of a concept from its assertions.
 
     Assertions are grouped by field with file order preserved; the first
-    value wins for roles, role scripts and measures.  Raises MalformedField
-    on a field argument of the wrong shape, which loading also reports.
+    value wins for roles, role scripts and measures.  A field assertion whose
+    argument has the wrong shape is left out; loading reports it.
     """
     script = Script(concept)
     groups: dict[int, list[Term]] = {}
@@ -73,11 +72,8 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
 
     for a in kb.assertions_about(concept):
         spec = FIELDS.get(a.predicate)
-        if spec is None:
+        if spec is None or malformed(a):
             continue
-        problem = malformed(a)
-        if problem:
-            raise MalformedField(problem)
         value = a.args[1]
         if spec.attr == "events":
             groups.setdefault(spec.index, []).append(value)

@@ -6,6 +6,7 @@ budget.
 """
 
 import random
+import re
 
 from scriptkb.diagnostics import has_errors
 from scriptkb.errors import CycleDetected, MalformedHeader
@@ -18,7 +19,8 @@ from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, Recogniti
                                  activate, mention_set, score_scripts, stopwords)
 from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
 from scriptkb.stats import census
-from scriptkb.terms import EVENT_PREDICATES, Assertion, term_symbols
+from scriptkb.terms import (CONCEPT, EVENT_PREDICATES, FIELDS, MEASURE, TERM, Assertion,
+                            term_symbols)
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
           "green pea", "night table", "power failure")
@@ -349,7 +351,8 @@ def _full_scan(kb):
 
 
 def run_index_matches_full_scan(kb):
-    """On a base that loads without errors: the script list, ``is_script``,
+    """On a base that loads without errors, or whose only errors are malformed
+    fields (which script views leave out): the script list, ``is_script``,
     recognition with generalization on and off, and the what-does, used-for
     and where-found answers equal a full scan of every script for every concept;
     ``sites_about`` equals a walk of every assertion; and every query kind
@@ -380,14 +383,47 @@ def run_index_matches_full_scan(kb):
 
 def run_mutated_index_matches_full_scan(texts, cases=1000, seed=20260808):
     """``run_index_matches_full_scan`` on every mutated fixture that loads
-    without error diagnostics."""
-    clean = 0
+    without error diagnostics or with malformed-field errors only."""
+    checked = {"clean": 0, "malformed": 0}
     for mutated in _mutations(texts, cases, seed):
         try:
             kb = KnowledgeBase.from_texts([("m", mutated)])
         except CycleDetected:
             continue
-        if not has_errors(kb.diagnostics):
+        errors = {d.code for d in kb.diagnostics if d.severity == "error"}
+        if errors <= {"MalformedField"}:
             run_index_matches_full_scan(kb)
-            clean += 1
-    assert clean, "no mutation loaded cleanly; the property checked nothing"
+            checked["malformed" if errors else "clean"] += 1
+    assert all(checked.values()), f"a kind of base was never checked: {checked}"
+
+
+_FIELD_LINE = re.compile(r"\[(\S+) \^ .*\]")
+_WRONG_SHAPE = {CONCEPT: "NUMBER:USD:1", MEASURE: "apple", TERM: ""}
+
+
+def _malformed_fields(texts, cases, seed):
+    """Fixture texts with one to three field assertions given an argument of
+    the wrong shape (an event loses its argument)."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        lines = texts[case % len(texts)].split("\n")
+        fields = {i: m[1] for i, m in enumerate(map(_FIELD_LINE.fullmatch, lines))
+                  if m and m[1] in FIELDS}
+        for i in rng.sample(sorted(fields), min(len(fields), rng.randint(1, 3))):
+            lines[i] = f"[{fields[i]} ^ {_WRONG_SHAPE[FIELDS[fields[i]].shape]}]"
+        yield "\n".join(lines)
+
+
+def run_malformed_fields_index_matches_full_scan(texts, cases=100, seed=20260808):
+    """Wrong-shaped field arguments are load errors that script views leave
+    out: ``run_index_matches_full_scan`` holds on every such base whose only
+    errors they are (a goto whose target group lost its only event adds one)."""
+    checked = 0
+    for mutated in _malformed_fields(texts, cases, seed):
+        kb = KnowledgeBase.from_texts([("m", mutated)])
+        errors = {d.code for d in kb.diagnostics if d.severity == "error"}
+        assert "MalformedField" in errors
+        if errors == {"MalformedField"}:
+            run_index_matches_full_scan(kb)
+            checked += 1
+    assert checked, "no base had malformed-field errors only"

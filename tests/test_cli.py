@@ -414,6 +414,18 @@ def test_a_goto_to_a_missing_group_refuses_the_base(tmp_path):
     assert [line for line in out.splitlines() if "targets missing group" in line] == [message]
 
 
+def test_a_goto_to_a_concept_is_an_event_that_recognition_reads(tmp_path):
+    # only [goto eventNN-of] restarts a timeline; [goto lobby] is an ordinary event
+    lobby = tmp_path / "lobby.kb"
+    lobby.write_text("Object lobby-wait\n[role01-of ^ guest]\n[event01-of ^ [sit guest]]\n"
+                     "[event02-of ^ [goto lobby]]\n\nObject lobby\n[English] lobby\n",
+                     encoding="utf-8")
+    assert invoke("--kb", str(lobby), "timeline", "lobby-wait") == (
+        0, "01 [sit guest]\n02 [goto lobby]\n", "")
+    assert invoke("--kb", str(lobby), "recognize", "the lobby") == (
+        0, "score 1.0 for script lobby-wait based on lobby\n", "")
+
+
 def test_validate_fixtures_lists_script_notes():
     code, out, _ = invoke("--json", "validate", *bundled_kb_paths())
     assert code == 0

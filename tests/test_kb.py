@@ -155,6 +155,14 @@ def test_a_goto_to_a_missing_group_is_a_positioned_load_error():
                    "goto in group 02 targets missing group 09")]
 
 
+def test_a_goto_to_a_group_of_malformed_events_targets_a_missing_group():
+    # the script view leaves the malformed event out, so group 01 is missing there
+    text = "Object looper\n[event01-of ^]\n[event02-of ^ [goto event01-of]]\n"
+    kb = KnowledgeBase.from_texts([("goto.kb", text)])
+    assert [(d.line, d.code) for d in kb.diagnostics if d.severity == "error"] == [
+        (2, "MalformedField"), (3, "BadGotoTarget")]
+
+
 def test_a_goto_target_may_sit_in_another_block_of_its_script():
     kb = KnowledgeBase.from_texts([
         ("a", "Object looper\n[event02-of ^ [goto event01-of]]\n"),

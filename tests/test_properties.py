@@ -32,6 +32,10 @@ def test_script_index_matches_a_full_scan_on_mutated_bases(core_text, scripts_te
     pc.run_mutated_index_matches_full_scan([core_text, scripts_text, demo_text], cases=1000)
 
 
+def test_script_index_matches_a_full_scan_with_malformed_fields(scripts_text, demo_text):
+    pc.run_malformed_fields_index_matches_full_scan([scripts_text, demo_text])
+
+
 def test_timeline_length_bound():
     pc.run_timeline_bound(cases=1000)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from scriptkb.errors import NotAScript, UnknownSubjectPhrase, UnrecognizedTemplate
+from scriptkb.kb import KnowledgeBase
 from scriptkb.qa import (
     Question,
     QuestionKind,
@@ -8,7 +9,7 @@ from scriptkb.qa import (
     parse_question,
     render_question,
 )
-from scriptkb.recognizer import mention_set
+from scriptkb.recognizer import activate, mention_set, score_scripts
 from scriptkb.scripts import build_script
 from scriptkb.terms import Assertion, Measure
 
@@ -166,3 +167,18 @@ def test_where_does_one_subset_of_where_found(kb):
         for concept in mention_set(script):
             found = answer(kb, Question(QuestionKind.WHERE_FOUND, concept)).payload
             assert set(own) <= set(found)
+
+
+def test_a_malformed_field_is_left_out_of_its_script_and_queries_still_answer():
+    kb = KnowledgeBase.from_texts([("t", (
+        "Object person\n[English] person\n\n"
+        "Object a\n[role01-of ^ person]\n[event01-of ^ [walk person]]\n\n"
+        "Object b\n[role01-of ^ person]\n[event01-of ^ [run person]]\n"
+        "[duration-of ^ apple]\n"))])
+    assert [d.render() for d in kb.diagnostics if d.severity == "error"] == [
+        "t:11:1: error: b: duration-of needs a measure argument"]
+    results = score_scripts(activate("a person", kb), kb)
+    assert [(r.script, r.evidence) for r in results] == [("a", ("person",)), ("b", ("person",))]
+    got = answer(kb, parse_question(kb, "What does a person do?"))
+    assert got.sources == ("a", "b")
+    assert answer(kb, Question(QuestionKind.HOW_LONG, "b")).payload is None

@@ -3,7 +3,6 @@ import pytest
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import (
     BadGotoTarget,
-    MalformedField,
     NotAScript,
     RoleTypeMismatch,
     TooManyBindings,
@@ -80,8 +79,9 @@ def test_rebuild_is_structurally_equal(kb):
 
 def test_malformed_scalar_field():
     kb = KnowledgeBase.from_texts([("t", "Object thing\n[duration-of ^ apple]\n")])
-    with pytest.raises(MalformedField):
-        build_script(kb, "thing")
+    assert build_script(kb, "thing").duration is None
+    assert [d.render() for d in kb.diagnostics if d.code == "MalformedField"] == [
+        "t:2:1: error: thing: duration-of needs a measure argument"]
 
 
 def test_build_unknown_concept(kb):
