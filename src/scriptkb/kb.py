@@ -8,13 +8,22 @@ mention concepts defined elsewhere.  A trailing-digit name like
 concept when the base exists.  A field assertion whose argument has the
 wrong shape is a load error, and so is a goto to an event group its script
 lacks.  The base is frozen.  Loading records each assertion's file and line
-under its subject, and the sorted script names.  Recognition and the
-what-does, used-for and where-found questions also read two concept ->
-scripts maps, built by the first of them.
+under its subject, and the sorted script names: the concepts with an event
+assertion that is not malformed.  Recognition and the what-does, used-for and
+where-found questions also read two concept -> scripts maps, built by the
+first of them.
+
+The cyclic garbage collector is paused while a base loads.  Loading
+allocates tens of thousands of tuples, assertions, lists and dicts that all
+stay alive (about 54,000 for a base of 500 scripts), so each collection it
+would trigger walks them in vain, and the older generations' collections
+walk them again and again as the base grows.  The collector's earlier state
+comes back when loading ends, by an exception too.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,8 +113,14 @@ class KnowledgeBase:
     def from_texts(cls, named_texts) -> "KnowledgeBase":
         """Build a base from (name, text) pairs, merged in order."""
         kb = cls()
-        results = [parse_database(text, filename=str(name)) for name, text in named_texts]
-        kb._assemble(results)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            kb._assemble([parse_database(text, filename=str(name))
+                          for name, text in named_texts])
+        finally:
+            if collecting:
+                gc.enable()
         return kb
 
     @classmethod
@@ -126,10 +141,8 @@ class KnowledgeBase:
                         f"assertions appended"))
                     first = merged[block.concept]
                     first.lexicon.extend(block.lexicon)
-                    first.assertion_lines = (
-                        [first.assertion_line(i) for i in range(len(first.assertions))]
-                        + [block.assertion_line(i) for i in range(len(block.assertions))])
                     first.assertions.extend(block.assertions)
+                    first.assertion_lines.extend(block.assertion_lines)
                 else:
                     merged[block.concept] = block
                     self.blocks.append(block)
@@ -157,8 +170,9 @@ class KnowledgeBase:
         mentioned: dict[str, tuple[str, int]] = {}
         scripts: set[str] = set()
         gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
-        sites = ((a, block.file, block.assertion_line(i))
-                 for block in self.blocks for i, a in enumerate(block.assertions))
+        # parsed blocks, merged ones too, hold one line per assertion
+        sites = ((a, block.file, line) for block in self.blocks
+                 for a, line in zip(block.assertions, block.assertion_lines))
         for site in sites:
             a, file, line = site
             for sym in term_symbols(a):
@@ -167,15 +181,16 @@ class KnowledgeBase:
             if not (a.args and isinstance(a.args[0], str)):
                 continue
             self._by_subject.setdefault(a.args[0], []).append(site)
-            if a.predicate in EVENT_PREDICATES:
-                scripts.add(a.args[0])
-                target = goto_target(a.args[1]) if len(a.args) > 1 else None
-                if target is not None:
-                    gotos.setdefault((a.args[0], FIELDS[a.predicate].index), (target, file, line))
             problem = malformed(a)
             if problem:
                 self.diagnostics.append(Diagnostic(
                     file, line, 1, ERROR, "MalformedField", problem))
+            elif a.predicate in EVENT_PREDICATES:
+                # a malformed event is left out of the view, so it makes no script
+                scripts.add(a.args[0])
+                target = goto_target(a.args[1])
+                if target is not None:
+                    gotos.setdefault((a.args[0], FIELDS[a.predicate].index), (target, file, line))
             if a.predicate == AKO:
                 for parent in a.args[1:]:
                     if isinstance(parent, str):

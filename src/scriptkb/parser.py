@@ -110,6 +110,13 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
     ``line`` is the file line the text starts on; error positions are
     reported relative to it.
     """
+    return _parse_assertion(text, self_concept, line, {}, {})
+
+
+def _parse_assertion(text, self_concept, line, predicates, atoms) -> Assertion:
+    """``parse_assertion`` with tables of the predicate and argument tokens
+    already classified, which it extends; a token that fails to classify is
+    not stored, so it raises again wherever it appears."""
     toks = _TOKEN_RE.findall(text)
     if not toks or toks[0] != "[":
         raise KbSyntaxError("assertion must start with '['", line, 1)
@@ -123,9 +130,12 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
             if parts is None:
                 raise KbSyntaxError(f"unexpected trailing {tok!r}")
             if not parts:
-                if not is_symbol(tok):
-                    raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
-                parts.append(sys.intern(tok))
+                predicate = predicates.get(tok)
+                if predicate is None:
+                    if not is_symbol(tok):
+                        raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
+                    predicate = predicates[tok] = sys.intern(tok)
+                parts.append(predicate)
             elif tok == "[":
                 outer.append((open_at, parts))
                 open_at, parts = at, []
@@ -139,8 +149,16 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
                     parts.append(node)
                 else:
                     parts = None
+            elif tok == "^":
+                # resolved per block, so never stored in the table
+                if self_concept is None:
+                    raise SelfRefWithoutContext("'^' used without an enclosing block")
+                parts.append(self_concept)
             else:
-                parts.append(_classify_atom(tok, self_concept))
+                atom = atoms.get(tok)
+                if atom is None:
+                    atom = atoms[tok] = _classify_atom(tok)
+                parts.append(atom)
         if parts is not None:
             at = open_at
             raise UnbalancedBracket("unclosed '['")
@@ -150,13 +168,9 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
     return node
 
 
-def _classify_atom(val, self_concept):
+def _classify_atom(val):
     if val == "na":
         return NA
-    if val == "^":
-        if self_concept is None:
-            raise SelfRefWithoutContext("'^' used without an enclosing block")
-        return self_concept
     if val.startswith("NUMBER:"):
         return parse_measure(val)
     m = _SUFFIX_RE.fullmatch(val)
@@ -203,6 +217,9 @@ def parse_database(text: str, *, filename: str = "<kb>",
     text = html.unescape(text)
     lines = [ln.rstrip("\r") for ln in text.split("\n")]
     result = ParseResult()
+    # each distinct predicate and argument token is classified once per call
+    predicates: dict[str, str] = {}
+    atoms: dict[str, object] = {}
 
     current: ObjectBlock | None = None
     current_ok = True
@@ -287,8 +304,8 @@ def parse_database(text: str, *, filename: str = "<kb>",
                     err(lineno, 1, "OrphanContent", "assertion outside an Object block")
                 else:
                     try:
-                        current.assertions.append(parse_assertion(
-                            "\n".join(chunk), current.concept, line=lineno))
+                        current.assertions.append(_parse_assertion(
+                            "\n".join(chunk), current.concept, lineno, predicates, atoms))
                         current.assertion_lines.append(lineno)
                     except PositionedError as e:
                         err(e.line or lineno, e.col or 1, type(e).__name__, e.message)

@@ -1,11 +1,12 @@
 """Per-script census and database-level averages.
 
 There is one row per concept of ``KnowledgeBase.script_concepts()``.  Rows
-count a script's own assertions only (no inheritance): events (gotos
-included, since they are event assertions), roles, places, and "other" =
-entry conditions + results + goals + emotions + duration + period + cost +
-role scripts.  Published figures for well-known databases ship alongside
-so local numbers can be read in context.
+count a script's own assertions only (no inheritance), and leave out the
+malformed ones its script view leaves out: events (gotos included, since
+they are event assertions), roles, places, and "other" = entry conditions +
+results + goals + emotions + duration + period + cost + role scripts.
+Published figures for well-known databases ship alongside so local numbers
+can be read in context.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 
 from .errors import EmptyDatabase
 from .kb import KnowledgeBase
-from .terms import FIELDS
+from .terms import FIELDS, malformed
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,13 @@ PUBLISHED = (
 
 def census(kb: KnowledgeBase) -> list[CensusRow]:
     """One row per script concept, name ascending."""
+    # loading reports each malformed field assertion, so only a base with
+    # such an error needs the per-assertion check
+    check = any(d.code == "MalformedField" for d in kb.diagnostics)
     rows = []
     for concept in kb.script_concepts():
-        counts = Counter(FIELDS[a.predicate].attr for a in kb.assertions_about(concept)
-                         if a.predicate in FIELDS)
+        counts = Counter(FIELDS[a.predicate].attr for a, _, _ in kb.sites_about(concept)
+                         if a.predicate in FIELDS and not (check and malformed(a)))
         own = [counts.pop(attr, 0) for attr in ("events", "roles", "places")]
         rows.append(CensusRow(concept, *own, sum(counts.values())))
     return rows

@@ -167,15 +167,26 @@ def goto_target(term: Term) -> int | None:
     return None
 
 
-def term_symbols(term: Term, include_predicates: bool = True):
-    """Yield every concept symbol inside a term, nested assertions included."""
+def term_symbols(term: Term, include_predicates: bool = True) -> list[str]:
+    """A list of every concept symbol inside a term, nested assertions
+    included, in preorder: an assertion's predicate (unless
+    ``include_predicates`` is false), then its arguments' symbols in order."""
     if isinstance(term, str):
-        yield term
-    elif isinstance(term, Assertion):
-        if include_predicates:
-            yield term.predicate
-        for arg in term.args:
-            yield from term_symbols(arg, include_predicates)
+        return [term]
+    out: list[str] = []
+    if isinstance(term, Assertion):
+        _assertion_symbols(term, include_predicates, out)
+    return out
+
+
+def _assertion_symbols(a: Assertion, include_predicates: bool, out: list[str]) -> None:
+    if include_predicates:
+        out.append(a.predicate)
+    for arg in a.args:
+        if isinstance(arg, str):
+            out.append(arg)
+        elif isinstance(arg, Assertion):
+            _assertion_symbols(arg, include_predicates, out)
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import importlib.util
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,20 @@ def scripts_text():
 @pytest.fixture(scope="session")
 def demo_text():
     return data_text("demo.kb")
+
+
+@pytest.fixture(scope="session")
+def bench_texts(tmp_path_factory):
+    """(name, text) pairs of the base that ``bench/gen.py`` writes for seed 1
+    at 500 scripts, the base the benchmark's ``cli`` workload loads."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up there
+    spec.loader.exec_module(gen)
+    out = tmp_path_factory.mktemp("bench")
+    base = gen.generate(1, 500, out / "base", out)
+    return [(name, (out / name).read_text("utf-8")) for name in base.files]
 
 
 @pytest.fixture(scope="session")

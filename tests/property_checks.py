@@ -20,7 +20,7 @@ from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, Recogniti
 from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
 from scriptkb.stats import census
 from scriptkb.terms import (CONCEPT, EVENT_PREDICATES, FIELDS, MEASURE, TERM, Assertion,
-                            term_symbols)
+                            malformed, term_symbols)
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
           "green pea", "night table", "power failure")
@@ -308,7 +308,8 @@ def _full_scan(kb):
     """The whole-base answers as every query computed them before the script
     index: a loop over every script view and its mention set."""
     scripts = sorted(c for c in kb.ontology.concepts()
-                     if any(a.predicate in EVENT_PREDICATES for a in kb.assertions_about(c)))
+                     if any(a.predicate in EVENT_PREDICATES and not malformed(a)
+                            for a in kb.assertions_about(c)))
     views = {name: build_script(kb, name) for name in scripts}
     mentions = {name: mention_set(view) for name, view in views.items()}
 

@@ -1,12 +1,17 @@
+import gc
 from dataclasses import FrozenInstanceError
 
 import pytest
+from property_checks import _mutations
 
+from scriptkb import kb as kb_module
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import CycleDetected, UnknownConcept
 from scriptkb.kb import KnowledgeBase, instance_base
-from scriptkb.scripts import build_script, validate
+from scriptkb.ontology import ROOT
+from scriptkb.scripts import build_script, is_script, validate
 from scriptkb.stats import census
+from scriptkb.terms import AKO, STRUCTURAL, Assertion, term_symbols
 
 
 def test_auto_registration_with_warning():
@@ -115,6 +120,13 @@ def test_load_from_paths_merges_in_order(tmp_path):
     assert dup.file.endswith("two.kb")
 
 
+def test_merged_blocks_keep_each_assertion_line():
+    kb = KnowledgeBase.from_texts([
+        ("a", "Object hum\n[event01-of ^ [buzz hum]]\n"),
+        ("b", "\nObject hum\n\n[event02-of ^ [fade hum]]\n[ako ^ concept]\n")])
+    assert [line for _, _, line in kb.sites_about("hum")] == [2, 4, 5]
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         KnowledgeBase.from_paths([tmp_path / "absent.kb"])
@@ -134,9 +146,22 @@ def test_a_malformed_field_fails_no_query_that_needs_no_index():
     kb = KnowledgeBase.from_texts([("t", text)])
     assert [d.code for d in kb.diagnostics if d.severity == "error"] == ["MalformedField"]
     assert kb.script_concepts() == ["a", "b"]
-    assert [(r.script, r.subevents, r.other) for r in census(kb)] == [("a", 1, 0), ("b", 1, 1)]
+    # the census, like b's script view, leaves the malformed duration out
+    assert [(r.script, r.subevents, r.other) for r in census(kb)] == [("a", 1, 0), ("b", 1, 0)]
     assert [line for _, _, line in kb.sites_about("a")] == [2]
     assert [d.code for d in validate(kb, build_script(kb, "a"))] == ["EventArgOutsideRoles"]
+
+
+def test_a_malformed_event_is_left_out_of_scripts_and_census():
+    kb = KnowledgeBase.from_texts([("t", "Object x\n[event01-of ^]\n[event02-of ^ [hum x]]\n")])
+    assert is_script(kb, "x")
+    assert [(r.script, r.subevents) for r in census(kb)] == [("x", 1)]
+    assert sum(len(g.events) for g in build_script(kb, "x").events) == 1
+
+    kb = KnowledgeBase.from_texts([("t", "Object x\n[event01-of ^]\n")])
+    assert [d.code for d in kb.diagnostics if d.severity == "error"] == ["MalformedField"]
+    assert not is_script(kb, "x")
+    assert kb.script_concepts() == [] and census(kb) == []
 
 
 def test_sites_about_gives_each_assertion_its_line():
@@ -168,3 +193,108 @@ def test_a_goto_target_may_sit_in_another_block_of_its_script():
         ("a", "Object looper\n[event02-of ^ [goto event01-of]]\n"),
         ("b", "Object looper\n[event01-of ^ [sing singer]]\n")])
     assert not [d for d in kb.diagnostics if d.severity == "error"]
+
+
+# -- the first-mention walk against the generator it replaced -------------------
+
+def generator_term_symbols(term, include_predicates=True):
+    """Reference: the recursive generator ``term_symbols`` was before it
+    built a list."""
+    if isinstance(term, str):
+        yield term
+    elif isinstance(term, Assertion):
+        if include_predicates:
+            yield term.predicate
+        for arg in term.args:
+            yield from generator_term_symbols(arg, include_predicates)
+
+
+def _valid_name(name):
+    return bool(name) and not any(c in name for c in " \t\n[]")
+
+
+def reference_hierarchy(kb):
+    """Concept order, parents and AutoRegistered (file, line, message) as the
+    loader derived them before: a first-mention walk of the loaded blocks with
+    the generator and ``assertion_line``, then the grids."""
+    mentioned, ako = {}, {}
+    for block in kb.blocks:
+        for i, a in enumerate(block.assertions):
+            for flag in (True, False):
+                assert term_symbols(a, flag) == list(generator_term_symbols(a, flag))
+            for sym in generator_term_symbols(a):
+                mentioned.setdefault(sym, (block.file, block.assertion_line(i)))
+            if a.predicate == AKO and a.args and isinstance(a.args[0], str):
+                ako.setdefault(a.args[0], []).extend(p for p in a.args[1:] if isinstance(p, str))
+    for grid in kb.grids.values():
+        for sym in (grid.name, *grid.legend.values(), *grid.extended_keys.values()):
+            mentioned.setdefault(sym, (grid.file, grid.line))
+    declared = dict.fromkeys(b.concept for b in kb.blocks)
+    order = [c for c in dict.fromkeys([ROOT, *declared, *mentioned]) if _valid_name(c)]
+    parents, auto = {}, []
+    for c in order:
+        own = tuple(dict.fromkeys(ako.get(c, ())))
+        if c not in declared and c != ROOT:
+            base = instance_base(c)
+            if base and set(own) <= {ROOT} and (base == ROOT or base in declared
+                                                 or base in mentioned):
+                own = (base,)
+            if c not in STRUCTURAL:
+                auto.append((*mentioned[c], f"undeclared concept {c!r} registered under {ROOT!r}"))
+        parents[c] = () if c == ROOT else own or (ROOT,)
+    return order, parents, auto
+
+
+def assert_hierarchy_matches_reference(kb):
+    order, parents, auto = reference_hierarchy(kb)
+    assert list(kb.ontology.concepts()) == order
+    assert {c: kb.ontology.parents(c) for c in order} == parents
+    assert [(d.file, d.line, d.message) for d in kb.diagnostics
+            if d.code == "AutoRegistered"] == auto
+
+
+def test_hierarchy_matches_the_generator_walk(kb, bench_texts):
+    assert_hierarchy_matches_reference(kb)
+    assert_hierarchy_matches_reference(KnowledgeBase.from_texts(bench_texts))
+
+
+def test_hierarchy_matches_the_generator_walk_on_mutated_bases(core_text, scripts_text,
+                                                               demo_text):
+    checked = 0
+    for text in _mutations([core_text, scripts_text, demo_text], 1000, 20260808):
+        try:
+            kb = KnowledgeBase.from_texts([("m", text)])
+        except CycleDetected:
+            continue
+        assert_hierarchy_matches_reference(kb)
+        checked += 1
+    assert checked > 900
+
+
+# -- the collector during load ---------------------------------------------------
+
+_CYCLE = "Object a\n[ako ^ b]\n\nObject b\n[ako ^ a]\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ["Object a\n[ako ^ b]\n", _CYCLE])
+def test_loading_pauses_the_collector_and_restores_its_state(monkeypatch, enabled, text):
+    during, original = [], kb_module.parse_database
+
+    def parse(*args, **kwargs):
+        during.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kb_module, "parse_database", parse)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if text == _CYCLE:
+            with pytest.raises(CycleDetected):
+                KnowledgeBase.from_texts([("t", text)])
+        else:
+            KnowledgeBase.from_texts([("t", text)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from property_checks import _mutations
 
+from scriptkb import parser
 from scriptkb.diagnostics import has_errors
 from scriptkb.errors import (
     KbSyntaxError,
@@ -322,3 +324,75 @@ def test_measures_reserialize_exactly(scripts_text):
     text = serialize(blocks)
     assert "NUMBER:second:3.1536e+07" in text
     assert "NUMBER:USD:0.33" in text
+
+
+# -- one table of classified tokens per parse ----------------------------------
+
+def parse_per_assertion(text: str, **kwargs):
+    """Reference: ``parse_database`` with every assertion parsed as
+    ``parse_assertion`` parses it, with tables that no other assertion shares."""
+    shared = parser._parse_assertion
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_parse_assertion",
+                   lambda text, concept, line, _predicates, _atoms:
+                   shared(text, concept, line, {}, {}))
+        return parse_database(text, **kwargs)
+
+
+def parsed(result):
+    """Everything a parse gives: blocks with their lines and measure texts,
+    grid sources and positioned diagnostics."""
+    return ([(b.concept, b.file, b.line, b.lexicon, b.assertions,
+              [a.render() for a in b.assertions], b.assertion_lines)
+             for b in result.blocks], result.grid_sources, result.diagnostics)
+
+
+def test_one_table_per_parse_matches_per_assertion_parsing(core_text, scripts_text,
+                                                           demo_text, bench_texts):
+    named = [("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)]
+    for name, text in named + bench_texts:
+        assert parsed(parse_database(text, filename=name)) \
+            == parsed(parse_per_assertion(text, filename=name)), name
+    for text in _mutations([core_text, scripts_text, demo_text], 3000, 20261018):
+        assert parsed(parse_database(text)) == parsed(parse_per_assertion(text)), text
+
+
+def test_self_reference_resolves_per_block_of_one_file():
+    text = "Object a\n[p ^ x]\n\nObject b\n[p ^ x]\n[q [p ^] ^]\n"
+    result = parse_database(text)
+    assert [b.assertions for b in result.blocks] == [
+        [Assertion("p", ("a", "x"))],
+        [Assertion("p", ("b", "x")), Assertion("q", (Assertion("p", ("b",)), "b"))]]
+    assert parsed(result) == parsed(parse_per_assertion(text))
+
+
+def test_a_bad_token_raises_wherever_it_appears():
+    # a suffixed number too large for a decimal is a symbol as a predicate and
+    # a bad measure as an argument; a bad token raises again at each use
+    big = "1e99999999999999999999999999in"
+    text = (f"Object a\n[{big} ^]\n\nObject b\n[p ^ {big}]\n\n"
+            "Object c\n[p ^ Bad]\n\nObject d\n[q x\n  Bad]\n")
+    result = parse_database(text)
+    assert [b.concept for b in result.blocks] == ["a"]
+    assert result.blocks[0].assertions == [Assertion(big, ("a",))]
+    assert [(d.line, d.col, d.code) for d in result.diagnostics] == [
+        (5, 6, "MalformedNumber"), (8, 6, "KbSyntaxError"), (12, 3, "KbSyntaxError")]
+    assert parsed(result) == parsed(parse_per_assertion(text))
+
+
+def test_equal_measures_from_one_table():
+    text = ("Object a\n[cost-of ^ NUMBER:USD:1.50]\n[cost-of ^ 1.5USD]\n\n"
+            "Object b\n[cost-of ^ NUMBER:USD:1.50]\n[duration-of ^ NUMBER:USD:1.50]\n")
+    result = parse_database(text)
+    measures = [a.args[1] for b in result.blocks for a in b.assertions]
+    assert len(set(measures)) == 1 and len({hash(m) for m in measures}) == 1
+    assert [m.render() for m in measures] == [
+        "NUMBER:USD:1.50", "NUMBER:USD:1.5", "NUMBER:USD:1.50", "NUMBER:USD:1.50"]
+    assert parsed(result) == parsed(parse_per_assertion(text))
+
+
+def test_parse_assertion_shares_nothing_between_calls():
+    assert parse_assertion("[p ^ x]", "a") == Assertion("p", ("a", "x"))
+    assert parse_assertion("[p ^ x]", "b") == Assertion("p", ("b", "x"))
+    with pytest.raises(SelfRefWithoutContext):
+        parse_assertion("[p ^ x]")

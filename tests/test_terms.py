@@ -67,10 +67,12 @@ def test_assertions_hashable():
 def test_term_symbols_recursive():
     inner = Assertion("fetch-from", ("human", NA, "light-source"))
     outer = Assertion("event02-of", ("blackout", inner, Measure("second", "1")))
-    assert list(term_symbols(outer)) == [
+    assert term_symbols(outer) == [
         "event02-of", "blackout", "fetch-from", "human", "light-source"]
-    assert list(term_symbols(outer, include_predicates=False)) == [
+    assert term_symbols(outer, include_predicates=False) == [
         "blackout", "human", "light-source"]
+    assert term_symbols("human") == ["human"]
+    assert term_symbols(NA) == [] and term_symbols(Measure("second", "1")) == []
 
 
 def test_field_table_expands_every_numbered_predicate():
