@@ -1,17 +1,19 @@
 """Knowledge base: parsed blocks, hierarchy, lexicon, and grids in one place.
 
-Loading merges any number of files.  ``ako`` assertions supply hierarchy
-parents.  Symbols that are referenced but never declared are auto-registered
-as children of the root with a warning, since source excerpts routinely
-mention concepts defined elsewhere.  A trailing-digit name like
-``hotel-room1`` is treated as an instance and registered under its base
-concept when the base exists.  A field assertion whose argument has the
-wrong shape is a load error, and so is a goto to an event group its script
-lacks.  The base is frozen.  Loading records each assertion's file and line
+Loading merges any number of files: the blocks of one concept are read
+together, in load order, and each keeps its own file and lines.  ``ako``
+assertions supply hierarchy parents.  Symbols that are referenced but never
+declared are auto-registered as children of the root with a warning, since
+source excerpts routinely mention concepts defined elsewhere.  A
+trailing-digit name like ``hotel-room1`` is treated as an instance and
+registered under its base concept when the base exists.  A field assertion
+whose argument has the wrong shape is a load error, and so is a goto to an
+event group its script lacks.  The base is frozen.  Loading records each assertion's file and line
 under its subject, and the sorted script names: the concepts with an event
-assertion that is not malformed.  Recognition and the what-does, used-for and
-where-found questions also read two concept -> scripts maps, built by the
-first of them.
+assertion that is not malformed.  With each name it records the script's
+census counts: its events, roles, places and other fields, the malformed
+ones left out.  Recognition and the what-does, used-for and where-found
+questions also read two concept -> scripts maps, built by the first of them.
 
 The cyclic garbage collector is paused while a base loads.  Loading
 allocates tens of thousands of tuples, assertions, lists and dicts that all
@@ -39,6 +41,8 @@ from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, Object
                     goto_target, malformed, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
+# the census column of each field attribute; every other field counts as "other"
+_CENSUS_COLUMN = {"events": 0, "roles": 1, "places": 2}
 
 
 def instance_base(name: str) -> str | None:
@@ -65,11 +69,12 @@ class ScriptIndex(NamedTuple):
 @dataclass(frozen=True)
 class KnowledgeBase:
     ontology: Ontology = field(default_factory=Ontology)
-    blocks: list[ObjectBlock] = field(default_factory=list)
+    blocks: list[ObjectBlock] = field(default_factory=list)  # as parsed, a concept's together
     grids: dict[str, Grid] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _by_subject: dict[str, list[tuple[Assertion, str, int]]] = field(default_factory=dict)
-    _scripts: dict[str, None] = field(default_factory=dict)  # sorted script names, as keys
+    # sorted script names -> census counts [events, roles, places, other]
+    _scripts: dict[str, list[int]] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------------
 
@@ -131,21 +136,20 @@ class KnowledgeBase:
         for r in results:
             self.diagnostics.extend(r.diagnostics)
 
-        merged: dict[str, ObjectBlock] = {}
+        # a later block of a concept is read right after the earlier ones, and
+        # keeps its own file and lines
+        by_concept: dict[str, list[ObjectBlock]] = {}
         for r in results:
             for block in r.blocks:
-                if block.concept in merged:
+                same = by_concept.setdefault(block.concept, [])
+                if same:
                     self.diagnostics.append(Diagnostic(
                         block.file, block.line, 1, WARNING, "DuplicateBlock",
                         f"duplicate Object block for {block.concept!r}; "
                         f"assertions appended"))
-                    first = merged[block.concept]
-                    first.lexicon.extend(block.lexicon)
-                    first.assertions.extend(block.assertions)
-                    first.assertion_lines.extend(block.assertion_lines)
-                else:
-                    merged[block.concept] = block
-                    self.blocks.append(block)
+                same.append(block)
+        for same in by_concept.values():
+            self.blocks.extend(same)
 
         for r in results:
             for src in r.grid_sources:
@@ -164,13 +168,13 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # the first mention of each symbol, each subject's sites, the scripts,
-        # and the first goto of each script's event group
+        # the first mention of each symbol, each subject's sites and census
+        # counts, and the first goto of each script's event group
         ako_parents: dict[str, list[str]] = {}
         mentioned: dict[str, tuple[str, int]] = {}
-        scripts: set[str] = set()
+        counts: dict[str, list[int]] = {}  # subject -> [events, roles, places, other]
         gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
-        # parsed blocks, merged ones too, hold one line per assertion
+        # parsed blocks hold one line per assertion
         sites = ((a, block.file, line) for block in self.blocks
                  for a, line in zip(block.assertions, block.assertion_lines))
         for site in sites:
@@ -180,26 +184,34 @@ class KnowledgeBase:
                     mentioned[sym] = (file, line)
             if not (a.args and isinstance(a.args[0], str)):
                 continue
-            self._by_subject.setdefault(a.args[0], []).append(site)
-            problem = malformed(a)
-            if problem:
-                self.diagnostics.append(Diagnostic(
-                    file, line, 1, ERROR, "MalformedField", problem))
-            elif a.predicate in EVENT_PREDICATES:
-                # a malformed event is left out of the view, so it makes no script
-                scripts.add(a.args[0])
-                target = goto_target(a.args[1])
-                if target is not None:
-                    gotos.setdefault((a.args[0], FIELDS[a.predicate].index), (target, file, line))
-            if a.predicate == AKO:
+            subject = a.args[0]
+            self._by_subject.setdefault(subject, []).append(site)
+            spec = FIELDS.get(a.predicate)
+            if spec is not None:
+                problem = malformed(a, spec)
+                if problem:
+                    self.diagnostics.append(Diagnostic(
+                        file, line, 1, ERROR, "MalformedField", problem))
+                    continue
+                # a malformed field is left out of the view, so it is not counted
+                # and a malformed event makes no script
+                own = counts.get(subject)
+                if own is None:
+                    own = counts[subject] = [0, 0, 0, 0]
+                own[_CENSUS_COLUMN.get(spec.attr, 3)] += 1
+                if spec.attr == "events":
+                    target = goto_target(a.args[1])
+                    if target is not None:
+                        gotos.setdefault((subject, spec.index), (target, file, line))
+            elif a.predicate == AKO:
                 for parent in a.args[1:]:
                     if isinstance(parent, str):
-                        ako_parents.setdefault(a.args[0], []).append(parent)
+                        ako_parents.setdefault(subject, []).append(parent)
                     else:
                         self.diagnostics.append(Diagnostic(
                             file, line, 1, WARNING, "BadAkoArgument",
                             f"ignoring non-symbol ako argument in {a.render()}"))
-        self._scripts.update(dict.fromkeys(sorted(scripts)))
+        self._scripts.update((s, counts[s]) for s in sorted(counts) if counts[s][0])
         for (subject, group), (target, file, line) in gotos.items():
             # a malformed event is left out of the view, so it cannot be a target
             groups = {FIELDS[b.predicate].index for b, _, _ in self._by_subject[subject]

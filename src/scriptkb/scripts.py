@@ -72,7 +72,7 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
 
     for a in kb.assertions_about(concept):
         spec = FIELDS.get(a.predicate)
-        if spec is None or malformed(a):
+        if spec is None or malformed(a, spec):
             continue
         value = a.args[1]
         if spec.attr == "events":

@@ -5,20 +5,19 @@ count a script's own assertions only (no inheritance), and leave out the
 malformed ones its script view leaves out: events (gotos included, since
 they are event assertions), roles, places, and "other" = entry conditions +
 results + goals + emotions + duration + period + cost + role scripts.
-Published figures for well-known databases ship alongside so local numbers
-can be read in context.
+Loading counts them in its pass over the assertions, so a census reads no
+assertion.  Published figures for well-known databases ship alongside so
+local numbers can be read in context.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import astuple, dataclass, fields
 
 from .errors import EmptyDatabase
 from .kb import KnowledgeBase
-from .terms import FIELDS, malformed
 
 
 @dataclass(frozen=True)
@@ -63,16 +62,7 @@ PUBLISHED = (
 
 def census(kb: KnowledgeBase) -> list[CensusRow]:
     """One row per script concept, name ascending."""
-    # loading reports each malformed field assertion, so only a base with
-    # such an error needs the per-assertion check
-    check = any(d.code == "MalformedField" for d in kb.diagnostics)
-    rows = []
-    for concept in kb.script_concepts():
-        counts = Counter(FIELDS[a.predicate].attr for a, _, _ in kb.sites_about(concept)
-                         if a.predicate in FIELDS and not (check and malformed(a)))
-        own = [counts.pop(attr, 0) for attr in ("events", "roles", "places")]
-        rows.append(CensusRow(concept, *own, sum(counts.values())))
-    return rows
+    return [CensusRow(name, *counts) for name, counts in kb._scripts.items()]
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:

@@ -148,11 +148,13 @@ EVENT_PREDICATES = frozenset(p for p, f in FIELDS.items() if f.attr == "events")
 STRUCTURAL = frozenset(FIELDS) | {AKO, GOTO}
 
 
-def malformed(a: Assertion) -> str | None:
+def malformed(a: Assertion, spec: Field | None = None) -> str | None:
     """For a field assertion about a concept whose argument (the one after
     the concept) has the wrong shape, what it needs; None for every other
-    assertion."""
-    spec = FIELDS.get(a.predicate)
+    assertion.  ``spec`` is the predicate's ``FIELDS`` entry, for a caller
+    that has looked it up already."""
+    if spec is None:
+        spec = FIELDS.get(a.predicate)
     if spec is None or (len(a.args) > 1
                         and isinstance(a.args[1], _SHAPE_TYPES[spec.shape])):
         return None
@@ -200,8 +202,3 @@ class ObjectBlock:
     file: str = field(default="<kb>", compare=False)
     # source line of each assertion, parallel to `assertions` when known
     assertion_lines: list[int] = field(default_factory=list, compare=False)
-
-    def assertion_line(self, index: int) -> int:
-        if index < len(self.assertion_lines):
-            return self.assertion_lines[index]
-        return self.line

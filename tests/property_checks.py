@@ -7,9 +7,11 @@ budget.
 
 import random
 import re
+from collections import Counter
+from dataclasses import astuple
 
 from scriptkb.diagnostics import has_errors
-from scriptkb.errors import CycleDetected, MalformedHeader
+from scriptkb.errors import CycleDetected, EmptyDatabase, MalformedHeader
 from scriptkb.grid import parse_grid
 from scriptkb.kb import KnowledgeBase, instance_base
 from scriptkb.ontology import Language, Ontology
@@ -18,7 +20,7 @@ from scriptkb.qa import SCRIPT_KINDS, Question, QuestionKind, RoleUse, Usage, an
 from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, RecognitionResult,
                                  activate, mention_set, score_scripts, stopwords)
 from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
-from scriptkb.stats import census
+from scriptkb.stats import CensusRow, SummaryRow, census, summary
 from scriptkb.terms import (CONCEPT, EVENT_PREDICATES, FIELDS, MEASURE, TERM, Assertion,
                             malformed, term_symbols)
 
@@ -304,6 +306,14 @@ def run_mutated_lexicon_activation(texts, cases=1000, seed=20260808):
     assert checked, "no phrase was checked"
 
 
+def assertion_line(block, index):
+    """The source line of a parsed block's assertion, or the block's own line
+    when the parser did not record one."""
+    if index < len(block.assertion_lines):
+        return block.assertion_lines[index]
+    return block.line
+
+
 def _full_scan(kb):
     """The whole-base answers as every query computed them before the script
     index: a loop over every script view and its mention set."""
@@ -364,7 +374,7 @@ def run_index_matches_full_scan(kb):
     for block in kb.blocks:
         for i, a in enumerate(block.assertions):
             if a.args and isinstance(a.args[0], str):
-                sites.setdefault(a.args[0], []).append((a, block.file, block.assertion_line(i)))
+                sites.setdefault(a.args[0], []).append((a, block.file, assertion_line(block, i)))
     for concept in kb.ontology.concepts():
         assert is_script(kb, concept) == (concept in scripts), concept
         assert kb.sites_about(concept) == tuple(sites.get(concept, ())), concept
@@ -398,6 +408,46 @@ def run_mutated_index_matches_full_scan(texts, cases=1000, seed=20260808):
     assert all(checked.values()), f"a kind of base was never checked: {checked}"
 
 
+def reference_census(kb):
+    """Census rows counted per assertion: each concept's field assertions over
+    ``sites_about`` by their ``FIELDS`` attribute, the malformed ones left out;
+    a script is a concept with an event left in."""
+    rows = []
+    for concept in sorted(kb.ontology.concepts()):
+        counts = Counter(FIELDS[a.predicate].attr for a, _, _ in kb.sites_about(concept)
+                         if a.predicate in FIELDS and not malformed(a))
+        if counts["events"]:
+            own = [counts.pop(attr, 0) for attr in ("events", "roles", "places")]
+            rows.append(CensusRow(concept, *own, sum(counts.values())))
+    return rows
+
+
+def run_census_matches_reference(kb):
+    """``census`` and ``summary`` equal the per-assertion count."""
+    rows = reference_census(kb)
+    assert census(kb) == rows
+    try:
+        got = summary(kb)
+    except EmptyDatabase:
+        got = None
+    columns = zip(*(astuple(r)[1:] for r in rows))
+    assert got == (SummaryRow(len(rows), *(sum(c) / len(rows) for c in columns))
+                   if rows else None)
+
+
+def run_mutated_census_matches_reference(texts, cases=1000, seed=20260808):
+    """``run_census_matches_reference`` on every mutated fixture that loads."""
+    checked = 0
+    for mutated in _mutations(texts, cases, seed):
+        try:
+            kb = KnowledgeBase.from_texts([("m", mutated)])
+        except CycleDetected:
+            continue
+        run_census_matches_reference(kb)
+        checked += 1
+    assert checked > 900
+
+
 _FIELD_LINE = re.compile(r"\[(\S+) \^ .*\]")
 _WRONG_SHAPE = {CONCEPT: "NUMBER:USD:1", MEASURE: "apple", TERM: ""}
 
@@ -428,3 +478,10 @@ def run_malformed_fields_index_matches_full_scan(texts, cases=100, seed=20260808
             run_index_matches_full_scan(kb)
             checked += 1
     assert checked, "no base had malformed-field errors only"
+
+
+def run_malformed_fields_census_matches_reference(texts, cases=100, seed=20260808):
+    """``run_census_matches_reference`` on every base with wrong-shaped field
+    arguments."""
+    for mutated in _malformed_fields(texts, cases, seed):
+        run_census_matches_reference(KnowledgeBase.from_texts([("m", mutated)]))

@@ -61,6 +61,15 @@ def test_validate_reports_errors(tmp_path):
     assert "error" in out
 
 
+def test_validate_names_the_file_of_a_duplicate_block(tmp_path):
+    a, b = tmp_path / "a.kb", tmp_path / "b.kb"
+    a.write_text("Object hum\n[event01-of ^ [buzz hum]]\n", encoding="utf-8")
+    b.write_text("\nObject hum\n\n[event02-of ^ [fade hum]]\n", encoding="utf-8")
+    code, out, _ = invoke("validate", str(a), str(b))
+    assert code == 0
+    assert f"{b}:4:1: warning: undeclared concept 'fade' registered under 'concept'" in out
+
+
 def test_validate_missing_file():
     code, _, err = invoke("validate", "/no/such/file.kb")
     assert code == 2

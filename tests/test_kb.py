@@ -1,8 +1,9 @@
 import gc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
-from property_checks import _mutations
+from property_checks import _mutations, assertion_line
 
 from scriptkb import kb as kb_module
 from scriptkb.diagnostics import Diagnostic
@@ -127,6 +128,21 @@ def test_merged_blocks_keep_each_assertion_line():
     assert [line for _, _, line in kb.sites_about("hum")] == [2, 4, 5]
 
 
+def test_a_duplicate_block_in_a_later_file_keeps_its_own_file(tmp_path):
+    (tmp_path / "a.kb").write_text("Object hum\n[event01-of ^ [buzz hum]]\n\n"
+                                   "Object other\n[ako ^ hum]\n", encoding="utf-8")
+    (tmp_path / "b.kb").write_text("\nObject hum\n\n[event02-of ^ [fade hum]]\n",
+                                   encoding="utf-8")
+    kb = KnowledgeBase.from_paths([tmp_path / "a.kb", tmp_path / "b.kb"])
+    assert [(Path(file).name, line) for _, file, line in kb.sites_about("hum")] == \
+        [("a.kb", 2), ("b.kb", 4)]
+    fade = next(d for d in kb.diagnostics if "'fade'" in d.message)
+    assert (Path(fade.file).name, fade.line, fade.code) == ("b.kb", 4, "AutoRegistered")
+    # the blocks of one concept are read together, in load order
+    assert [(b.concept, Path(b.file).name) for b in kb.blocks] == \
+        [("hum", "a.kb"), ("hum", "b.kb"), ("other", "a.kb")]
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         KnowledgeBase.from_paths([tmp_path / "absent.kb"])
@@ -215,15 +231,15 @@ def _valid_name(name):
 
 def reference_hierarchy(kb):
     """Concept order, parents and AutoRegistered (file, line, message) as the
-    loader derived them before: a first-mention walk of the loaded blocks with
-    the generator and ``assertion_line``, then the grids."""
+    loader derived them before: a first-mention walk of the loaded blocks, each
+    with its own file, with the generator and ``assertion_line``, then the grids."""
     mentioned, ako = {}, {}
     for block in kb.blocks:
         for i, a in enumerate(block.assertions):
             for flag in (True, False):
                 assert term_symbols(a, flag) == list(generator_term_symbols(a, flag))
             for sym in generator_term_symbols(a):
-                mentioned.setdefault(sym, (block.file, block.assertion_line(i)))
+                mentioned.setdefault(sym, (block.file, assertion_line(block, i)))
             if a.predicate == AKO and a.args and isinstance(a.args[0], str):
                 ako.setdefault(a.args[0], []).extend(p for p in a.args[1:] if isinstance(p, str))
     for grid in kb.grids.values():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import property_checks as pc
+from scriptkb.kb import KnowledgeBase
 from scriptkb.parser import parse_assertion, parse_database, parse_measure, serialize
 from scriptkb.terms import Measure, ObjectBlock
 
@@ -34,6 +35,20 @@ def test_script_index_matches_a_full_scan_on_mutated_bases(core_text, scripts_te
 
 def test_script_index_matches_a_full_scan_with_malformed_fields(scripts_text, demo_text):
     pc.run_malformed_fields_index_matches_full_scan([scripts_text, demo_text])
+
+
+def test_census_matches_a_per_assertion_count(kb, bench_texts):
+    pc.run_census_matches_reference(kb)
+    pc.run_census_matches_reference(KnowledgeBase.from_texts(bench_texts))
+
+
+def test_census_matches_a_per_assertion_count_on_mutated_bases(core_text, scripts_text,
+                                                               demo_text):
+    pc.run_mutated_census_matches_reference([core_text, scripts_text, demo_text], cases=1000)
+
+
+def test_census_matches_a_per_assertion_count_with_malformed_fields(scripts_text, demo_text):
+    pc.run_malformed_fields_census_matches_reference([scripts_text, demo_text])
 
 
 def test_timeline_length_bound():

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from scriptkb import terms
 from scriptkb.errors import EmptyDatabase
 from scriptkb.kb import KnowledgeBase
 from scriptkb.stats import (
@@ -45,6 +46,19 @@ def test_census_matches_brute_force(kb):
     for row in census(kb):
         assert (row.subevents, row.roles, row.places, row.other) == \
             brute_counts(kb, row.script)
+
+
+def test_census_reads_no_assertion(kb, monkeypatch):
+    expected = census(kb)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("census read an assertion")
+
+    monkeypatch.setattr(KnowledgeBase, "sites_about", fail)
+    monkeypatch.setattr(KnowledgeBase, "assertions_about", fail)
+    monkeypatch.setattr(terms, "malformed", fail)
+    assert census(kb) == expected
+    assert summary(kb).scripts == len(expected)
 
 
 def test_census_sorted_by_name(kb):
