@@ -8,12 +8,15 @@ source excerpts routinely mention concepts defined elsewhere.  A
 trailing-digit name like ``hotel-room1`` is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
-event group its script lacks.  The base is frozen.  Loading records each assertion's file and line
-under its subject, and the sorted script names: the concepts with an event
-assertion that is not malformed.  With each name it records the script's
-census counts: its events, roles, places and other fields, the malformed
-ones left out.  Recognition and the what-does, used-for and where-found
-questions also read two concept -> scripts maps, built by the first of them.
+event group its script lacks.  The base is frozen.  Loading records each
+assertion's file and line under its subject, and each subject's field
+assertions that are not malformed, in load order; script views and
+inherited fields read only these.  It also records the sorted script names,
+the concepts with an event assertion that is not malformed, each with its
+census row: its events, roles, places and other fields, the malformed ones
+left out.  Recognition and the what-does, used-for and
+where-found questions also read two concept -> scripts maps, built by the
+first of them.
 
 The cyclic garbage collector is paused while a base loads.  Loading
 allocates tens of thousands of tuples, assertions, lists and dicts that all
@@ -59,6 +62,18 @@ def read_text(path) -> str:
         raise KbError(f"{path}: {e}") from e
 
 
+@dataclass(frozen=True, slots=True)
+class CensusRow:
+    """One script's own field assertions by census column; ``other`` counts
+    every field that is not an event, role or place."""
+
+    script: str
+    subevents: int
+    roles: int
+    places: int
+    other: int
+
+
 class ScriptIndex(NamedTuple):
     """The two concept -> scripts maps; script lists are sorted by name."""
 
@@ -73,8 +88,10 @@ class KnowledgeBase:
     grids: dict[str, Grid] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _by_subject: dict[str, list[tuple[Assertion, str, int]]] = field(default_factory=dict)
-    # sorted script names -> census counts [events, roles, places, other]
-    _scripts: dict[str, list[int]] = field(default_factory=dict)
+    # subject -> its field assertions that are not malformed, in load order
+    _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict)
+    # sorted script names -> census rows
+    _scripts: dict[str, CensusRow] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------------
 
@@ -168,8 +185,9 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # the first mention of each symbol, each subject's sites and census
-        # counts, and the first goto of each script's event group
+        # the first mention of each symbol, each subject's sites, field
+        # assertions and census counts, and the first goto of each script's
+        # event group
         ako_parents: dict[str, list[str]] = {}
         mentioned: dict[str, tuple[str, int]] = {}
         counts: dict[str, list[int]] = {}  # subject -> [events, roles, places, other]
@@ -198,6 +216,9 @@ class KnowledgeBase:
                 own = counts.get(subject)
                 if own is None:
                     own = counts[subject] = [0, 0, 0, 0]
+                    self._field_assertions[subject] = [a]
+                else:
+                    self._field_assertions[subject].append(a)
                 own[_CENSUS_COLUMN.get(spec.attr, 3)] += 1
                 if spec.attr == "events":
                     target = goto_target(a.args[1])
@@ -211,11 +232,13 @@ class KnowledgeBase:
                         self.diagnostics.append(Diagnostic(
                             file, line, 1, WARNING, "BadAkoArgument",
                             f"ignoring non-symbol ako argument in {a.render()}"))
-        self._scripts.update((s, counts[s]) for s in sorted(counts) if counts[s][0])
+        self._scripts.update((s, CensusRow(s, *counts[s])) for s in sorted(counts)
+                             if counts[s][0])
         for (subject, group), (target, file, line) in gotos.items():
-            # a malformed event is left out of the view, so it cannot be a target
-            groups = {FIELDS[b.predicate].index for b, _, _ in self._by_subject[subject]
-                      if b.predicate in EVENT_PREDICATES and not malformed(b)}
+            # a malformed event is left out of the field assertions, so it cannot
+            # be a target
+            groups = {FIELDS[b.predicate].index for b in self._field_assertions[subject]
+                      if b.predicate in EVENT_PREDICATES}
             if target not in groups:
                 self.diagnostics.append(Diagnostic(
                     file, line, 1, ERROR, "BadGotoTarget",

@@ -21,8 +21,7 @@ from .errors import (
     UnknownConcept,
 )
 from .kb import KnowledgeBase
-from .terms import (FIELDS, MEASURE, NA, Assertion, Measure, NaType, Term, goto_target,
-                    malformed, term_symbols)
+from .terms import FIELDS, MEASURE, NA, Assertion, Measure, NaType, Term, goto_target, term_symbols
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,21 @@ class FieldValue:
 
 
 def build_script(kb: KnowledgeBase, concept: str) -> Script:
-    """Materialize the script view of a concept from its assertions.
+    """Materialize the script view of a concept from its field assertions.
 
-    Assertions are grouped by field with file order preserved; the first
-    value wins for roles, role scripts and measures.  A field assertion whose
-    argument has the wrong shape is left out; loading reports it.
+    It reads the concept's field assertions that loading recorded, grouped
+    by field with file order preserved; the first value wins for roles, role
+    scripts and measures.  A field assertion whose argument has the wrong
+    shape is not recorded; loading reports it.
     """
+    if concept not in kb.ontology:
+        raise UnknownConcept(f"unknown concept {concept!r}")
     script = Script(concept)
     groups: dict[int, list[Term]] = {}
     gotos: dict[int, int] = {}
 
-    for a in kb.assertions_about(concept):
-        spec = FIELDS.get(a.predicate)
-        if spec is None or malformed(a, spec):
-            continue
+    for a in kb._field_assertions.get(concept, ()):
+        spec = FIELDS[a.predicate]
         value = a.args[1]
         if spec.attr == "events":
             groups.setdefault(spec.index, []).append(value)
@@ -262,11 +262,16 @@ _INHERITABLE = {"duration", "period", "cost", "places"}
 
 def inherited_field(kb: KnowledgeBase, concept: str, fieldname: str) -> FieldValue | None:
     """Scalar field with ancestor fallback: the concept's own value when set,
-    otherwise the nearest ancestor's.  Events and roles never inherit."""
+    otherwise the nearest ancestor's.  Events and roles never inherit.
+
+    Only the field's own assertions are read, as the script view would read
+    them: the first measure, or every place in file order."""
     if fieldname not in _INHERITABLE:
         raise ValueError(f"field {fieldname!r} does not support inheritance")
     for source in [concept] + kb.ontology.ancestors(concept):
-        value = getattr(build_script(kb, source), fieldname)
-        if value is not None and value != ():
-            return FieldValue(value, source, source != concept)
+        values = tuple(a.args[1] for a in kb._field_assertions.get(source, ())
+                       if FIELDS[a.predicate].attr == fieldname)
+        if values:
+            return FieldValue(values if fieldname == "places" else values[0],
+                              source, source != concept)
     return None

@@ -5,9 +5,10 @@ count a script's own assertions only (no inheritance), and leave out the
 malformed ones its script view leaves out: events (gotos included, since
 they are event assertions), roles, places, and "other" = entry conditions +
 results + goals + emotions + duration + period + cost + role scripts.
-Loading counts them in its pass over the assertions, so a census reads no
-assertion.  Published figures for well-known databases ship alongside so
-local numbers can be read in context.
+Loading counts them in its pass over the assertions and stores each
+script's row, so a census reads no assertion and builds no row.  Published
+figures for well-known databases ship alongside so local numbers can be
+read in context.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ import io
 from dataclasses import astuple, dataclass, fields
 
 from .errors import EmptyDatabase
-from .kb import KnowledgeBase
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    script: str
-    subevents: int
-    roles: int
-    places: int
-    other: int
+from .kb import CensusRow, KnowledgeBase
 
 
 @dataclass(frozen=True)
@@ -61,8 +53,8 @@ PUBLISHED = (
 
 
 def census(kb: KnowledgeBase) -> list[CensusRow]:
-    """One row per script concept, name ascending."""
-    return [CensusRow(name, *counts) for name, counts in kb._scripts.items()]
+    """One row per script concept, name ascending, in a new list."""
+    return list(kb._scripts.values())
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import astuple
 
 from scriptkb.diagnostics import has_errors
-from scriptkb.errors import CycleDetected, EmptyDatabase, MalformedHeader
+from scriptkb.errors import CycleDetected, EmptyDatabase, MalformedHeader, UnknownConcept
 from scriptkb.grid import parse_grid
 from scriptkb.kb import KnowledgeBase, instance_base
 from scriptkb.ontology import Language, Ontology
@@ -19,10 +19,11 @@ from scriptkb.parser import parse_database, serialize
 from scriptkb.qa import SCRIPT_KINDS, Question, QuestionKind, RoleUse, Usage, answer
 from scriptkb.recognizer import (_TOKEN_RE, Activation, ActivationSet, RecognitionResult,
                                  activate, mention_set, score_scripts, stopwords)
-from scriptkb.scripts import EventGroup, Script, build_script, is_script, timeline, validate
+from scriptkb.scripts import (EventGroup, FieldValue, Script, build_script, inherited_field,
+                              is_script, timeline, validate)
 from scriptkb.stats import CensusRow, SummaryRow, census, summary
 from scriptkb.terms import (CONCEPT, EVENT_PREDICATES, FIELDS, MEASURE, TERM, Assertion,
-                            malformed, term_symbols)
+                            goto_target, malformed, term_symbols)
 
 _WORDS = ("pea", "pod", "bed", "wall", "door", "lamp", "Jean", "café",
           "green pea", "night table", "power failure")
@@ -435,15 +436,82 @@ def run_census_matches_reference(kb):
                    if rows else None)
 
 
-def run_mutated_census_matches_reference(texts, cases=1000, seed=20260808):
-    """``run_census_matches_reference`` on every mutated fixture that loads."""
+def reference_build_script(kb, concept):
+    """The script view built per assertion: every site of the concept, each
+    predicate looked up in ``FIELDS`` and the malformed field assertions left
+    out; an unknown concept raises ``UnknownConcept``."""
+    if concept not in kb.ontology:
+        raise UnknownConcept(f"unknown concept {concept!r}")
+    script = Script(concept)
+    groups, gotos = {}, {}
+    for a, _, _ in kb.sites_about(concept):
+        spec = FIELDS.get(a.predicate)
+        if spec is None or malformed(a, spec):
+            continue
+        value = a.args[1]
+        if spec.attr == "events":
+            groups.setdefault(spec.index, []).append(value)
+            target = goto_target(value)
+            if target is not None:
+                gotos.setdefault(spec.index, target)
+        elif spec.index is not None:
+            getattr(script, spec.attr).setdefault(spec.index, value)
+        elif spec.shape == MEASURE:
+            if getattr(script, spec.attr) is None:
+                setattr(script, spec.attr, value)
+        else:
+            setattr(script, spec.attr, getattr(script, spec.attr) + (value,))
+    script.roles = dict(sorted(script.roles.items()))
+    script.role_scripts = dict(sorted(script.role_scripts.items()))
+    script.events = tuple(
+        EventGroup(i, tuple(groups[i]), gotos.get(i)) for i in sorted(groups))
+    return script
+
+
+_INHERITABLE = ("places", "duration", "period", "cost")
+
+
+def reference_inherited_field(kb, views, concept, fieldname):
+    """The field read off whole script views (``views``: concept -> view), the
+    concept's own first, then each ancestor's, nearest first."""
+    for source in [concept] + kb.ontology.ancestors(concept):
+        value = getattr(views[source], fieldname)
+        if value is not None and value != ():
+            return FieldValue(value, source, source != concept)
+    return None
+
+
+def run_views_match_reference(kb):
+    """``build_script`` of every concept and ``inherited_field`` of every
+    concept and inheritable field equal the per-assertion references, down to
+    each measure's text; both raise ``UnknownConcept`` for an unknown concept."""
+    views = {c: reference_build_script(kb, c) for c in kb.ontology.concepts()}
+    for concept, view in views.items():
+        got = build_script(kb, concept)
+        assert got == view and repr(got) == repr(view), concept
+        for fieldname in _INHERITABLE:
+            got = inherited_field(kb, concept, fieldname)
+            want = reference_inherited_field(kb, views, concept, fieldname)
+            assert got == want and repr(got) == repr(want), (concept, fieldname)
+    unknown = "no-such-concept"
+    assert unknown not in kb.ontology
+    for build in (build_script, reference_build_script):
+        try:
+            build(kb, unknown)
+        except UnknownConcept:
+            continue
+        raise AssertionError(f"{build.__name__} built a view of an unknown concept")
+
+
+def run_on_mutated_bases(check, texts, cases=1000, seed=20260808):
+    """``check(kb)`` on every mutated fixture that loads."""
     checked = 0
     for mutated in _mutations(texts, cases, seed):
         try:
             kb = KnowledgeBase.from_texts([("m", mutated)])
         except CycleDetected:
             continue
-        run_census_matches_reference(kb)
+        check(kb)
         checked += 1
     assert checked > 900
 
@@ -480,8 +548,7 @@ def run_malformed_fields_index_matches_full_scan(texts, cases=100, seed=20260808
     assert checked, "no base had malformed-field errors only"
 
 
-def run_malformed_fields_census_matches_reference(texts, cases=100, seed=20260808):
-    """``run_census_matches_reference`` on every base with wrong-shaped field
-    arguments."""
+def run_on_malformed_field_bases(check, texts, cases=100, seed=20260808):
+    """``check(kb)`` on every base with wrong-shaped field arguments."""
     for mutated in _malformed_fields(texts, cases, seed):
-        run_census_matches_reference(KnowledgeBase.from_texts([("m", mutated)]))
+        check(KnowledgeBase.from_texts([("m", mutated)]))

@@ -44,11 +44,28 @@ def test_census_matches_a_per_assertion_count(kb, bench_texts):
 
 def test_census_matches_a_per_assertion_count_on_mutated_bases(core_text, scripts_text,
                                                                demo_text):
-    pc.run_mutated_census_matches_reference([core_text, scripts_text, demo_text], cases=1000)
+    pc.run_on_mutated_bases(pc.run_census_matches_reference,
+                            [core_text, scripts_text, demo_text], cases=1000)
 
 
 def test_census_matches_a_per_assertion_count_with_malformed_fields(scripts_text, demo_text):
-    pc.run_malformed_fields_census_matches_reference([scripts_text, demo_text])
+    pc.run_on_malformed_field_bases(pc.run_census_matches_reference, [scripts_text, demo_text])
+
+
+def test_views_and_inherited_fields_match_a_per_assertion_build(kb, bench_texts):
+    pc.run_views_match_reference(kb)
+    pc.run_views_match_reference(KnowledgeBase.from_texts(bench_texts))
+
+
+def test_views_and_inherited_fields_match_a_per_assertion_build_on_mutated_bases(
+        core_text, scripts_text, demo_text):
+    pc.run_on_mutated_bases(pc.run_views_match_reference,
+                            [core_text, scripts_text, demo_text], cases=1000)
+
+
+def test_views_and_inherited_fields_match_a_per_assertion_build_with_malformed_fields(
+        scripts_text, demo_text):
+    pc.run_on_malformed_field_bases(pc.run_views_match_reference, [scripts_text, demo_text])
 
 
 def test_timeline_length_bound():

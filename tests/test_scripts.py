@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from scriptkb import terms
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import (
     BadGotoTarget,
@@ -11,6 +14,7 @@ from scriptkb.errors import (
 from scriptkb.kb import KnowledgeBase
 from scriptkb.scripts import (
     EventGroup,
+    FieldValue,
     Script,
     build_script,
     inherited_field,
@@ -20,6 +24,7 @@ from scriptkb.scripts import (
     timeline,
     validate,
 )
+from scriptkb.stats import census, summary
 from scriptkb.terms import NA, Assertion, Measure
 
 
@@ -290,6 +295,14 @@ def test_own_duration_not_masked_by_parent(kb):
     assert not fv.inherited
 
 
+def test_first_measure_wins_own_and_inherited():
+    text = ("Object pay\n[cost-of ^ NUMBER:USD:5]\n[cost-of ^ NUMBER:USD:7]\n"
+            "Object tip\n[ako ^ pay]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert inherited_field(kb, "pay", "cost") == FieldValue(Measure("USD", "5"), "pay", False)
+    assert inherited_field(kb, "tip", "cost") == FieldValue(Measure("USD", "5"), "pay", True)
+
+
 def test_absent_everywhere_is_none(kb):
     assert inherited_field(kb, "green-pea", "cost") is None
 
@@ -302,3 +315,26 @@ def test_events_never_inherit(kb):
 def test_inherited_field_rejects_unknown_field(kb):
     with pytest.raises(ValueError):
         inherited_field(kb, "blackout", "events")
+
+
+def test_views_inherited_fields_and_census_read_no_assertion(kb, monkeypatch):
+    concepts = list(kb.ontology.concepts())
+    fields = ("places", "duration", "period", "cost")
+
+    def query():
+        return ([build_script(kb, c) for c in concepts],
+                [inherited_field(kb, c, f) for c in concepts for f in fields],
+                census(kb), summary(kb))
+
+    expected = query()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a query read an assertion")
+
+    monkeypatch.setattr(KnowledgeBase, "sites_about", fail)
+    monkeypatch.setattr(KnowledgeBase, "assertions_about", fail)
+    original = terms.malformed
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "scriptkb" and vars(module).get("malformed") is original:
+            monkeypatch.setattr(module, "malformed", fail)
+    assert query() == expected

@@ -61,6 +61,15 @@ def test_census_reads_no_assertion(kb, monkeypatch):
     assert summary(kb).scripts == len(expected)
 
 
+def test_changing_a_census_list_leaves_the_next_census_alone(kb):
+    rows = census(kb)
+    expected, totals = list(rows), summary(kb)
+    rows.reverse()
+    del rows[1:]
+    assert census(kb) == expected
+    assert summary(kb) == totals
+
+
 def test_census_sorted_by_name(kb):
     names = [r.script for r in census(kb)]
     assert names == sorted(names)
