@@ -7,6 +7,13 @@ fixture set.  ``--json`` switches every command to a stable structured
 output carrying the same information as the text mode.
 
 Exit codes: 0 success, 1 usage error, 2 load error, 3 query error.
+
+A command runs with the cyclic garbage collector paused, from argument
+parsing to output, and the collector's earlier state comes back however
+the command ends.  Each command loads a whole base, and the first
+collections after a load would walk every object in it and free nothing:
+a base holds no reference cycles, so reference counting frees it once the
+command drops it.
 """
 
 from __future__ import annotations
@@ -22,13 +29,13 @@ from importlib import resources
 
 from .diagnostics import ERROR, Diagnostic, has_errors
 from .errors import KbError
-from .kb import KnowledgeBase, read_text
+from .kb import KnowledgeBase, collector_paused, read_text
 from .ontology import Language
 from .qa import Answer, RoleUse, Usage, answer, parse_question
 from .recognizer import RecognitionResult, activate, format_results, score_scripts
 from .scripts import EventGroup, Script, build_script, require_script, timeline, validate
 from .stats import (SummaryRow, census, census_csv, format_census, format_comparison,
-                    summarize)
+                    summary)
 from .terms import FIELDS, MEASURE, Assertion, Measure, NaType, render_term
 from . import cyc
 from . import grid as gridmod
@@ -121,6 +128,13 @@ def _load(paths) -> KnowledgeBase:
 
 
 def run(argv, out=None, out_err=None) -> int:
+    """Run one command; returns its exit code.  The cyclic garbage collector
+    is paused for the whole command and comes back as it was."""
+    with collector_paused():
+        return _run(argv, out, out_err)
+
+
+def _run(argv, out, out_err) -> int:
     out = out if out is not None else sys.stdout
     out_err = out_err if out_err is not None else sys.stderr
     parser = _build_parser()
@@ -202,7 +216,7 @@ def _cmd_stats(kb, args):
     if args.csv and not args.json:
         return census_csv(kb)
     rows = census(kb)
-    return _Stats(rows, summarize(rows) if rows else None)
+    return _Stats(rows, summary(kb) if rows else None)
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,25 @@ assertions that are not malformed, in load order; script views and
 inherited fields read only these.  It also records the sorted script names,
 the concepts with an event assertion that is not malformed, each with its
 census row: its events, roles, places and other fields, the malformed ones
-left out.  Recognition and the what-does, used-for and
-where-found questions also read two concept -> scripts maps, built by the
-first of them.
+left out, and each column's total over the scripts.  Recognition and the
+what-does, used-for and where-found questions also read two concept ->
+scripts maps, built by the first of them.
 
-The cyclic garbage collector is paused while a base loads.  Loading
-allocates tens of thousands of tuples, assertions, lists and dicts that all
-stay alive (about 54,000 for a base of 500 scripts), so each collection it
-would trigger walks them in vain, and the older generations' collections
-walk them again and again as the base grows.  The collector's earlier state
-comes back when loading ends, by an exception too.
+The cyclic garbage collector is paused while a base parses and assembles
+(``collector_paused``).  Loading allocates tens of thousands of tuples,
+assertions, lists and dicts that all stay alive (about 54,000 for a base of
+500 scripts), so each collection it would trigger walks them in vain, and
+the older generations' collections walk them again and again as the base
+grows.  The collector's earlier state comes back when loading ends, by an
+exception too.  The CLI holds the same pause for a whole command, since the
+first collections after a load would walk the new base and free nothing.
 """
 
 from __future__ import annotations
 
 import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -46,6 +49,19 @@ from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, Object
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 # the census column of each field attribute; every other field counts as "other"
 _CENSUS_COLUMN = {"events": 0, "roles": 1, "places": 2}
+
+
+@contextmanager
+def collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore the
+    state it had before, when the block ends or raises.  Pauses nest."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def instance_base(name: str) -> str | None:
@@ -92,6 +108,8 @@ class KnowledgeBase:
     _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict)
     # sorted script names -> census rows
     _scripts: dict[str, CensusRow] = field(default_factory=dict)
+    # the census rows' column sums: subevents, roles, places, other
+    _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
 
     # -- queries -------------------------------------------------------------
 
@@ -135,14 +153,9 @@ class KnowledgeBase:
     def from_texts(cls, named_texts) -> "KnowledgeBase":
         """Build a base from (name, text) pairs, merged in order."""
         kb = cls()
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             kb._assemble([parse_database(text, filename=str(name))
                           for name, text in named_texts])
-        finally:
-            if collecting:
-                gc.enable()
         return kb
 
     @classmethod
@@ -232,8 +245,13 @@ class KnowledgeBase:
                         self.diagnostics.append(Diagnostic(
                             file, line, 1, WARNING, "BadAkoArgument",
                             f"ignoring non-symbol ako argument in {a.render()}"))
-        self._scripts.update((s, CensusRow(s, *counts[s])) for s in sorted(counts)
-                             if counts[s][0])
+        totals = self._census_totals
+        for s in sorted(counts):
+            own = counts[s]
+            if own[0]:
+                self._scripts[s] = CensusRow(s, *own)
+                for column, n in enumerate(own):
+                    totals[column] += n
         for (subject, group), (target, file, line) in gotos.items():
             # a malformed event is left out of the field assertions, so it cannot
             # be a target

@@ -6,7 +6,8 @@ malformed ones its script view leaves out: events (gotos included, since
 they are event assertions), roles, places, and "other" = entry conditions +
 results + goals + emotions + duration + period + cost + role scripts.
 Loading counts them in its pass over the assertions and stores each
-script's row, so a census reads no assertion and builds no row.  Published
+script's row and each column's total, so a census reads no assertion and
+builds no row, and the averages read no row.  Published
 figures for well-known databases ship alongside so local numbers can be
 read in context.
 """
@@ -58,16 +59,20 @@ def census(kb: KnowledgeBase) -> list[CensusRow]:
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:
-    return summarize(census(kb))
+    """Averages over the base's census, from the column totals loading keeps."""
+    return _averages(len(kb._scripts), kb._census_totals)
 
 
 def summarize(rows) -> SummaryRow:
     """Averages over census rows."""
-    if not rows:
+    return _averages(len(rows), [sum(getattr(r, column) for r in rows)
+                                 for column in ("subevents", "roles", "places", "other")])
+
+
+def _averages(n: int, totals) -> SummaryRow:
+    if not n:
         raise EmptyDatabase("no scripts loaded; averages are undefined")
-    n = len(rows)
-    return SummaryRow(n, *(sum(getattr(r, column) for r in rows) / n
-                           for column in ("subevents", "roles", "places", "other")))
+    return SummaryRow(n, *(total / n for total in totals))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -97,7 +102,7 @@ def census_csv(kb: KnowledgeBase) -> str:
     rows = census(kb)
     writer.writerows(astuple(r) for r in rows)
     if rows:
-        s = summarize(rows)
+        s = summary(kb)
         writer.writerow([])
         writer.writerow([f.name for f in fields(SummaryRow)])
         writer.writerow([s.scripts, *(f"{v:.2f}" for v in astuple(s)[1:])])

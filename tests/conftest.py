@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +16,18 @@ def data_text(name: str) -> str:
 
 def data_path(name: str) -> str:
     return str(resources.files("scriptkb.data").joinpath(name))
+
+
+@contextmanager
+def collector_state(enabled: bool):
+    """Run the block with the cyclic collector enabled or disabled, then put
+    back the state the test started with."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

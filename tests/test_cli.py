@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import scriptkb
+import scriptkb.cli
 from scriptkb.cli import bundled_kb_paths, run
-from conftest import data_path
+from conftest import collector_state, data_path
 
 
 def invoke(*argv):
@@ -462,3 +464,90 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert f"{bad}:2:" in proc.stdout
+
+
+# -- the collector during a command ----------------------------------------------
+
+_UNCLOSED = "Object x\n[event01-of ^ [hum x]\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, expected", [
+    (ALL + ["show", "blackout"], 0),
+    (["bogus"], 1),
+    ([], 1),
+    (["--kb", "missing.kb", "stats"], 2),
+    (["--kb", "unclosed.kb", "stats"], 2),
+    (ALL + ["show", "no-such-concept"], 3),
+    (["--help"], 0),
+])
+def test_run_restores_the_collector_state(argv, expected, enabled, tmp_path, monkeypatch):
+    (tmp_path / "unclosed.kb").write_text(_UNCLOSED, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with collector_state(enabled):
+        code, _, _ = invoke(*argv)
+        assert gc.isenabled() is enabled
+    assert code == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state_when_a_command_raises(enabled, monkeypatch):
+    during = []
+
+    def fail(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("command failed")
+
+    monkeypatch.setattr(scriptkb.cli, "_dispatch", fail)
+    with collector_state(enabled):
+        with pytest.raises(RuntimeError, match="command failed"):
+            invoke(*ALL, "stats")
+        assert gc.isenabled() is enabled
+    assert during == [False]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "John poured shampoo on his hair."],
+    ["ask", "What does a waiter do?"],
+])
+def test_no_collection_starts_during_a_command(argv, monkeypatch):
+    inside, starts = [False], []
+    command = scriptkb.cli._run
+
+    def watched(*args):
+        inside[0] = True
+        try:
+            return command(*args)
+        finally:
+            inside[0] = False
+
+    def hook(phase, info):
+        if phase == "start" and inside[0]:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(scriptkb.cli, "_run", watched)
+    with collector_state(True):
+        gc.callbacks.append(hook)
+        try:
+            code, out, _ = invoke(*ALL, *argv)
+        finally:
+            gc.callbacks.remove(hook)
+    assert code == 0 and out
+    assert starts == []
+
+
+def test_loading_inside_a_command_leaves_the_collector_paused(monkeypatch):
+    after = []
+    load = scriptkb.cli._load
+
+    def recorded(paths):
+        kb = load(paths)
+        after.append(gc.isenabled())
+        return kb
+
+    monkeypatch.setattr(scriptkb.cli, "_load", recorded)
+    with collector_state(True):
+        code, out, _ = invoke(*ALL, "stats")
+        assert gc.isenabled()
+    assert code == 0 and out
+    assert after == [False]

@@ -3,12 +3,13 @@ from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
+from conftest import collector_state
 from property_checks import _mutations, assertion_line
 
 from scriptkb import kb as kb_module
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import CycleDetected, UnknownConcept
-from scriptkb.kb import KnowledgeBase, instance_base
+from scriptkb.kb import KnowledgeBase, collector_paused, instance_base
 from scriptkb.ontology import ROOT
 from scriptkb.scripts import build_script, is_script, validate
 from scriptkb.stats import census
@@ -314,3 +315,23 @@ def test_loading_pauses_the_collector_and_restores_its_state(monkeypatch, enable
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_pauses_nest(enabled):
+    with collector_state(enabled):
+        with collector_paused():
+            assert not gc.isenabled()
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_collector_pause_ends_when_its_block_raises(enabled):
+    with collector_state(enabled):
+        with pytest.raises(ValueError):
+            with collector_paused():
+                raise ValueError("in the block")
+        assert gc.isenabled() is enabled

@@ -1,9 +1,10 @@
 import re
 
 import pytest
+from property_checks import _mutations
 
 from scriptkb import terms
-from scriptkb.errors import EmptyDatabase
+from scriptkb.errors import CycleDetected, EmptyDatabase
 from scriptkb.kb import KnowledgeBase
 from scriptkb.stats import (
     PUBLISHED,
@@ -11,6 +12,7 @@ from scriptkb.stats import (
     census_csv,
     format_census,
     format_comparison,
+    summarize,
     summary,
 )
 
@@ -91,6 +93,26 @@ def test_summary_recomputes_from_rows(kb):
     assert s.avg_roles == sum(r.roles for r in rows) / len(rows)
     assert s.avg_places == sum(r.places for r in rows) / len(rows)
     assert s.avg_other == sum(r.other for r in rows) / len(rows)
+
+
+def test_summary_totals_match_the_rows_on_generated_and_mutated_bases(
+        bench_texts, core_text, scripts_text, demo_text):
+    bases = [KnowledgeBase.from_texts(bench_texts)]
+    for text in _mutations([core_text, scripts_text, demo_text], 1000, 20260808):
+        try:
+            bases.append(KnowledgeBase.from_texts([("m", text)]))
+        except CycleDetected:
+            continue
+    empty = 0
+    for kb in bases:
+        rows = census(kb)
+        if not rows:
+            empty += 1
+            with pytest.raises(EmptyDatabase):
+                summary(kb)
+            continue
+        assert summary(kb) == summarize(rows)  # the same integer sums, divided alike
+    assert 0 < empty < len(bases) - 500
 
 
 def test_single_minimal_script():
