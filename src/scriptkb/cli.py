@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing fills a new
+    namespace each time and leaves the parser as it was."""
     parser = _Parser(prog="scriptkb", description=__doc__.splitlines()[0])
     parser.add_argument("--kb", action="append", default=[], metavar="FILE",
                         help="knowledge-base file; repeatable, merged in order")

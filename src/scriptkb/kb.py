@@ -4,7 +4,9 @@ Loading merges any number of files: the blocks of one concept are read
 together, in load order, and each keeps its own file and lines.  ``ako``
 assertions supply hierarchy parents.  Symbols that are referenced but never
 declared are auto-registered as children of the root with a warning, since
-source excerpts routinely mention concepts defined elsewhere.  A
+source excerpts routinely mention concepts defined elsewhere; each is
+reported at its first mention, which the parser records for each block as
+it reads the assertions, so loading does not walk them again.  A
 trailing-digit name like ``hotel-room1`` is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
@@ -44,7 +46,7 @@ from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, ObjectBlock,
-                    goto_target, malformed, term_symbols)
+                    goto_target, malformed)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 # the census column of each field attribute; every other field counts as "other"
@@ -162,24 +164,38 @@ class KnowledgeBase:
     def from_paths(cls, paths) -> "KnowledgeBase":
         return cls.from_texts([(str(p), read_text(p)) for p in paths])
 
-    def _assemble(self, results: list[ParseResult]) -> None:
+    def _merge_blocks(self, results: list[ParseResult]) -> dict[str, tuple[str, int]]:
+        """Append the parsed blocks to ``blocks``, a later block of a concept
+        right after the earlier ones, each keeping its own file and lines, and
+        return each symbol's first (file, line): its first mention, as the
+        parser recorded it, in the earliest of these blocks.  The parser's
+        first mentions are dropped once read, so the rest of the load does
+        not hold them."""
+        by_concept: dict[str, list[tuple]] = {}  # -> (block, its first mentions)
         for r in results:
-            self.diagnostics.extend(r.diagnostics)
-
-        # a later block of a concept is read right after the earlier ones, and
-        # keeps its own file and lines
-        by_concept: dict[str, list[ObjectBlock]] = {}
-        for r in results:
-            for block in r.blocks:
+            for block, first in zip(r.blocks, r.first_mentions):
                 same = by_concept.setdefault(block.concept, [])
                 if same:
                     self.diagnostics.append(Diagnostic(
                         block.file, block.line, 1, WARNING, "DuplicateBlock",
                         f"duplicate Object block for {block.concept!r}; "
                         f"assertions appended"))
-                same.append(block)
+                same.append((block, first))
+            r.first_mentions = []
+        mentioned: dict[str, tuple[str, int]] = {}
         for same in by_concept.values():
-            self.blocks.extend(same)
+            for block, (symbols, lines) in same:
+                self.blocks.append(block)
+                for sym, line in zip(symbols, lines):
+                    if sym not in mentioned:
+                        mentioned[sym] = (block.file, line)
+        return mentioned
+
+    def _assemble(self, results: list[ParseResult]) -> None:
+        for r in results:
+            self.diagnostics.extend(r.diagnostics)
+
+        mentioned = self._merge_blocks(results)
 
         for r in results:
             for src in r.grid_sources:
@@ -198,11 +214,9 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # the first mention of each symbol, each subject's sites, field
-        # assertions and census counts, and the first goto of each script's
-        # event group
+        # each subject's sites, field assertions and census counts, and the
+        # first goto of each script's event group
         ako_parents: dict[str, list[str]] = {}
-        mentioned: dict[str, tuple[str, int]] = {}
         counts: dict[str, list[int]] = {}  # subject -> [events, roles, places, other]
         gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
         # parsed blocks hold one line per assertion
@@ -210,9 +224,6 @@ class KnowledgeBase:
                  for a, line in zip(block.assertions, block.assertion_lines))
         for site in sites:
             a, file, line = site
-            for sym in term_symbols(a):
-                if sym not in mentioned:
-                    mentioned[sym] = (file, line)
             if not (a.args and isinstance(a.args[0], str)):
                 continue
             subject = a.args[0]

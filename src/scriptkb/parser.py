@@ -110,14 +110,25 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
     ``line`` is the file line the text starts on; error positions are
     reported relative to it.
     """
-    return _parse_assertion(text, self_concept, line, {}, {})
+    return _parse_assertion(text, self_concept, line, {}, {}, {}, {})
 
 
-def _parse_assertion(text, self_concept, line, predicates, atoms) -> Assertion:
-    """``parse_assertion`` with tables of the predicate and argument tokens
-    already classified, which it extends; a token that fails to classify is
-    not stored, so it raises again wherever it appears."""
-    toks = _TOKEN_RE.findall(text)
+def _tokens(text: str) -> list[str]:
+    """The tokens ``_TOKEN_RE.findall`` yields, by splitting on whitespace
+    around padded brackets (``\\s`` and ``str.isspace`` agree on every code
+    point)."""
+    return text.replace("[", " [ ").replace("]", " ] ").split()
+
+
+def _parse_assertion(text, self_concept, line, predicates, atoms, values,
+                     mentions) -> Assertion:
+    """``parse_assertion`` with tables of the tokens already classified, which
+    it extends: predicates, symbol arguments, and ``na`` and measure
+    arguments.  A token that fails to classify is not stored, so it raises
+    again wherever it appears.  Each symbol the assertion names (``^`` as
+    ``self_concept``) that ``mentions`` lacks is added to it with ``line``,
+    in preorder."""
+    toks = _tokens(text)
     if not toks or toks[0] != "[":
         raise KbSyntaxError("assertion must start with '['", line, 1)
     # the innermost open node as [predicate, *args] with the token index of
@@ -127,38 +138,57 @@ def _parse_assertion(text, self_concept, line, predicates, atoms) -> Assertion:
     try:
         for at in range(1, len(toks)):
             tok = toks[at]
-            if parts is None:
+            if parts:
+                # an argument: a known symbol costs one lookup; brackets and
+                # '^' are never stored, so they are tested only on a miss
+                atom = atoms.get(tok)
+                if atom is not None:
+                    parts.append(atom)
+                    if atom not in mentions:
+                        mentions[atom] = line
+                elif tok == "[":
+                    outer.append((open_at, parts))
+                    open_at, parts = at, []
+                elif tok == "]":
+                    if len(parts) < 2:
+                        at = open_at
+                        raise KbSyntaxError(
+                            f"assertion [{parts[0]}] needs at least one argument")
+                    node = Assertion(parts[0], tuple(parts[1:]))
+                    if outer:
+                        open_at, parts = outer.pop()
+                        parts.append(node)
+                    else:
+                        parts = None
+                elif tok == "^":
+                    # resolved per block, so never stored in a table
+                    if self_concept is None:
+                        raise SelfRefWithoutContext("'^' used without an enclosing block")
+                    parts.append(self_concept)
+                    if self_concept not in mentions:
+                        mentions[self_concept] = line
+                else:
+                    atom = values.get(tok)
+                    if atom is None:
+                        atom = _classify_atom(tok)
+                        if atom.__class__ is str:
+                            atoms[tok] = atom
+                            if atom not in mentions:
+                                mentions[atom] = line
+                        else:
+                            values[tok] = atom
+                    parts.append(atom)
+            elif parts is None:
                 raise KbSyntaxError(f"unexpected trailing {tok!r}")
-            if not parts:
+            else:
                 predicate = predicates.get(tok)
                 if predicate is None:
                     if not is_symbol(tok):
                         raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
                     predicate = predicates[tok] = sys.intern(tok)
                 parts.append(predicate)
-            elif tok == "[":
-                outer.append((open_at, parts))
-                open_at, parts = at, []
-            elif tok == "]":
-                if len(parts) < 2:
-                    at = open_at
-                    raise KbSyntaxError(f"assertion [{parts[0]}] needs at least one argument")
-                node = Assertion(parts[0], tuple(parts[1:]))
-                if outer:
-                    open_at, parts = outer.pop()
-                    parts.append(node)
-                else:
-                    parts = None
-            elif tok == "^":
-                # resolved per block, so never stored in the table
-                if self_concept is None:
-                    raise SelfRefWithoutContext("'^' used without an enclosing block")
-                parts.append(self_concept)
-            else:
-                atom = atoms.get(tok)
-                if atom is None:
-                    atom = atoms[tok] = _classify_atom(tok)
-                parts.append(atom)
+                if predicate not in mentions:
+                    mentions[predicate] = line
         if parts is not None:
             at = open_at
             raise UnbalancedBracket("unclosed '['")
@@ -205,6 +235,12 @@ class ParseResult:
     blocks: list[ObjectBlock] = field(default_factory=list)
     grid_sources: list[GridSource] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # beside each block: the symbols its assertions name (as a predicate, an
+    # argument or through '^'), in the order a preorder walk first meets them,
+    # and the line of the first assertion naming each; two exact-size tuples,
+    # since a dict per block left more memory resident after a load
+    first_mentions: list[tuple[tuple[str, ...], tuple[int, ...]]] = field(
+        default_factory=list)
 
 
 def parse_database(text: str, *, filename: str = "<kb>",
@@ -215,14 +251,18 @@ def parse_database(text: str, *, filename: str = "<kb>",
     the first ``Object`` header are attributed to that concept.
     """
     text = html.unescape(text)
-    lines = [ln.rstrip("\r") for ln in text.split("\n")]
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [ln.rstrip("\r") for ln in lines]
     result = ParseResult()
     # each distinct predicate and argument token is classified once per call
     predicates: dict[str, str] = {}
-    atoms: dict[str, object] = {}
+    atoms: dict[str, str] = {}
+    values: dict[str, object] = {}
 
     current: ObjectBlock | None = None
     current_ok = True
+    mentions: dict[str, int] = {}  # the current block's first mentions, so far
     default_block: ObjectBlock | None = None
     if default_concept is not None:
         current = default_block = ObjectBlock(default_concept, line=1, file=filename)
@@ -237,23 +277,68 @@ def parse_database(text: str, *, filename: str = "<kb>",
             if not (current is default_block and not current.lexicon
                     and not current.assertions):
                 result.blocks.append(current)
+                result.first_mentions.append((tuple(mentions), tuple(mentions.values())))
         current = None
         current_ok = True
+        mentions.clear()
 
     i, n = 0, len(lines)
     while i < n:
         raw = lines[i]
+        lineno = i = i + 1  # lines[i] is now the next line
         stripped = raw.strip()
-        lineno = i + 1
-        if not stripped or stripped.startswith(";"):
-            i += 1
+        if stripped[:1] == "[":
+            # a lexicon line starts with a capitalized language name
+            if "A" <= stripped[1:2] <= "Z" and _LEX_START.match(stripped):
+                if current is None:
+                    err(lineno, 1, "OrphanContent", "lexicon line outside an Object block")
+                    continue
+                parts = [stripped]
+                while parts[-1].endswith(",") and i < n and lines[i].strip() \
+                        and not lines[i].strip().startswith(("Object ", "==", ";", "[")):
+                    parts.append(lines[i].strip())
+                    i += 1
+                if not _parse_lexicon_line(" ".join(parts), current, lineno, err):
+                    current_ok = False
+                continue
+            # an assertion: a balanced line, the common case, is parsed as it
+            # stands; an unbalanced one continues until it balances
+            chunk = raw
+            depth = raw.count("[") - raw.count("]")
+            if depth > 0:
+                chunk_lines = [raw]
+                while depth > 0 and i < n and (nxt := lines[i].strip()) \
+                        and not nxt.startswith(("Object ", "==", ";")):
+                    chunk_lines.append(lines[i])
+                    depth += nxt.count("[") - nxt.count("]")
+                    i += 1
+                chunk = "\n".join(chunk_lines)
+            if depth > 0:
+                err(lineno, 1, "UnbalancedBracket", "assertion is missing a closing ']'")
+            elif depth < 0:
+                err(lineno, 1, "UnbalancedBracket", "unmatched ']'")
+            elif current is None:
+                err(lineno, 1, "OrphanContent", "assertion outside an Object block")
+                continue
+            else:
+                try:
+                    current.assertions.append(_parse_assertion(
+                        chunk, current.concept, lineno, predicates, atoms, values, mentions))
+                    current.assertion_lines.append(lineno)
+                    continue
+                except PositionedError as e:
+                    err(e.line or lineno, e.col or 1, type(e).__name__, e.message)
+            if current is not None:
+                current_ok = False
+            continue
+        if not stripped or stripped[0] == ";":
             continue
         if stripped.startswith("=="):
-            j = i + 1
+            j = i
             while j < n and lines[j].strip():
                 j += 1
             finish()
-            result.grid_sources.append(GridSource("\n".join(lines[i:j]), lineno, filename))
+            result.grid_sources.append(GridSource("\n".join(lines[i - 1:j]), lineno, filename))
             i = j
             continue
         if stripped == "Object" or stripped.startswith("Object "):
@@ -265,59 +350,10 @@ def parse_database(text: str, *, filename: str = "<kb>",
                 err(lineno, 1, "MalformedHeader", f"bad Object header: {stripped!r}")
                 current = ObjectBlock("invalid", line=lineno, file=filename)
                 current_ok = False
-            i += 1
-            continue
-        if _LEX_START.match(stripped):
-            if current is None:
-                err(lineno, 1, "OrphanContent", "lexicon line outside an Object block")
-                i += 1
-                continue
-            parts = [stripped]
-            while parts[-1].endswith(",") and i + 1 < n and lines[i + 1].strip() \
-                    and not lines[i + 1].strip().startswith(("Object ", "==", ";", "[")):
-                i += 1
-                parts.append(lines[i].strip())
-            if not _parse_lexicon_line(" ".join(parts), current, lineno, err):
-                current_ok = False
-            i += 1
-            continue
-        if stripped.startswith("["):
-            chunk = [raw]
-            depth = raw.count("[") - raw.count("]")
-            truncated = False
-            while depth > 0:
-                nxt = lines[i + 1] if i + 1 < n else None
-                if nxt is None or not nxt.strip() or \
-                        nxt.strip().startswith(("Object ", "==", ";")):
-                    err(lineno, 1, "UnbalancedBracket", "assertion is missing a closing ']'")
-                    truncated = True
-                    break
-                i += 1
-                chunk.append(nxt)
-                depth += nxt.count("[") - nxt.count("]")
-            bad = truncated
-            if not truncated:
-                if depth < 0:
-                    err(lineno, 1, "UnbalancedBracket", "unmatched ']'")
-                    bad = True
-                elif current is None:
-                    err(lineno, 1, "OrphanContent", "assertion outside an Object block")
-                else:
-                    try:
-                        current.assertions.append(_parse_assertion(
-                            "\n".join(chunk), current.concept, lineno, predicates, atoms))
-                        current.assertion_lines.append(lineno)
-                    except PositionedError as e:
-                        err(e.line or lineno, e.col or 1, type(e).__name__, e.message)
-                        bad = True
-            if bad and current is not None:
-                current_ok = False
-            i += 1
             continue
         err(lineno, 1, "UnrecognizedLine", f"unrecognized line: {stripped!r}")
         if current is not None:
             current_ok = False
-        i += 1
     finish()
     return result
 

@@ -312,6 +312,53 @@ def test_help_goes_to_the_given_stream(argv, usage, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+
+# -- one argument parser per process ---------------------------------------------
+
+HELP_AND_USAGE_ERRORS = [
+    ["--help"], *([command, "--help"] for command in (
+        "validate", "show", "timeline", "recognize", "ask", "stats", "grid", "cyc-extract")),
+    [], ["--json"], ["bogus"], ["--bogus", "stats"], ["--kb"], ["show"], ["validate"],
+    ["ask"], ["grid"], ["cyc-extract", "rules"], ["stats", "--bogus"],
+    ["timeline", "x", "--unroll", "z"], ["recognize", "x", "--language", "German"],
+]
+
+
+def test_help_and_usage_errors_match_a_parser_built_for_each_run(monkeypatch):
+    cached = [invoke(*argv) for argv in HELP_AND_USAGE_ERRORS * 2]
+    monkeypatch.setattr(scriptkb.cli, "_build_parser", scriptkb.cli._build_parser.__wrapped__)
+    fresh = [invoke(*argv) for argv in HELP_AND_USAGE_ERRORS * 2]
+    assert cached == fresh
+    assert {code for code, _, _ in fresh} == {0, 1}
+
+
+def test_kb_flags_do_not_carry_over_to_the_next_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("SCRIPTKB_KB", raising=False)
+    own = tmp_path / "own.kb"
+    own.write_text("Object hum\n[role01-of ^ human]\n[event01-of ^ [buzz human]]\n",
+                   encoding="utf-8")
+    assert invoke("--kb", str(own), "show", "hum")[0] == 0
+    assert scriptkb.cli._build_parser().parse_args(["stats"]).kb == []
+    assert invoke("show", "hum") == (3, "", "error: unknown concept 'hum'\n")
+    assert invoke("show", "blackout")[0] == 0
+
+
+@pytest.mark.parametrize("error, success", [
+    (["bogus"], ["show", "blackout"]),
+    (["timeline", "blackout", "--unroll", "z"], ["timeline", "blackout"]),
+    (["--kb"], ["--json", "stats"]),
+    (["--json", "show", "no-such-concept"], ["show", "blackout"]),
+    (["recognize", "hair", "--language", "German"], ["recognize", "shampoo in my hair"]),
+])
+def test_an_error_run_leaves_the_next_run_as_it_would_be_alone(error, success, monkeypatch):
+    monkeypatch.delenv("SCRIPTKB_KB", raising=False)
+    alone = []
+    for argv in (error, success):
+        scriptkb.cli._build_parser.cache_clear()
+        alone.append(invoke(*argv))
+    assert alone[0][0] != 0 and alone[1][0] == 0
+    assert [invoke(*error), invoke(*success), invoke(*error)] == [*alone, alone[0]]
+
 def test_non_utf8_kb_is_a_load_error(tmp_path):
     latin = tmp_path / "latin.kb"
     latin.write_bytes(b"\xff\xfeObject caf\xe9\n")

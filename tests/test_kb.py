@@ -288,6 +288,43 @@ def test_hierarchy_matches_the_generator_walk_on_mutated_bases(core_text, script
     assert checked > 900
 
 
+
+def auto_registered(kb):
+    return [(d.file, d.line, d.message.split("'")[1]) for d in kb.diagnostics
+            if d.code == "AutoRegistered"]
+
+
+def test_a_dropped_block_registers_none_of_its_symbols():
+    kb = KnowledgeBase.from_texts([("t", "Object good\n[likes ^ seen]\n\n"
+                                         "Object bad\n[hates ^ unseen]\n[Broken x]\n\n"
+                                         "Object later\n[likes ^ seen]\n")])
+    assert [b.concept for b in kb.blocks] == ["good", "later"]
+    assert auto_registered(kb) == [("t", 2, "likes"), ("t", 2, "seen")]
+    assert "hates" not in kb.ontology and "unseen" not in kb.ontology
+    assert "bad" not in kb.ontology
+    assert_hierarchy_matches_reference(kb)
+
+
+def test_first_mentions_follow_the_blocks_not_the_files():
+    # b.kb's block of `first` is read right after a.kb's, before a.kb's `second`
+    kb = KnowledgeBase.from_texts([
+        ("a.kb", "Object first\n[likes ^ x]\n\nObject second\n[likes ^ shared]\n"),
+        ("b.kb", "Object first\n\n[hates ^ shared]\n")])
+    assert [(b.concept, b.file) for b in kb.blocks] == [
+        ("first", "a.kb"), ("first", "b.kb"), ("second", "a.kb")]
+    assert auto_registered(kb) == [("a.kb", 2, "likes"), ("a.kb", 2, "x"),
+                                   ("b.kb", 3, "hates"), ("b.kb", 3, "shared")]
+    assert list(kb.ontology.concepts())[-4:] == ["likes", "x", "hates", "shared"]
+    assert_hierarchy_matches_reference(kb)
+
+
+def test_a_symbol_only_named_as_a_nested_predicate_is_registered():
+    kb = KnowledgeBase.from_texts([("t", "Object s\n[role01-of ^ human]\n"
+                                         "[event01-of ^ [ponder human]]\n")])
+    assert "ponder" in kb.ontology
+    assert auto_registered(kb) == [("t", 2, "human"), ("t", 3, "ponder")]
+    assert_hierarchy_matches_reference(kb)
+
 # -- the collector during load ---------------------------------------------------
 
 _CYCLE = "Object a\n[ako ^ b]\n\nObject b\n[ako ^ a]\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from property_checks import _mutations
@@ -14,7 +15,7 @@ from scriptkb.errors import (
 )
 from scriptkb.ontology import Language
 from scriptkb.parser import is_symbol, parse_assertion, parse_database, parse_measure, serialize
-from scriptkb.terms import FIELDS, NA, Assertion, Measure
+from scriptkb.terms import FIELDS, NA, Assertion, Measure, term_symbols
 
 
 def assertion_line_count(text: str) -> int:
@@ -330,21 +331,23 @@ def test_measures_reserialize_exactly(scripts_text):
 
 def parse_per_assertion(text: str, **kwargs):
     """Reference: ``parse_database`` with every assertion parsed as
-    ``parse_assertion`` parses it, with tables that no other assertion shares."""
+    ``parse_assertion`` parses it, with tables that no other assertion shares;
+    first mentions still go to their block."""
     shared = parser._parse_assertion
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser, "_parse_assertion",
-                   lambda text, concept, line, _predicates, _atoms:
-                   shared(text, concept, line, {}, {}))
+                   lambda text, concept, line, _predicates, _atoms, _values, mentions:
+                   shared(text, concept, line, {}, {}, {}, mentions))
         return parse_database(text, **kwargs)
 
 
 def parsed(result):
     """Everything a parse gives: blocks with their lines and measure texts,
-    grid sources and positioned diagnostics."""
+    grid sources, positioned diagnostics and each block's first mentions."""
     return ([(b.concept, b.file, b.line, b.lexicon, b.assertions,
               [a.render() for a in b.assertions], b.assertion_lines)
-             for b in result.blocks], result.grid_sources, result.diagnostics)
+             for b in result.blocks], result.grid_sources, result.diagnostics,
+            result.first_mentions)
 
 
 def test_one_table_per_parse_matches_per_assertion_parsing(core_text, scripts_text,
@@ -396,3 +399,102 @@ def test_parse_assertion_shares_nothing_between_calls():
     assert parse_assertion("[p ^ x]", "b") == Assertion("p", ("b", "x"))
     with pytest.raises(SelfRefWithoutContext):
         parse_assertion("[p ^ x]")
+
+
+# -- tokens by splitting --------------------------------------------------------
+
+def test_the_regex_whitespace_class_is_str_isspace():
+    space = re.compile(r"\s")
+    assert [hex(cp) for cp in range(0x110000)
+            if (space.fullmatch(chr(cp)) is not None) != chr(cp).isspace()] == []
+
+
+def assertion_chunks(text):
+    """The text of every assertion ``parse_database`` parses in a document."""
+    chunks, shared = [], parser._parse_assertion
+
+    def recording(text, *args):
+        chunks.append(text)
+        return shared(text, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_parse_assertion", recording)
+        parse_database(text)
+    return chunks
+
+
+def test_split_tokens_are_the_regex_tokens(core_text, scripts_text, demo_text, bench_texts):
+    # every code point, each between two token characters
+    every = "x".join(map(chr, range(0x110000)))
+    assert parser._tokens(every) == parser._TOKEN_RE.findall(every)
+    texts = [core_text, scripts_text, demo_text, *(t for _, t in bench_texts),
+             *_mutations([core_text, scripts_text, demo_text], 3000, 20261018)]
+    chunks = [c for text in texts for c in assertion_chunks(text)]
+    assert len(chunks) > 20000
+    assert [c for c in chunks if parser._tokens(c) != parser._TOKEN_RE.findall(c)] == []
+
+
+# -- first mentions recorded while parsing ---------------------------------------
+
+def first_mention_walk(block):
+    """Reference: each symbol of the block's assertions with the line of the
+    first assertion that names it, by a ``term_symbols`` walk."""
+    first = {}
+    for a, line in zip(block.assertions, block.assertion_lines):
+        for sym in term_symbols(a):
+            first.setdefault(sym, line)
+    return list(first.items())
+
+
+def test_first_mentions_are_a_term_symbols_walk(core_text, scripts_text, demo_text,
+                                                bench_texts):
+    texts = [core_text, scripts_text, demo_text, *(t for _, t in bench_texts),
+             *_mutations([core_text, scripts_text, demo_text], 3000, 20261018)]
+    for text in texts:
+        result = parse_database(text)
+        assert len(result.first_mentions) == len(result.blocks)
+        assert [list(zip(*first)) for first in result.first_mentions] \
+            == [first_mention_walk(b) for b in result.blocks], text
+
+
+def test_first_mentions_follow_preorder_with_self_as_the_concept():
+    result = parse_database("Object s\n[event01-of ^ [inner x [deep ^ y]] z]\n[ako ^ w x]\n")
+    assert list(zip(*result.first_mentions[0])) == [
+        ("event01-of", 2), ("s", 2), ("inner", 2), ("x", 2), ("deep", 2), ("y", 2),
+        ("z", 2), ("ako", 3), ("w", 3)]
+
+
+# -- balanced single lines and continued assertions ----------------------------
+
+def test_a_continued_assertion_keeps_its_error_position():
+    result = parse_database("Object d\n[q x\n  Bad]\n", filename="t")
+    assert [d.render() for d in result.diagnostics] == ["t:3:3: error: invalid token 'Bad'"]
+    assert result.blocks == []
+
+
+def test_a_capitalized_bracket_word_is_a_lexicon_line_only_when_closed():
+    result = parse_database("Object a\n[Foo bar]\n\nObject b\n[English] x\n[ako ^ c]\n")
+    assert [(d.line, d.col, d.code) for d in result.diagnostics] == [(2, 2, "KbSyntaxError")]
+    assert result.diagnostics[0].message == "expected a predicate symbol, got 'Foo'"
+    assert [(b.concept, b.lexicon) for b in result.blocks] == [
+        ("b", [(Language.ENGLISH, ("x",))])]
+
+
+def test_crlf_input_parses_as_lf_input(core_text, scripts_text, demo_text):
+    texts = [core_text, scripts_text, demo_text, "Object a\n[p ^\n  [q x]]\n[r ^ Bad]\n"]
+    for text in texts:
+        assert parsed(parse_database(text.replace("\n", "\r\n"))) == parsed(parse_database(text))
+
+
+@pytest.mark.parametrize("line", ["[p ^ x]]", "[p ^ x] ]", "[p [q ^]]]]", "  [p ^ [q x]]]] [r"])
+def test_more_closing_brackets_than_opening_is_unbalanced(line):
+    result = parse_database(f"Object a\n{line}\n[ako ^ b]\n")
+    assert [(d.line, d.col, d.code, d.message) for d in result.diagnostics] == [
+        (2, 1, "UnbalancedBracket", "unmatched ']'")]
+    assert result.blocks == []
+
+
+def test_a_continuation_that_overshoots_is_unbalanced():
+    result = parse_database("Object a\n[p ^\n  [q x]]]\n")
+    assert [(d.line, d.code, d.message) for d in result.diagnostics] == [
+        (2, "UnbalancedBracket", "unmatched ']'")]
