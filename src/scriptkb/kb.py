@@ -11,14 +11,16 @@ trailing-digit name like ``hotel-room1`` is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
 event group its script lacks.  The base is frozen.  Loading records each
-assertion's file and line under its subject, and each subject's field
-assertions that are not malformed, in load order; script views and
-inherited fields read only these.  It also records the sorted script names,
-the concepts with an event assertion that is not malformed, each with its
-census row: its events, roles, places and other fields, the malformed ones
-left out, and each column's total over the scripts.  Recognition and the
-what-does, used-for and where-found questions also read two concept ->
-scripts maps, built by the first of them.
+subject's field assertions that are not malformed, in load order; script
+views and inherited fields read only these.  It also records the sorted
+script names, the concepts with an event assertion that is not malformed,
+each with its census row: its events, roles, places and other fields, the
+malformed ones left out, and each column's total over the scripts.  Each
+assertion's file and line, which only script checks read, are gathered
+under its subject on the first ``sites_about`` or ``assertions_about``
+call.  Recognition and the what-does, used-for and where-found questions
+also read two concept -> scripts maps, built by the first of them from the
+recorded field assertions, with no script view.
 
 The cyclic garbage collector is paused while a base parses and assembles
 (``collector_paused``).  Loading allocates tens of thousands of tuples,
@@ -46,7 +48,7 @@ from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parser import ParseResult, parse_database
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, ObjectBlock,
-                    goto_target, malformed)
+                    goto_target, malformed, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 # the census column of each field attribute; every other field counts as "other"
@@ -105,7 +107,6 @@ class KnowledgeBase:
     blocks: list[ObjectBlock] = field(default_factory=list)  # as parsed, a concept's together
     grids: dict[str, Grid] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    _by_subject: dict[str, list[tuple[Assertion, str, int]]] = field(default_factory=dict)
     # subject -> its field assertions that are not malformed, in load order
     _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict)
     # sorted script names -> census rows
@@ -122,12 +123,25 @@ class KnowledgeBase:
         """All loaded assertions whose first argument is the concept, in file order."""
         if concept not in self.ontology:
             raise UnknownConcept(f"unknown concept {concept!r}")
-        return tuple(a for a, _, _ in self._by_subject.get(concept, ()))
+        return tuple(a for a, _, _ in self._sites.get(concept, ()))
 
     def sites_about(self, concept: str) -> tuple[tuple[Assertion, str, int], ...]:
         """``assertions_about`` with the file and line of each assertion; empty
         for a concept the base does not know."""
-        return tuple(self._by_subject.get(concept, ()))
+        return tuple(self._sites.get(concept, ()))
+
+    @cached_property
+    def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
+        """Each subject's ``(assertion, file, line)`` sites in load order, built
+        on first use: only script checks read positions."""
+        sites: dict[str, list[tuple[Assertion, str, int]]] = {}
+        for block in self.blocks:
+            file = block.file
+            # parsed blocks hold one line per assertion
+            for a, line in zip(block.assertions, block.assertion_lines):
+                if a.args and isinstance(a.args[0], str):
+                    sites.setdefault(a.args[0], []).append((a, file, line))
+        return sites
 
     def script_concepts(self) -> list[str]:
         """Concepts with at least one event assertion, sorted by name."""
@@ -136,16 +150,28 @@ class KnowledgeBase:
     @cached_property
     def index(self) -> ScriptIndex:
         """The script index, built on first use: loading and the queries that
-        need no map never pay for it, and it keeps no script views."""
-        from .recognizer import mention_set  # imported here: both modules import this one
-        from .scripts import build_script
+        need no map never pay for it.  It reads each script's recorded field
+        assertions as ``mention_set(build_script(...))`` would, and builds no
+        script view: a role's first value wins, goto events are left out, and
+        the other events give every symbol inside them."""
         by_mention: dict[str, list[str]] = {}
         by_role: dict[str, list[str]] = {}
-        for name in self._scripts:
-            script = build_script(self, name)
-            for concept in mention_set(script):
+        for name in self._scripts:  # sorted, so each script list is too
+            roles: dict[int, str] = {}
+            mentions: set[str] = set()
+            for a in self._field_assertions[name]:
+                spec = FIELDS[a.predicate]
+                if spec.attr == "events":
+                    if goto_target(a.args[1]) is None:
+                        mentions.update(term_symbols(a.args[1]))
+                elif spec.attr == "roles":
+                    roles.setdefault(spec.index, a.args[1])
+                elif spec.attr == "places":
+                    mentions.add(a.args[1])
+            mentions.update(roles.values())
+            for concept in mentions:
                 by_mention.setdefault(concept, []).append(name)
-            for concept in dict.fromkeys(script.roles.values()):
+            for concept in dict.fromkeys(roles.values()):
                 by_role.setdefault(concept, []).append(name)
         return ScriptIndex(by_mention, by_role)
 
@@ -214,48 +240,46 @@ class KnowledgeBase:
                 self.grids[grid.name] = grid
 
         # one pass over the assertions: ako links (from anywhere in the files),
-        # each subject's sites, field assertions and census counts, and the
-        # first goto of each script's event group
+        # each subject's field assertions and census counts, and the first goto
+        # of each script's event group
         ako_parents: dict[str, list[str]] = {}
         counts: dict[str, list[int]] = {}  # subject -> [events, roles, places, other]
         gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
-        # parsed blocks hold one line per assertion
-        sites = ((a, block.file, line) for block in self.blocks
-                 for a, line in zip(block.assertions, block.assertion_lines))
-        for site in sites:
-            a, file, line = site
-            if not (a.args and isinstance(a.args[0], str)):
-                continue
-            subject = a.args[0]
-            self._by_subject.setdefault(subject, []).append(site)
-            spec = FIELDS.get(a.predicate)
-            if spec is not None:
-                problem = malformed(a, spec)
-                if problem:
-                    self.diagnostics.append(Diagnostic(
-                        file, line, 1, ERROR, "MalformedField", problem))
+        for block in self.blocks:
+            file = block.file
+            # parsed blocks hold one line per assertion
+            for a, line in zip(block.assertions, block.assertion_lines):
+                if not (a.args and isinstance(a.args[0], str)):
                     continue
-                # a malformed field is left out of the view, so it is not counted
-                # and a malformed event makes no script
-                own = counts.get(subject)
-                if own is None:
-                    own = counts[subject] = [0, 0, 0, 0]
-                    self._field_assertions[subject] = [a]
-                else:
-                    self._field_assertions[subject].append(a)
-                own[_CENSUS_COLUMN.get(spec.attr, 3)] += 1
-                if spec.attr == "events":
-                    target = goto_target(a.args[1])
-                    if target is not None:
-                        gotos.setdefault((subject, spec.index), (target, file, line))
-            elif a.predicate == AKO:
-                for parent in a.args[1:]:
-                    if isinstance(parent, str):
-                        ako_parents.setdefault(subject, []).append(parent)
-                    else:
+                subject = a.args[0]
+                spec = FIELDS.get(a.predicate)
+                if spec is not None:
+                    problem = malformed(a, spec)
+                    if problem:
                         self.diagnostics.append(Diagnostic(
-                            file, line, 1, WARNING, "BadAkoArgument",
-                            f"ignoring non-symbol ako argument in {a.render()}"))
+                            file, line, 1, ERROR, "MalformedField", problem))
+                        continue
+                    # a malformed field is left out of the view, so it is not counted
+                    # and a malformed event makes no script
+                    own = counts.get(subject)
+                    if own is None:
+                        own = counts[subject] = [0, 0, 0, 0]
+                        self._field_assertions[subject] = [a]
+                    else:
+                        self._field_assertions[subject].append(a)
+                    own[_CENSUS_COLUMN.get(spec.attr, 3)] += 1
+                    if spec.attr == "events":
+                        target = goto_target(a.args[1])
+                        if target is not None:
+                            gotos.setdefault((subject, spec.index), (target, file, line))
+                elif a.predicate == AKO:
+                    for parent in a.args[1:]:
+                        if isinstance(parent, str):
+                            ako_parents.setdefault(subject, []).append(parent)
+                        else:
+                            self.diagnostics.append(Diagnostic(
+                                file, line, 1, WARNING, "BadAkoArgument",
+                                f"ignoring non-symbol ako argument in {a.render()}"))
         totals = self._census_totals
         for s in sorted(counts):
             own = counts[s]

@@ -9,6 +9,7 @@ while the rest of the phrase is compared exactly.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -21,6 +22,8 @@ from .errors import (
 )
 
 ROOT = "concept"
+# a concept name holds none of these: they delimit the file format's tokens
+_BAD_NAME_CHAR = re.compile(r"[ \t\n\[\]]")
 
 
 class Language(str, Enum):
@@ -50,7 +53,7 @@ class Ontology:
         without parents becomes a direct child of the root.  Parent existence
         is not checked here: :meth:`resolve` verifies it once loading is done.
         """
-        if not isinstance(name, str) or not name or any(c in name for c in " \t\n[]"):
+        if not isinstance(name, str) or not name or _BAD_NAME_CHAR.search(name):
             raise KbError(f"invalid concept name {name!r}")
         if name in self._parents:
             raise DuplicateConcept(name)
@@ -154,7 +157,8 @@ class Ontology:
     def link_lexeme(self, phrase: str, language, concept: str) -> None:
         """Attach a phrase to a concept; repeated links are no-ops."""
         self._require(concept)
-        lang = Language(language)
+        # the loader passes Language members; the enum call is for other callers
+        lang = language if isinstance(language, Language) else Language(language)
         key = (lang, _normalize_phrase(phrase))
         concepts = self._by_phrase.setdefault(key, [])
         if concept not in concepts:

@@ -53,6 +53,7 @@ _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
 _TOKEN_RE = re.compile(r"[\[\]]|[^\s\[\]]+")
 _ASCII_SYMBOL = re.compile(r"[a-z0-9][a-z0-9-]*")
+_LANGUAGES = {lang.value: lang for lang in Language}  # lexicon section name -> language
 
 
 def is_symbol(token: str) -> bool:
@@ -370,9 +371,8 @@ def _parse_lexicon_line(text, block, lineno, err) -> bool:
             ok = False
             continue
         lang_name, body = m.groups()
-        try:
-            lang = Language(lang_name)
-        except ValueError:
+        lang = _LANGUAGES.get(lang_name)
+        if lang is None:
             err(lineno, 1, "UnknownLanguage", f"unknown language {lang_name!r}")
             ok = False
             continue

@@ -85,7 +85,7 @@ class Measure:
 Term = Union[str, NaType, Measure, "Assertion"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assertion:
     predicate: str
     args: tuple = ()

@@ -388,19 +388,27 @@ def test_non_utf8_load_error_names_the_file(tmp_path):
         assert err.startswith(f"load error: {latin}: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("argv, builds_index", [
-    (["show", "blackout"], False),
-    (["timeline", "blackout"], False),
-    (["ask", "What does a blackout consist of?"], False),
-    (["ask", "How long does a blackout take?"], False),
-    (["recognize", "John poured shampoo on his hair."], True),
-    (["ask", "What does a dog do?"], True),
-    (["stats"], False),
-    (["stats", "--csv"], False),
-    (["--json", "stats"], False),
-    (["validate", *bundled_kb_paths()], False),
-])
-def test_only_whole_base_queries_build_the_script_index(argv, builds_index, monkeypatch):
+# each command, whether it builds the script index, and whether it builds the
+# site map (assertion positions)
+_LAZY_BUILDS = [
+    (["show", "blackout"], False, False),
+    (["timeline", "blackout"], False, False),
+    (["ask", "What does a blackout consist of?"], False, False),
+    (["ask", "How long does a blackout take?"], False, False),
+    (["recognize", "John poured shampoo on his hair."], True, False),
+    (["ask", "What does a dog do?"], True, False),
+    (["stats"], False, False),
+    (["stats", "--csv"], False, False),
+    (["--json", "stats"], False, False),
+    (["validate", *bundled_kb_paths()], False, True),
+]
+
+
+# ids from the command and the index column only, so each case keeps its name
+@pytest.mark.parametrize("argv, builds_index, builds_sites", _LAZY_BUILDS,
+                         ids=[f"argv{i}-{index}" for i, (_, index, _) in enumerate(_LAZY_BUILDS)])
+def test_only_whole_base_queries_build_the_script_index(argv, builds_index, builds_sites,
+                                                        monkeypatch):
     import scriptkb.cli
     loaded = []
     load = scriptkb.cli._load
@@ -413,6 +421,15 @@ def test_only_whole_base_queries_build_the_script_index(argv, builds_index, monk
     code, out, _ = invoke(*argv)
     assert code == 0 and out
     assert ("index" in vars(loaded[0])) == builds_index
+    assert ("_sites" in vars(loaded[0])) == builds_sites
+
+
+def test_the_script_index_builds_no_script_view(core_text, scripts_text, demo_text,
+                                                built_scripts):
+    kb = scriptkb.KnowledgeBase.from_texts([
+        ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)])
+    assert kb.index.by_mention and kb.index.by_role
+    assert built_scripts == []
 
 
 def test_validate_builds_each_script_once(built_scripts):

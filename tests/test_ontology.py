@@ -3,9 +3,11 @@ import pytest
 from scriptkb.errors import (
     CycleDetected,
     DuplicateConcept,
+    KbError,
     UnknownConcept,
     UnknownParent,
 )
+from scriptkb.kb import KnowledgeBase
 from scriptkb.ontology import ROOT, Language, Ontology
 
 
@@ -25,6 +27,15 @@ def test_add_and_isa_chain():
     assert o.is_a("blackout", "concept")
     assert o.is_a("blackout", "blackout")
     assert not o.is_a("disaster", "blackout")
+
+
+@pytest.mark.parametrize("name", ["power failure", "power\tfailure", "power\nfailure",
+                                  "power[", "]failure"])
+def test_concept_names_exclude_token_delimiters(name):
+    o = small()
+    with pytest.raises(KbError):
+        o.add_concept(name)
+    assert name not in o
 
 
 def test_root_has_no_parents():
@@ -174,3 +185,34 @@ def test_isa_equals_bruteforce_on_whole_fixture(kb):
     for a in names:
         for b in names:
             assert onto.is_a(a, b) == (a == b or b in reachable[a])
+
+
+def _relinked_by_language_name(kb) -> Ontology:
+    """The base's hierarchy with every lexicon phrase linked again, each
+    language given by its name, so ``link_lexeme`` converts it."""
+    ref = Ontology()
+    for c in kb.ontology.concepts():
+        ref.add_concept(c, kb.ontology.parents(c))
+    for block in kb.blocks:
+        for lang, phrases in block.lexicon:
+            for phrase in phrases:
+                ref.link_lexeme(phrase, lang.value, block.concept)
+    return ref
+
+
+def test_lexicon_matches_one_linked_by_language_name(kb, bench_texts):
+    for base in (kb, KnowledgeBase.from_texts(bench_texts)):
+        onto, ref = base.ontology, _relinked_by_language_name(base)
+        phrases = [(phrase, lang) for block in base.blocks
+                   for lang, linked in block.lexicon for phrase in linked]
+        assert phrases
+        for phrase, lang in phrases:
+            for language in (lang, lang.value):
+                assert onto.lookup_phrase(phrase, language) \
+                    == ref.lookup_phrase(phrase, language) != ()
+                for word in phrase.split()[:1]:
+                    assert onto.phrase_reach(word, language) \
+                        == ref.phrase_reach(word, language) > 0
+        for c in onto.concepts():
+            for language in Language:
+                assert onto.lexemes_of(c, language) == ref.lexemes_of(c, language)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from scriptkb.errors import MalformedNumber
@@ -62,6 +64,18 @@ def test_assertions_hashable():
     b = Assertion("cost-of", ("x", Measure("USD", "5.0")))
     assert a == b
     assert len({a, b}) == 1
+
+
+def test_assertion_is_slotted_and_frozen():
+    a = Assertion("event01-of", ("blackout", Assertion("fetch-from", ("human", NA))))
+    assert not hasattr(a, "__dict__")
+    for name in ("predicate", "args"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, name, ())
+    same = Assertion("event01-of", ("blackout", Assertion("fetch-from", ("human", NA))))
+    assert a == same and a is not same
+    assert hash(a) == hash(same)
+    assert len({a, same}) == 1
 
 
 def test_term_symbols_recursive():
