@@ -4,7 +4,8 @@ Concepts form a single-rooted directed acyclic graph under the root
 ``concept``; a node may have several parents.  Phrases in English or French
 link to concepts many-to-many.  Phrase lookup lowercases only the first
 character of the query, so sentence-initial capitalization still matches
-while the rest of the phrase is compared exactly.
+while the rest of the phrase is compared exactly.  Lexicon methods take a
+``Language`` member or a language's name, ``"English"`` or ``"French"``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ class Language(str, Enum):
     FRENCH = "French"
 
 
+def as_language(value) -> Language:
+    """A ``Language`` member as itself, a language's name as its member: the
+    enum call is several times the cost of the check, on every lookup."""
+    return value if isinstance(value, Language) else Language(value)
+
+
 def _normalize_phrase(phrase: str) -> str:
     return phrase[:1].lower() + phrase[1:]
 
@@ -40,9 +47,12 @@ class Ontology:
 
     def __init__(self):
         self._parents: dict[str, tuple[str, ...]] = {}
-        self._by_phrase: dict[tuple[Language, str], list[str]] = {}
-        self._by_concept: dict[tuple[str, Language], list[str]] = {}
-        self._reach: dict[tuple[Language, str], int] = {}
+        # one table of each kind per language, so a lookup builds no key
+        self._by_phrase: dict[Language, dict[str, tuple[str, ...]]] = {
+            lang: {} for lang in Language}
+        self._by_concept: dict[Language, dict[str, tuple[str, ...]]] = {
+            lang: {} for lang in Language}
+        self._reach: dict[Language, dict[str, int]] = {lang: {} for lang in Language}
 
     # -- construction ------------------------------------------------------
 
@@ -157,32 +167,33 @@ class Ontology:
     def link_lexeme(self, phrase: str, language, concept: str) -> None:
         """Attach a phrase to a concept; repeated links are no-ops."""
         self._require(concept)
-        # the loader passes Language members; the enum call is for other callers
-        lang = language if isinstance(language, Language) else Language(language)
-        key = (lang, _normalize_phrase(phrase))
-        concepts = self._by_phrase.setdefault(key, [])
+        lang = as_language(language)
+        key = _normalize_phrase(phrase)
+        if key == phrase:
+            key = phrase  # the table shares the block's string, not an equal copy
+        by_phrase = self._by_phrase[lang]
+        concepts = by_phrase.get(key, ())
         if concept not in concepts:
-            concepts.append(concept)
-        words = key[1].split()
+            by_phrase[key] = concepts + (concept,)
+        words = key.split()
         if words:
-            first = (lang, words[0])
-            self._reach[first] = max(self._reach.get(first, 0), len(words))
-        phrases = self._by_concept.setdefault((concept, lang), [])
+            reach = self._reach[lang]
+            reach[words[0]] = max(reach.get(words[0], 0), len(words))
+        by_concept = self._by_concept[lang]
+        phrases = by_concept.get(concept, ())
         if phrase not in phrases:
-            phrases.append(phrase)
+            by_concept[concept] = phrases + (phrase,)
 
     def lookup_phrase(self, phrase: str, language) -> tuple[str, ...]:
-        lang = Language(language)
-        return tuple(self._by_phrase.get((lang, _normalize_phrase(phrase)), ()))
+        return self._by_phrase[as_language(language)].get(_normalize_phrase(phrase), ())
 
     def phrase_reach(self, word: str, language) -> int:
         """Word count of the longest phrase starting with ``word``; 0 for none."""
-        return self._reach.get((Language(language), _normalize_phrase(word)), 0)
+        return self._reach[as_language(language)].get(_normalize_phrase(word), 0)
 
     def lexemes_of(self, concept: str, language) -> list[str]:
         self._require(concept)
-        lang = Language(language)
-        return list(self._by_concept.get((concept, lang), ()))
+        return list(self._by_concept[as_language(language)].get(concept, ()))
 
     def _require(self, name: str) -> None:
         if name not in self._parents:

@@ -5,7 +5,13 @@ token n-grams of any length, naive suffix stripping as a fallback for
 single tokens, and, in English text, a stop-word list to keep closed-class
 words from firing.  Each distinct activated concept then contributes 1.0 to
 every script that mentions it, either directly or, with generalization on,
-through a more general concept in the script's mention set.
+through a more general concept in the script's mention set; scripts are
+ranked by score descending, then by name.
+
+``Activation`` and ``RecognitionResult`` are frozen dataclasses with slots
+and no ``__dict__``, built through ``terms.slot_init``'s cheaper
+``__init__``.  ``activate`` takes a ``Language`` member or a language's
+name, ``"English"`` or ``"French"``.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from functools import cache
 from importlib import resources
 
 from .kb import KnowledgeBase
-from .ontology import Language
+from .ontology import Language, as_language
 from .scripts import Script
-from .terms import goto_target, term_symbols
+from .terms import goto_target, slot_init, term_symbols
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
@@ -32,7 +38,8 @@ def stopwords() -> frozenset[str]:
         w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#"))
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Activation:
     concept: str
     start: int
@@ -59,7 +66,7 @@ def activate(text: str, kb: KnowledgeBase, language=Language.ENGLISH) -> Activat
     unmatched single tokens are retried with -s/-es/-ed/-ing stripped.
     English stop words never activate on their own; French text has none.
     """
-    language = Language(language)
+    language = as_language(language)
     stop = stopwords() if language == Language.ENGLISH else frozenset()
     lookup, reach = kb.ontology.lookup_phrase, kb.ontology.phrase_reach
     tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
@@ -107,7 +114,8 @@ def mention_set(script: Script) -> frozenset[str]:
     return frozenset(symbols)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class RecognitionResult:
     script: str
     score: float
@@ -125,16 +133,24 @@ def score_scripts(activations: ActivationSet, kb: KnowledgeBase, *,
     1.0; zero-scoring scripts are omitted.  Sorted by score descending,
     then script name.
     """
+    concepts = activations.concepts()
+    if not concepts:
+        return []
+    by_mention = kb.index.by_mention
     evidence: dict[str, list[str]] = {}  # script -> the activated concepts it mentions
-    for concept in activations.concepts():
-        names = [concept]
+    for concept in concepts:
+        scripts = set(by_mention.get(concept, ()))
         if generalization:
-            names += kb.ontology.ancestors(concept, max_depth=max_hops)
-        for script in {s for name in names for s in kb.index.by_mention.get(name, ())}:
+            for name in kb.ontology.ancestors(concept, max_depth=max_hops):
+                scripts.update(by_mention.get(name, ()))
+        for script in scripts:
             evidence.setdefault(script, []).append(concept)
-    results = [RecognitionResult(s, float(len(e)), tuple(e)) for s, e in evidence.items()]
-    results.sort(key=lambda r: (-r.score, r.script))
-    return results
+    # one bucket per score; names sorted once keep each bucket in name order
+    buckets: list[list[RecognitionResult]] = [[] for _ in range(len(concepts) + 1)]
+    for script in sorted(evidence):
+        e = evidence[script]
+        buckets[len(e)].append(RecognitionResult(script, float(len(e)), tuple(e)))
+    return [r for bucket in reversed(buckets) for r in bucket]
 
 
 def format_results(results) -> list[str]:

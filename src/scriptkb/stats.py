@@ -60,19 +60,10 @@ def census(kb: KnowledgeBase) -> list[CensusRow]:
 
 def summary(kb: KnowledgeBase) -> SummaryRow:
     """Averages over the base's census, from the column totals loading keeps."""
-    return _averages(len(kb._scripts), kb._census_totals)
-
-
-def summarize(rows) -> SummaryRow:
-    """Averages over census rows."""
-    return _averages(len(rows), [sum(getattr(r, column) for r in rows)
-                                 for column in ("subevents", "roles", "places", "other")])
-
-
-def _averages(n: int, totals) -> SummaryRow:
+    n = len(kb._scripts)
     if not n:
         raise EmptyDatabase("no scripts loaded; averages are undefined")
-    return SummaryRow(n, *(total / n for total in totals))
+    return SummaryRow(n, *(total / n for total in kb._census_totals))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Randomized property suites, shared by test_properties and test_acceptance.
+"""Randomized property suites and reference implementations, shared by the
+test modules.
 
 Each runner takes a case count and a seed; failures raise AssertionError.
 Plain seeded randomness keeps a thousand cases per suite inside the time
 budget.
 """
 
+import copy
+import inspect
+import pickle
 import random
 import re
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, field, fields, make_dataclass, replace
 
 from scriptkb.diagnostics import has_errors
 from scriptkb.errors import CycleDetected, EmptyDatabase, MalformedHeader, UnknownConcept
@@ -114,6 +118,99 @@ def run_recognizer_properties(kb, cases=1000, seed=20260808):
             if evidence:
                 expected[name] = (float(len(evidence)), evidence)
         assert {r.script: (r.score, r.evidence) for r in exact} == expected
+
+
+def reference_score_scripts(activations, kb, *, generalization=True, max_hops=None):
+    """``score_scripts`` as it ranked before score buckets: each script's
+    evidence gathered from a set per concept, then one sort of the results on
+    a ``(-score, name)`` key."""
+    evidence = {}
+    for concept in activations.concepts():
+        names = [concept]
+        if generalization:
+            names += kb.ontology.ancestors(concept, max_depth=max_hops)
+        for script in {s for name in names for s in kb.index.by_mention.get(name, ())}:
+            evidence.setdefault(script, []).append(concept)
+    results = [RecognitionResult(s, float(len(e)), tuple(e)) for s, e in evidence.items()]
+    results.sort(key=lambda r: (-r.score, r.script))
+    return results
+
+
+def run_scores_match_reference(kb, cases=300, seed=20260808):
+    """``score_scripts`` equals ``reference_score_scripts`` exactly (order,
+    float scores, evidence tuples) with generalization on and off and
+    ``max_hops`` None, 0, 1 and 2, on random sets of 1-6 activations: drawn
+    from every concept, drawn with repeats from a few, or drawn from the
+    descendants of one concept, so that they share ancestors."""
+    rng = random.Random(seed)
+    onto = kb.ontology
+    pool = sorted(onto.concepts())
+    below = {}  # concept -> the concepts within two links under it
+    for c in pool:
+        for p in onto.parents(c):
+            below.setdefault(p, set()).add(c)
+            for g in onto.parents(p):
+                below.setdefault(g, set()).add(c)
+    shared = sorted(p for p, under in below.items() if len(under) > 1)
+    for case in range(cases):
+        k = rng.randint(1, 6)
+        if case % 3 == 0 or not shared:
+            chosen = rng.sample(pool, min(k, len(pool)))
+        elif case % 3 == 1:
+            chosen = rng.choices(rng.sample(pool, min(3, len(pool))), k=k)
+        else:
+            chosen = rng.choices(sorted(below[rng.choice(shared)]), k=k)
+        acts = ActivationSet(tuple(
+            Activation(c, i, i + 1, c, c) for i, c in enumerate(chosen)))
+        for generalization in (True, False):
+            for max_hops in (None, 0, 1, 2):
+                got = score_scripts(acts, kb, generalization=generalization,
+                                    max_hops=max_hops)
+                want = reference_score_scripts(acts, kb, generalization=generalization,
+                                               max_hops=max_hops)
+                assert got == want and repr(got) == repr(want), \
+                    (chosen, generalization, max_hops)
+
+
+def plain_twin(cls, **namespace):
+    """A ``@dataclass(frozen=True, slots=True)`` with the name, fields and
+    defaults of ``cls`` and the methods in ``namespace``, so with the
+    ``__init__`` that dataclasses generates."""
+    specs = [(f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    return make_dataclass(cls.__name__, specs, frozen=True, slots=True, namespace=namespace)
+
+
+def run_record_matches_twin(cls, twin, values, other):
+    """``cls`` behaves as its plain twin on ``values`` and on ``other``, which
+    differ in every field: the same ``__init__`` parameters and defaults,
+    keyword construction, no ``__dict__``, frozen fields, the same ``==``,
+    ``hash`` and ``repr``, and ``replace``, ``pickle`` and ``deepcopy``
+    round trips."""
+    def init(c):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+    assert init(cls) == init(twin)
+    names = [f.name for f in fields(cls)]
+    for make in (cls, twin):
+        assert make(**dict(zip(names, values))) == make(*values)
+    a, b, ta, tb = cls(*values), cls(*other), twin(*values), twin(*other)
+    assert (a == cls(*values), a == b, a != b) == (ta == twin(*values), ta == tb, ta != tb)
+    for record, plain in ((a, ta), (b, tb)):
+        assert not hasattr(record, "__dict__") and not hasattr(plain, "__dict__")
+        assert hash(record) == hash(plain) and repr(record) == repr(plain)
+        for name in names:
+            try:
+                setattr(record, name, None)
+            except FrozenInstanceError:
+                continue
+            raise AssertionError(f"{cls.__name__}.{name} could be assigned")
+    for i, name in enumerate(names):
+        changed = values[:i] + (other[i],) + values[i + 1:]
+        assert replace(a, **{name: other[i]}) == cls(*changed)
+    assert replace(a) == a
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+    assert copy.deepcopy(a) == a and copy.copy(a) == a
 
 
 _FILLER = ("then", "quickly", "zork", "Yesterday", "o'clock", "x-ray", "42", "café", "ing")

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,17 @@ def test_script_index_matches_a_full_scan_on_mutated_bases(core_text, scripts_te
 
 def test_script_index_matches_a_full_scan_with_malformed_fields(scripts_text, demo_text):
     pc.run_malformed_fields_index_matches_full_scan([scripts_text, demo_text])
+
+
+def test_scores_match_the_reference_ranking(kb, bench_texts):
+    pc.run_scores_match_reference(kb, cases=1000)
+    pc.run_scores_match_reference(KnowledgeBase.from_texts(bench_texts))
+
+
+def test_scores_match_the_reference_ranking_on_mutated_bases(core_text, scripts_text,
+                                                             demo_text):
+    pc.run_on_mutated_bases(partial(pc.run_scores_match_reference, cases=10),
+                            [core_text, scripts_text, demo_text], cases=1000)
 
 
 def test_census_matches_a_per_assertion_count(kb, bench_texts):

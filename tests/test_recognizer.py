@@ -1,7 +1,10 @@
 import pytest
+from property_checks import plain_twin, run_record_matches_twin
 
 from scriptkb.recognizer import (
+    Activation,
     ActivationSet,
+    RecognitionResult,
     activate,
     format_results,
     mention_set,
@@ -188,3 +191,17 @@ def test_ordering_deterministic(kb):
     assert first == second
     scores = [r.score for r in first]
     assert scores == sorted(scores, reverse=True)
+
+
+# -- records --------------------------------------------------------------------------
+
+def test_activation_behaves_as_a_plain_frozen_slotted_dataclass():
+    run_record_matches_twin(Activation, plain_twin(Activation),
+                            ("shampoo", 13, 20, "shampoo", "shampoo"),
+                            ("hair", 28, 34, "Hairs", "hair"))
+
+
+def test_recognition_result_behaves_as_a_plain_frozen_slotted_dataclass():
+    run_record_matches_twin(RecognitionResult, plain_twin(RecognitionResult),
+                            ("take-shower", 2.0, ("shampoo", "hair")),
+                            ("walk-the-dog", 1.0, ("poodle",)))

@@ -8,11 +8,11 @@ from scriptkb.errors import CycleDetected, EmptyDatabase
 from scriptkb.kb import KnowledgeBase
 from scriptkb.stats import (
     PUBLISHED,
+    SummaryRow,
     census,
     census_csv,
     format_census,
     format_comparison,
-    summarize,
     summary,
 )
 
@@ -93,6 +93,12 @@ def test_summary_recomputes_from_rows(kb):
     assert s.avg_roles == sum(r.roles for r in rows) / len(rows)
     assert s.avg_places == sum(r.places for r in rows) / len(rows)
     assert s.avg_other == sum(r.other for r in rows) / len(rows)
+
+
+def summarize(rows) -> SummaryRow:
+    """The reference for ``summary``: averages over census rows."""
+    return SummaryRow(len(rows), *(sum(getattr(r, column) for r in rows) / len(rows)
+                                   for column in ("subevents", "roles", "places", "other")))
 
 
 def test_summary_totals_match_the_rows_on_generated_and_mutated_bases(

@@ -1,10 +1,11 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import pytest
+from property_checks import plain_twin, run_record_matches_twin
 
 from scriptkb.errors import MalformedNumber
 from scriptkb.terms import (CONCEPT, FIELDS, MEASURE, NA, TERM, Assertion, Field, Measure,
-                            NaType, malformed, render_term, term_symbols)
+                            NaType, malformed, render_term, slot_init, term_symbols)
 
 
 def test_na_is_singleton():
@@ -76,6 +77,26 @@ def test_assertion_is_slotted_and_frozen():
     assert a == same and a is not same
     assert hash(a) == hash(same)
     assert len({a, same}) == 1
+
+
+def test_assertion_behaves_as_a_plain_frozen_slotted_dataclass():
+    twin = plain_twin(Assertion, render=Assertion.render, __repr__=Assertion.__repr__)
+    run_record_matches_twin(Assertion, twin, ("cost-of", ("x", Measure("USD", "5"))),
+                            ("goal-of", ("y", NA)))
+    assert Assertion("blackout") == Assertion("blackout", ()) == Assertion(predicate="blackout")
+
+
+@pytest.mark.parametrize("options, default", [
+    ({"frozen": True}, field(default=0)),
+    ({"slots": True}, field(default=0)),
+    ({"frozen": True, "slots": True}, field(default_factory=int)),
+])
+def test_slot_init_refuses_what_it_cannot_fill(options, default):
+    class Record:
+        name: str
+        count: int = default
+    with pytest.raises(TypeError):
+        slot_init(dataclass(**options)(Record))
 
 
 def test_term_symbols_recursive():
