@@ -1,7 +1,13 @@
 """Knowledge base: parsed blocks, hierarchy, lexicon, and grids in one place.
 
 Loading merges any number of files: the blocks of one concept are read
-together, in load order, and each keeps its own file and lines.  ``ako``
+together, in load order, and each keeps its own file and lines.  The files
+are parsed with one set of token tables, so each distinct predicate and
+argument token is classified once per load, not once per file; a token
+that is bad stays out of the tables and is reported in every file, at its
+own position.  Each field assertion's argument check and census column
+come from its predicate's one ``FIELDS`` entry, and each block's lexicon
+is linked by one ``Ontology.link_lexicon`` call.  ``ako``
 assertions supply hierarchy parents.  Symbols that are referenced but never
 declared are auto-registered as children of the root with a warning, since
 source excerpts routinely mention concepts defined elsewhere; each is
@@ -46,13 +52,11 @@ from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
-from .parser import ParseResult, parse_database
-from .terms import (AKO, EVENT_PREDICATES, FIELDS, STRUCTURAL, Assertion, ObjectBlock,
-                    goto_target, malformed, term_symbols)
+from .parser import ParseResult, _parse_database
+from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
+                    ObjectBlock, goto_target, malformed, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
-# the census column of each field attribute; every other field counts as "other"
-_CENSUS_COLUMN = {"events": 0, "roles": 1, "places": 2}
 
 
 @contextmanager
@@ -75,9 +79,10 @@ def instance_base(name: str) -> str | None:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; undecodable bytes raise a KbError naming the file."""
+    """A UTF-8 file's text, without the byte-order mark it may open with;
+    undecodable bytes raise a KbError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise KbError(f"{path}: {e}") from e
 
@@ -179,10 +184,13 @@ class KnowledgeBase:
 
     @classmethod
     def from_texts(cls, named_texts) -> "KnowledgeBase":
-        """Build a base from (name, text) pairs, merged in order."""
+        """Build a base from (name, text) pairs, merged in order.  The files
+        share one set of token tables, so a token is classified once per
+        load, not once per file."""
         kb = cls()
+        tables = ({}, {}, {})  # predicates, symbol arguments, na and measures
         with collector_paused():
-            kb._assemble([parse_database(text, filename=str(name))
+            kb._assemble([_parse_database(text, str(name), None, *tables)
                           for name, text in named_texts])
         return kb
 
@@ -241,39 +249,44 @@ class KnowledgeBase:
 
         # one pass over the assertions: ako links (from anywhere in the files),
         # each subject's field assertions and census counts, and the first goto
-        # of each script's event group
+        # of each script's event group; a field's argument type and census
+        # column come from its predicate's FIELDS entry
         ako_parents: dict[str, list[str]] = {}
+        field_assertions = self._field_assertions
         counts: dict[str, list[int]] = {}  # subject -> [events, roles, places, other]
         gotos: dict[tuple[str, int], tuple[int, str, int]] = {}  # -> target, file, line
         for block in self.blocks:
             file = block.file
             # parsed blocks hold one line per assertion
             for a, line in zip(block.assertions, block.assertion_lines):
-                if not (a.args and isinstance(a.args[0], str)):
+                args = a.args
+                if not (args and isinstance(args[0], str)):
                     continue
-                subject = a.args[0]
+                subject = args[0]
                 spec = FIELDS.get(a.predicate)
                 if spec is not None:
-                    problem = malformed(a, spec)
-                    if problem:
+                    if len(args) < 2 or not isinstance(args[1], spec.arg_type):
                         self.diagnostics.append(Diagnostic(
-                            file, line, 1, ERROR, "MalformedField", problem))
+                            file, line, 1, ERROR, "MalformedField", malformed(a, spec)))
                         continue
                     # a malformed field is left out of the view, so it is not counted
                     # and a malformed event makes no script
                     own = counts.get(subject)
                     if own is None:
                         own = counts[subject] = [0, 0, 0, 0]
-                        self._field_assertions[subject] = [a]
+                        field_assertions[subject] = [a]
                     else:
-                        self._field_assertions[subject].append(a)
-                    own[_CENSUS_COLUMN.get(spec.attr, 3)] += 1
-                    if spec.attr == "events":
-                        target = goto_target(a.args[1])
+                        field_assertions[subject].append(a)
+                    own[spec.column] += 1
+                    event = args[1]
+                    # only a [goto ...] event can restart a timeline
+                    if spec.attr == "events" and isinstance(event, Assertion) \
+                            and event.predicate == GOTO:
+                        target = goto_target(event)
                         if target is not None:
                             gotos.setdefault((subject, spec.index), (target, file, line))
                 elif a.predicate == AKO:
-                    for parent in a.args[1:]:
+                    for parent in args[1:]:
                         if isinstance(parent, str):
                             ako_parents.setdefault(subject, []).append(parent)
                         else:
@@ -331,9 +344,8 @@ class KnowledgeBase:
         ontology.resolve()
 
         for block in self.blocks:
-            for lang, phrases in block.lexicon:
-                for phrase in phrases:
-                    ontology.link_lexeme(phrase, lang, block.concept)
+            if block.lexicon:
+                ontology.link_lexicon(block.concept, block.lexicon)
 
 
 def load(paths) -> KnowledgeBase:

@@ -166,23 +166,35 @@ class Ontology:
 
     def link_lexeme(self, phrase: str, language, concept: str) -> None:
         """Attach a phrase to a concept; repeated links are no-ops."""
+        self.link_lexicon(concept, ((language, (phrase,)),))
+
+    def link_lexicon(self, concept: str, sections) -> None:
+        """Attach each ``(language, phrases)`` section's phrases to a concept,
+        in order, as one ``link_lexeme`` call per phrase would: the concept is
+        checked once, and each section's language and tables are resolved
+        once.  A block's lexicon is such a list of sections."""
         self._require(concept)
-        lang = as_language(language)
-        key = _normalize_phrase(phrase)
-        if key == phrase:
-            key = phrase  # the table shares the block's string, not an equal copy
-        by_phrase = self._by_phrase[lang]
-        concepts = by_phrase.get(key, ())
-        if concept not in concepts:
-            by_phrase[key] = concepts + (concept,)
-        words = key.split()
-        if words:
-            reach = self._reach[lang]
-            reach[words[0]] = max(reach.get(words[0], 0), len(words))
-        by_concept = self._by_concept[lang]
-        phrases = by_concept.get(concept, ())
-        if phrase not in phrases:
-            by_concept[concept] = phrases + (phrase,)
+        for language, phrases in sections:
+            lang = as_language(language)
+            by_phrase, reach = self._by_phrase[lang], self._reach[lang]
+            by_concept = self._by_concept[lang]
+            linked = own = by_concept.get(concept, ())
+            for phrase in phrases:
+                # the lookup key; the table shares the block's string when
+                # normalizing leaves it unchanged, not an equal copy
+                first = phrase[:1]
+                lower = first.lower()
+                key = phrase if lower == first else lower + phrase[1:]
+                concepts = by_phrase.get(key, ())
+                if concept not in concepts:
+                    by_phrase[key] = concepts + (concept,)
+                words = key.split()
+                if words and reach.get(words[0], 0) < len(words):
+                    reach[words[0]] = len(words)
+                if phrase not in own:
+                    own += (phrase,)
+            if own is not linked:
+                by_concept[concept] = own
 
     def lookup_phrase(self, phrase: str, language) -> tuple[str, ...]:
         return self._by_phrase[as_language(language)].get(_normalize_phrase(phrase), ())

@@ -251,15 +251,24 @@ def parse_database(text: str, *, filename: str = "<kb>",
     ``default_concept`` lets headerless listings be ingested: lines before
     the first ``Object`` header are attributed to that concept.
     """
+    # fresh token tables (predicates, symbol arguments, na and measures), so
+    # each distinct token is classified once per call; a load passes one set
+    # to all its files, so there a token is classified once per load
+    return _parse_database(text, filename, default_concept, {}, {}, {})
+
+
+def _parse_database(text, filename, default_concept, predicates, atoms,
+                    values) -> ParseResult:
+    """``parse_database`` with the token tables ``_parse_assertion`` reads
+    and extends.  ``KnowledgeBase.from_texts`` passes one set of tables to
+    every file it parses, so a token the files share is classified in the
+    first file that holds it.  A token that fails to classify is never
+    stored, so each file still reports it at its own position."""
     text = html.unescape(text)
     lines = text.split("\n")
     if "\r" in text:
         lines = [ln.rstrip("\r") for ln in lines]
     result = ParseResult()
-    # each distinct predicate and argument token is classified once per call
-    predicates: dict[str, str] = {}
-    atoms: dict[str, str] = {}
-    values: dict[str, object] = {}
 
     current: ObjectBlock | None = None
     current_ok = True
@@ -376,7 +385,9 @@ def _parse_lexicon_line(text, block, lineno, err) -> bool:
             err(lineno, 1, "UnknownLanguage", f"unknown language {lang_name!r}")
             ok = False
             continue
-        phrases = tuple(p.strip() for p in body.split(",") if p.strip())
+        # each run of whitespace inside a phrase becomes one space, the way
+        # activation joins the words of a text
+        phrases = tuple(filter(None, map(str.strip, " ".join(body.split()).split(","))))
         block.lexicon.append((lang, phrases))
     return ok
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import MalformedNumber
 from .ontology import Language
@@ -154,15 +154,29 @@ GOTO = "goto"  # the [goto eventNN-of] pseudo-event that restarts a timeline
 
 CONCEPT, MEASURE, TERM = "concept", "measure", "term"  # argument shapes
 _SHAPE_TYPES = {CONCEPT: str, MEASURE: Measure, TERM: object}
+# the census column of each field attribute; every other field counts as "other"
+_CENSUS_COLUMNS = {"events": 0, "roles": 1, "places": 2}
 
 
-class Field(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Field:
     """What a field predicate fills: a ``Script`` attribute, the ``NN`` of a
-    numbered predicate (None otherwise), and the argument shape it needs."""
+    numbered predicate (None otherwise), and the argument shape it needs.
+
+    Two facts follow from these, kept so that loading reads each from the
+    predicate's one entry: ``arg_type``, the class every argument of that
+    shape is an instance of, and ``column``, the census column the field
+    counts in (events, roles, places, then 3 for every other field)."""
 
     attr: str
     index: int | None
     shape: str
+    arg_type: type = field(init=False, repr=False, compare=False)
+    column: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "arg_type", _SHAPE_TYPES[self.shape])
+        object.__setattr__(self, "column", _CENSUS_COLUMNS.get(self.attr, 3))
 
 
 FIELDS: dict[str, Field] = {
@@ -194,8 +208,7 @@ def malformed(a: Assertion, spec: Field | None = None) -> str | None:
     that has looked it up already."""
     if spec is None:
         spec = FIELDS.get(a.predicate)
-    if spec is None or (len(a.args) > 1
-                        and isinstance(a.args[1], _SHAPE_TYPES[spec.shape])):
+    if spec is None or (len(a.args) > 1 and isinstance(a.args[1], spec.arg_type)):
         return None
     return f"{a.args[0]}: {a.predicate} needs a {spec.shape} argument"
 

@@ -649,3 +649,79 @@ def run_on_malformed_field_bases(check, texts, cases=100, seed=20260808):
     """``check(kb)`` on every base with wrong-shaped field arguments."""
     for mutated in _malformed_fields(texts, cases, seed):
         check(KnowledgeBase.from_texts([("m", mutated)]))
+
+
+def as_two_files(text):
+    """A text cut into two named files at the first block header past its
+    middle (the second file is empty when there is none), so that the files
+    share the symbols of one fixture."""
+    cut = text.find("\nObject ", len(text) // 2)
+    cut = cut + 1 if cut >= 0 else len(text)
+    return [("m1", text[:cut]), ("m2", text[cut:])]
+
+
+def reference_lexicon(kb):
+    """Each language's phrase -> concepts, concept -> phrases and first word
+    -> reach tables of the base's blocks, linked one phrase at a time as
+    ``Ontology.link_lexeme`` did before a block's lexicon was linked in one
+    call."""
+    tables = {lang: ({}, {}, {}) for lang in Language}
+    for block in kb.blocks:
+        concept = block.concept
+        for lang, phrases in block.lexicon:
+            by_phrase, by_concept, reach = tables[lang]
+            for phrase in phrases:
+                key = phrase[:1].lower() + phrase[1:]
+                concepts = by_phrase.get(key, ())
+                if concept not in concepts:
+                    by_phrase[key] = concepts + (concept,)
+                words = key.split()
+                if words:
+                    reach[words[0]] = max(reach.get(words[0], 0), len(words))
+                linked = by_concept.get(concept, ())
+                if phrase not in linked:
+                    by_concept[concept] = linked + (phrase,)
+    return tables
+
+
+def assert_lexicon_matches_reference(kb):
+    onto = kb.ontology
+    for lang, (by_phrase, by_concept, reach) in reference_lexicon(kb).items():
+        for phrase, concepts in by_phrase.items():
+            assert onto.lookup_phrase(phrase, lang) == concepts, (lang, phrase)
+        for word, n in reach.items():
+            assert onto.phrase_reach(word, lang) == n, (lang, word)
+        for concept in onto.concepts():
+            assert onto.lexemes_of(concept, lang) == list(by_concept.get(concept, ()))
+        # and nothing more is linked
+        assert len(onto._by_phrase[lang]) == len(by_phrase)
+        assert len(onto._reach[lang]) == len(reach)
+        assert len(onto._by_concept[lang]) == len(by_concept)
+
+
+def run_load_matches_fresh_tables(named_texts):
+    """Loading files through one set of token tables gives what assembling
+    the files parsed one by one, each with fresh tables, gives: the same
+    loader diagnostics in order, blocks, concepts in order and their parents,
+    field assertions and census, and a lexicon equal to one linked phrase by
+    phrase.  A hierarchy cycle raises the same error on both."""
+    want, cycle = KnowledgeBase(), None
+    try:
+        want._assemble([parse_database(text, filename=name) for name, text in named_texts])
+    except CycleDetected as e:
+        cycle = str(e)
+    try:
+        kb = KnowledgeBase.from_texts(named_texts)
+    except CycleDetected as e:
+        assert str(e) == cycle
+        return
+    assert cycle is None
+    assert kb.diagnostics == want.diagnostics
+    assert [(b, b.file, b.line, b.assertion_lines) for b in kb.blocks] \
+        == [(b, b.file, b.line, b.assertion_lines) for b in want.blocks]
+    onto = kb.ontology
+    assert list(onto.concepts()) == list(want.ontology.concepts())
+    assert all(onto.parents(c) == want.ontology.parents(c) for c in onto.concepts())
+    assert list(kb._field_assertions.items()) == list(want._field_assertions.items())
+    assert census(kb) == census(want) and kb._census_totals == want._census_totals
+    assert_lexicon_matches_reference(kb)

@@ -388,6 +388,44 @@ def test_non_utf8_load_error_names_the_file(tmp_path):
         assert err.startswith(f"load error: {latin}: 'utf-8' codec can't decode byte 0xff")
 
 
+
+_BOM = "\ufeff".encode("utf-8")
+
+
+def test_a_byte_order_mark_opens_a_kb_file_quietly(tmp_path):
+    bom = tmp_path / "bom.kb"
+    bom.write_bytes(_BOM + b"Object thing\n[English] thing\n[ako ^ concept]\n")
+    code, out, _ = invoke("validate", str(bom))
+    assert code == 0 and "error" not in out
+    # through --kb, a file that opens with a block header
+    scripts = Path(data_path("scripts.kb")).read_text("utf-8")
+    marked = tmp_path / "scripts.kb"
+    marked.write_bytes(_BOM + scripts[scripts.index("Object "):].encode("utf-8"))
+    for command in (["show", "blackout"], ["stats"]):
+        plain = invoke(*kb_flags("core.kb", "scripts.kb"), *command)
+        assert plain[0] == 0 and plain[1]
+        assert invoke("--kb", data_path("core.kb"), "--kb", str(marked), *command) == plain
+
+
+def test_a_byte_order_mark_opens_either_cyc_extract_input(tmp_path):
+    # the first event name is the one a mark would hide: the second rule
+    # grounds nothing, so it gives an Other tuple only for a known event
+    texts = {"rules": "(subEvents Bathing WashingHair)\n(likes BirthdayParty Cake)\n",
+             "events": "BirthdayParty\nBathing\n"}
+    paths = {}
+    for name, text in texts.items():
+        for marked in (False, True):
+            paths[name, marked] = path = tmp_path / f"{name}-{marked}.txt"
+            path.write_bytes((_BOM if marked else b"") + text.encode("utf-8"))
+    plain = invoke("cyc-extract", str(paths["rules", False]),
+                   "--events", str(paths["events", False]))
+    assert plain[0] == 0 and plain[1].startswith(
+        "Bathing:subEvents:WashingHair\nBirthdayParty:Other:other\n")
+    for rules, events in ((True, False), (False, True), (True, True)):
+        assert invoke("cyc-extract", str(paths["rules", rules]),
+                      "--events", str(paths["events", events])) == plain
+
+
 # each command, whether it builds the script index, and whether it builds the
 # site map (assertion positions)
 _LAZY_BUILDS = [

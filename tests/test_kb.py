@@ -1,12 +1,15 @@
 import gc
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 from conftest import collector_state
-from property_checks import _mutations, assertion_line
+from property_checks import (_malformed_fields, _mutations, as_two_files, assertion_line,
+                             run_load_matches_fresh_tables)
 
 from scriptkb import kb as kb_module
+from scriptkb import parser
 from scriptkb.diagnostics import Diagnostic
 from scriptkb.errors import CycleDetected, UnknownConcept
 from scriptkb.kb import KnowledgeBase, collector_paused, instance_base
@@ -333,13 +336,13 @@ _CYCLE = "Object a\n[ako ^ b]\n\nObject b\n[ako ^ a]\n"
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("text", ["Object a\n[ako ^ b]\n", _CYCLE])
 def test_loading_pauses_the_collector_and_restores_its_state(monkeypatch, enabled, text):
-    during, original = [], kb_module.parse_database
+    during, original = [], kb_module._parse_database
 
     def parse(*args, **kwargs):
         during.append(gc.isenabled())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kb_module, "parse_database", parse)
+    monkeypatch.setattr(kb_module, "_parse_database", parse)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -372,3 +375,101 @@ def test_a_collector_pause_ends_when_its_block_raises(enabled):
             with collector_paused():
                 raise ValueError("in the block")
         assert gc.isenabled() is enabled
+
+
+# -- one set of token tables per load --------------------------------------------
+
+_SHARING = [
+    ("a.kb", "Object walk-dog\n[role01-of ^ human]\n[role02-of ^ dog]\n"
+             "[event01-of ^ [leash human dog]]\n[duration-of ^ NUMBER:second:600]\n"
+             "[emotion-of ^ na]\n"),
+    ("b.kb", "Object feed-dog\n[role01-of ^ human]\n[role02-of ^ dog]\n"
+             "[event01-of ^ [leash human dog]]\n[event02-of ^ [pour human kibble]]\n"
+             "[duration-of ^ NUMBER:second:600]\n[emotion-of ^ na]\n"),
+]
+
+
+def test_a_load_classifies_each_token_once(monkeypatch):
+    classified, checked = Counter(), Counter()
+    classify, symbol = parser._classify_atom, parser.is_symbol
+
+    def counted_classify(token):
+        classified[token] += 1
+        return classify(token)
+
+    def counted_symbol(token):
+        checked[token] += 1
+        return symbol(token)
+
+    monkeypatch.setattr(parser, "_classify_atom", counted_classify)
+    monkeypatch.setattr(parser, "is_symbol", counted_symbol)
+    kb = KnowledgeBase.from_texts(_SHARING)
+    assert not [d for d in kb.diagnostics if d.severity == "error"]
+    # arguments: symbols, na and a measure, each classified in the first file only
+    assert classified == dict.fromkeys(
+        ["human", "dog", "NUMBER:second:600", "na", "kibble"], 1)
+    # predicates and headers are checked once each, and symbol arguments once
+    # while they are classified
+    assert set(checked.values()) == {1}
+    assert {"role01-of", "leash", "pour", "human"} <= set(checked)
+
+
+def test_a_load_matches_per_file_parses_with_fresh_tables(core_text, scripts_text, demo_text,
+                                                          bench_texts):
+    run_load_matches_fresh_tables(_SHARING)
+    run_load_matches_fresh_tables(
+        [("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)])
+    run_load_matches_fresh_tables(bench_texts)
+
+
+def test_a_load_matches_per_file_parses_on_mutated_bases(core_text, scripts_text, demo_text):
+    # each mutated fixture is cut in two files that share its symbols
+    for text in _mutations([core_text, scripts_text, demo_text], 1000, 20260808):
+        run_load_matches_fresh_tables(as_two_files(text))
+
+
+def test_a_load_matches_per_file_parses_on_malformed_field_bases(scripts_text, demo_text):
+    for text in _malformed_fields([scripts_text, demo_text], 100, 20260808):
+        run_load_matches_fresh_tables(as_two_files(text))
+
+
+def test_a_bad_token_in_two_files_is_reported_in_each():
+    named = [("a.kb", "Object a\n[likes ^ Bad]\n"),
+             ("b.kb", "; a comment\nObject b\n[likes ^ x]\n[likes x\n   Bad]\n")]
+    kb = KnowledgeBase.from_texts(named)
+    assert [d.render() for d in kb.diagnostics if d.severity == "error"] == [
+        "a.kb:2:10: error: invalid token 'Bad'", "b.kb:5:4: error: invalid token 'Bad'"]
+    run_load_matches_fresh_tables(named)
+
+
+def test_a_token_is_classified_by_its_place_in_each_file():
+    # a predicate in one file, an argument in the other: a symbol, then a
+    # measure of the wrong shape for a role, and a number too large for a
+    # decimal, then a bad measure
+    big = "1e99999999999999999999999999in"
+    named = [("a.kb", f"Object a\n[5in ^ x]\n[{big} ^]\n"),
+             ("b.kb", f"Object b\n[role01-of ^ 5in]\n\nObject c\n[p ^ {big}]\n")]
+    kb = KnowledgeBase.from_texts(named)
+    assert kb.blocks[0].assertions == [Assertion("5in", ("a", "x")), Assertion(big, ("a",))]
+    assert [(d.file, d.line, d.col, d.code) for d in kb.diagnostics if d.severity == "error"] \
+        == [("b.kb", 5, 6, "MalformedNumber"), ("b.kb", 2, 1, "MalformedField")]
+    assert "5in" in kb.ontology and "c" not in kb.ontology
+    run_load_matches_fresh_tables(named)
+
+
+def test_a_block_repeated_in_another_file_appends_its_assertions():
+    named = [("a.kb", "Object s\n[role01-of ^ human]\n[event01-of ^ [wake human]]\n"),
+             ("b.kb", "Object t\n[ako ^ s]\n\nObject s\n[event02-of ^ [wake human]]\n"
+                      "[role02-of ^ alarm]\n")]
+    kb = KnowledgeBase.from_texts(named)
+    assert [(b.concept, b.file) for b in kb.blocks] == [("s", "a.kb"), ("s", "b.kb"),
+                                                       ("t", "b.kb")]
+    assert [d.render() for d in kb.diagnostics] == [
+        "b.kb:4:1: warning: duplicate Object block for 's'; assertions appended",
+        "a.kb:2:1: warning: undeclared concept 'human' registered under 'concept'",
+        "a.kb:3:1: warning: undeclared concept 'wake' registered under 'concept'",
+        "b.kb:6:1: warning: undeclared concept 'alarm' registered under 'concept'"]
+    assert [a.render() for a in kb._field_assertions["s"]] == [
+        "[role01-of s human]", "[event01-of s [wake human]]", "[event02-of s [wake human]]",
+        "[role02-of s alarm]"]
+    run_load_matches_fresh_tables(named)

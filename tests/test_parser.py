@@ -293,6 +293,20 @@ def test_multiline_lexicon_continuation():
     ]
 
 
+
+def test_a_lexicon_phrase_keeps_one_space_between_its_words():
+    text = ("Object outage\n"
+            "[English] power  failure, dark\ttime ,  ;[French]  panne   de\u00a0courant\n")
+    result = parse_database(text)
+    assert result.diagnostics == []
+    assert result.blocks[0].lexicon == [
+        (Language.ENGLISH, ("power failure", "dark time")),
+        (Language.FRENCH, ("panne de courant",)),
+    ]
+    again = serialize(result.blocks)
+    assert "[English] power failure, dark time\n" in again
+    assert parse_database(again).blocks == result.blocks
+
 def test_unknown_language_rejects_block():
     result = parse_database("Object thing\n[Klingon] qapla\n[ako ^ concept]\n")
     assert result.blocks == []

@@ -1,6 +1,7 @@
 import pytest
 from property_checks import plain_twin, run_record_matches_twin
 
+from scriptkb.kb import KnowledgeBase
 from scriptkb.recognizer import (
     Activation,
     ActivationSet,
@@ -22,6 +23,16 @@ def concepts(kb, text):
 def test_shampoo_sentence_activates_both(kb):
     assert concepts(kb, "John poured shampoo on his hair.") == ("shampoo", "hair")
 
+
+
+def test_a_phrase_written_with_a_run_of_whitespace_activates():
+    kb = KnowledgeBase.from_texts([("t", "Object outage\n"
+                                         "[English] power  failure, dark\ttime\n")])
+    assert kb.ontology.lexemes_of("outage", "English") == ["power failure", "dark time"]
+    for text in ("power  failure", "power failure", "It was dark\ttime."):
+        assert concepts(kb, text) == ("outage",), text
+    assert [(a.surface, a.phrase) for a in activate("a dark  time", kb).items] == [
+        ("dark  time", "dark time")]
 
 def test_empty_text(kb):
     acts = activate("", kb)
