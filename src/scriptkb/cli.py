@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -161,7 +162,8 @@ def _run(argv, out, out_err) -> int:
         print(f"error: {e}", file=out_err)
         return 3
     if args.json:
-        print(json.dumps(_json(payload), indent=2, sort_keys=True, ensure_ascii=False), file=out)
+        print(json.dumps(_json(payload), indent=2, sort_keys=True, ensure_ascii=False,
+                         allow_nan=False), file=out)
         return code
     if isinstance(payload, Answer):
         out_err.writelines(f"note: {note}\n" for note in payload.notes)
@@ -348,7 +350,10 @@ def _json(value):
     if isinstance(value, Assertion):
         return {"predicate": value.predicate, "args": _json(value.args)}
     if isinstance(value, Measure):
-        return {"unit": value.unit, "value": value.value, "text": value.text}
+        # a float too large for a double has no JSON number; text keeps its digits
+        number = value.value
+        return {"unit": value.unit, "value": number if math.isfinite(number) else None,
+                "text": value.text}
     if isinstance(value, NaType):
         return "na"
     if isinstance(value, EventGroup):

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import UnbalancedParen
+from .errors import StrayAtom, UnbalancedParen
 
 Sexp = Union[str, list]
 
@@ -59,13 +59,16 @@ def _pos(text: str, idx: int) -> tuple[int, int]:
     return text.count("\n", 0, idx) + 1, idx - text.rfind("\n", 0, idx)
 
 
-def parse_forms(text: str) -> list[Sexp]:
-    """Parse all top-level s-expressions; ``;`` starts a line comment."""
+def parse_forms(text: str) -> list[list]:
+    """Parse all top-level s-expressions; ``;`` starts a line comment.  Every
+    top-level form is a list: an atom outside any form raises ``StrayAtom``."""
     forms: list[Sexp] = []
     stack = [forms]  # the top level, then every open list, innermost last
     for m in _TOKEN_RE.finditer(text):
         paren, atom = m.groups()
         if atom:
+            if len(stack) == 1:
+                raise StrayAtom(f"atom {atom!r} outside any form", *_pos(text, m.start()))
             stack[-1].append(atom)
         elif paren == "(":
             if len(stack) == 1:

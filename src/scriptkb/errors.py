@@ -101,3 +101,7 @@ class EmptyDatabase(KbError):
 # rule extraction
 class UnbalancedParen(PositionedError):
     pass
+
+
+class StrayAtom(PositionedError):
+    """An atom outside any parenthesized form."""

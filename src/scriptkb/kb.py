@@ -190,7 +190,7 @@ class KnowledgeBase:
         kb = cls()
         tables = ({}, {}, {})  # predicates, symbol arguments, na and measures
         with collector_paused():
-            kb._assemble([_parse_database(text, str(name), None, *tables)
+            kb._assemble([_parse_database(text, str(name), *tables)
                           for name, text in named_texts])
         return kb
 

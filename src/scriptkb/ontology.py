@@ -124,43 +124,26 @@ class Ontology:
         return self._parents[name]
 
     def is_a(self, a: str, b: str) -> bool:
-        """True when ``b`` is reachable from ``a`` over zero or more parent links."""
+        """True when ``b`` is ``a`` or one of its ancestors."""
         self._require(a)
         self._require(b)
-        if a == b:
-            return True
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for p in self._parents[node]:
-                    if p == b:
-                        return True
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return False
+        return a == b or b in self.ancestors(a)
 
-    def ancestors(self, name: str, max_depth: int | None = None) -> list[str]:
-        """Proper ancestors of ``name``, breadth-first, nearest first, deduplicated."""
+    def ancestors(self, name: str) -> list[str]:
+        """Proper ancestors of ``name``, breadth-first, nearest first,
+        deduplicated: the one hierarchy walk, which every other hierarchy
+        question reads by membership.  A FIFO queue visits the nodes in level
+        order."""
         self._require(name)
-        out: list[str] = []
+        parents = self._parents
+        queue = [name]
         seen = {name}
-        frontier = [name]
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            nxt = []
-            for node in frontier:
-                for p in self._parents[node]:
-                    if p not in seen:
-                        seen.add(p)
-                        out.append(p)
-                        nxt.append(p)
-            frontier = nxt
-        return out
+        for node in queue:
+            for p in parents[node]:
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        return queue[1:]
 
     # -- lexicon -------------------------------------------------------------
 

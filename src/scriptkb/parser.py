@@ -244,21 +244,17 @@ class ParseResult:
         default_factory=list)
 
 
-def parse_database(text: str, *, filename: str = "<kb>",
-                   default_concept: str | None = None) -> ParseResult:
-    """Parse a whole knowledge-base document.
-
-    ``default_concept`` lets headerless listings be ingested: lines before
-    the first ``Object`` header are attributed to that concept.
-    """
+def parse_database(text: str, *, filename: str = "<kb>") -> ParseResult:
+    """Parse a whole knowledge-base document.  A lexicon line or an
+    assertion before the first ``Object`` header is an ``OrphanContent``
+    error."""
     # fresh token tables (predicates, symbol arguments, na and measures), so
     # each distinct token is classified once per call; a load passes one set
     # to all its files, so there a token is classified once per load
-    return _parse_database(text, filename, default_concept, {}, {}, {})
+    return _parse_database(text, filename, {}, {}, {})
 
 
-def _parse_database(text, filename, default_concept, predicates, atoms,
-                    values) -> ParseResult:
+def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
     """``parse_database`` with the token tables ``_parse_assertion`` reads
     and extends.  ``KnowledgeBase.from_texts`` passes one set of tables to
     every file it parses, so a token the files share is classified in the
@@ -273,9 +269,6 @@ def _parse_database(text, filename, default_concept, predicates, atoms,
     current: ObjectBlock | None = None
     current_ok = True
     mentions: dict[str, int] = {}  # the current block's first mentions, so far
-    default_block: ObjectBlock | None = None
-    if default_concept is not None:
-        current = default_block = ObjectBlock(default_concept, line=1, file=filename)
 
     def err(lineno, col, code, message):
         result.diagnostics.append(Diagnostic(filename, lineno, col, ERROR, code, message))
@@ -283,11 +276,8 @@ def _parse_database(text, filename, default_concept, predicates, atoms,
     def finish():
         nonlocal current, current_ok
         if current is not None and current_ok:
-            # an unused implicit block (headerless ingestion) is not emitted
-            if not (current is default_block and not current.lexicon
-                    and not current.assertions):
-                result.blocks.append(current)
-                result.first_mentions.append((tuple(mentions), tuple(mentions.values())))
+            result.blocks.append(current)
+            result.first_mentions.append((tuple(mentions), tuple(mentions.values())))
         current = None
         current_ok = True
         mentions.clear()

@@ -123,13 +123,12 @@ class RecognitionResult:
 
 
 def score_scripts(activations: ActivationSet, kb: KnowledgeBase, *,
-                  generalization: bool = True,
-                  max_hops: int | None = None) -> list[RecognitionResult]:
+                  generalization: bool = True) -> list[RecognitionResult]:
     """Rank scripts by how many distinct activated concepts they mention.
 
     A concept supports a script when it is in the script's mention set or,
-    with generalization on, when some mentioned concept is an ancestor of
-    it (``max_hops`` caps the climb).  Each supporting concept is worth
+    with generalization on, when some mentioned concept is one of its
+    ancestors, however many links up.  Each supporting concept is worth
     1.0; zero-scoring scripts are omitted.  Sorted by score descending,
     then script name.
     """
@@ -141,7 +140,7 @@ def score_scripts(activations: ActivationSet, kb: KnowledgeBase, *,
     for concept in concepts:
         scripts = set(by_mention.get(concept, ()))
         if generalization:
-            for name in kb.ontology.ancestors(concept, max_depth=max_hops):
+            for name in kb.ontology.ancestors(concept):
                 scripts.update(by_mention.get(name, ()))
         for script in scripts:
             evidence.setdefault(script, []).append(concept)

@@ -171,17 +171,19 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
     the base holds no assertion about the script.
     """
     sites = kb.sites_about(script.concept)
+    filled: dict[tuple, list] = {}  # (attr, NN) -> the field's sites, in file order
+    for site in sites:
+        spec = FIELDS.get(site[0].predicate)
+        if spec:
+            filled.setdefault((spec.attr, spec.index), []).append(site)
     out: list[Diagnostic] = []
 
     def report(severity, code, message, attr=None, index=None, value=None):
         # at the first assertion filling the given field, else the script's first
-        position = (sites[0][1], sites[0][2], 1) if sites else ("<script>", 0, 0)
-        for a, file, line in sites:
-            spec = FIELDS.get(a.predicate)
-            if spec and spec.attr == attr and index in (None, spec.index) \
-                    and (value is None or value in a.args[1:2]):
-                position = (file, line, 1)
-                break
+        at = next((site for site in filled.get((attr, index), ())
+                   if value is None or value in site[0].args[1:2]),
+                  sites[0] if sites else None)
+        position = (at[1], at[2], 1) if at else ("<script>", 0, 0)
         out.append(Diagnostic(*position, severity, code, message))
 
     indices = list(script.roles)
@@ -218,43 +220,36 @@ def validate(kb: KnowledgeBase, script: Script) -> list[Diagnostic]:
                f"cost must not be negative, got {script.cost.text}", "cost")
 
     # roles, role scripts and measures keep their first value
-    repeats: dict[str, list[tuple[str, int]]] = {}
-    for a, file, line in sites:
-        spec = FIELDS.get(a.predicate)
-        if spec and spec.attr != "events" \
-                and (spec.index is not None or spec.shape == MEASURE):
-            repeats.setdefault(a.predicate, []).append((file, line))
-    for pred, places in repeats.items():
-        if len(places) > 1:
-            file, line = places[1]
+    for (attr, index), given in filled.items():
+        pred = given[0][0].predicate
+        if len(given) > 1 and attr != "events" \
+                and (index is not None or FIELDS[pred].shape == MEASURE):
+            _, file, line = given[1]
             out.append(Diagnostic(file, line, 1, WARNING, "DuplicateField",
-                                  f"{pred} given {len(places)} times; first wins"))
+                                  f"{pred} given {len(given)} times; first wins"))
 
-    # an event may name the script's places as well as its roles
-    related = set(script.roles.values()) | set(script.places)
-    flagged: set[str] = set()
+    # an event may name the script's places as well as its roles, or a more
+    # general or more specific concept than one of them
+    onto = kb.ontology
+    related = {c for c in (*script.roles.values(), *script.places) if c in onto}
+    up = related.union(*map(onto.ancestors, related))
+    checked: set[str] = set()
     for g in script.events:
         for term in g.events:
             if not isinstance(term, Assertion) or goto_target(term) is not None:
                 continue
             for name in term_symbols(term, include_predicates=False):
-                if name not in flagged and not _role_related(kb, name, related):
-                    flagged.add(name)
-                    report(INFO, "EventArgOutsideRoles",
-                           f"event argument {name!r} names no declared role "
-                           f"concept (nor an ancestor or descendant of one)",
-                           "events", g.index, term)
+                if name in checked:
+                    continue
+                checked.add(name)
+                if name in onto and (
+                        name in up or not related.isdisjoint(onto.ancestors(name))):
+                    continue
+                report(INFO, "EventArgOutsideRoles",
+                       f"event argument {name!r} names no declared role "
+                       f"concept (nor an ancestor or descendant of one)",
+                       "events", g.index, term)
     return out
-
-
-def _role_related(kb: KnowledgeBase, name: str, related: set[str]) -> bool:
-    if name not in kb.ontology:
-        return False
-    for rc in related:
-        if rc in kb.ontology and (
-                kb.ontology.is_a(name, rc) or kb.ontology.is_a(rc, name)):
-            return True
-    return False
 
 
 _INHERITABLE = {"duration", "period", "cost", "places"}

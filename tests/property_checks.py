@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple, field, fields, make_dataclass, replace
 
-from scriptkb.diagnostics import has_errors
+from scriptkb.diagnostics import ERROR, INFO, WARNING, Diagnostic, has_errors
 from scriptkb.errors import CycleDetected, EmptyDatabase, MalformedHeader, UnknownConcept
 from scriptkb.grid import parse_grid
 from scriptkb.kb import KnowledgeBase, instance_base
@@ -81,6 +81,31 @@ def run_isa_closure(cases=1000, seed=20260808):
         assert a not in anc
         assert len(anc) == len(set(anc))
         assert set(anc) == closure(a)
+        # and in the frontier walk's order, on every node
+        run_ancestors_match_reference(onto)
+
+
+def reference_ancestors(onto, name):
+    """Proper ancestors as the frontier walk gave them: one list per level,
+    each node's parents in order, each ancestor where it is first met."""
+    out, seen, frontier = [], {name}, [name]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for p in onto.parents(node):
+                if p not in seen:
+                    seen.add(p)
+                    out.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return out
+
+
+def run_ancestors_match_reference(onto):
+    """``ancestors`` of every concept equals ``reference_ancestors``, order
+    included."""
+    for name in onto.concepts():
+        assert onto.ancestors(name) == reference_ancestors(onto, name), name
 
 
 def run_recognizer_properties(kb, cases=1000, seed=20260808):
@@ -120,7 +145,7 @@ def run_recognizer_properties(kb, cases=1000, seed=20260808):
         assert {r.script: (r.score, r.evidence) for r in exact} == expected
 
 
-def reference_score_scripts(activations, kb, *, generalization=True, max_hops=None):
+def reference_score_scripts(activations, kb, *, generalization=True):
     """``score_scripts`` as it ranked before score buckets: each script's
     evidence gathered from a set per concept, then one sort of the results on
     a ``(-score, name)`` key."""
@@ -128,7 +153,7 @@ def reference_score_scripts(activations, kb, *, generalization=True, max_hops=No
     for concept in activations.concepts():
         names = [concept]
         if generalization:
-            names += kb.ontology.ancestors(concept, max_depth=max_hops)
+            names += kb.ontology.ancestors(concept)
         for script in {s for name in names for s in kb.index.by_mention.get(name, ())}:
             evidence.setdefault(script, []).append(concept)
     results = [RecognitionResult(s, float(len(e)), tuple(e)) for s, e in evidence.items()]
@@ -138,10 +163,10 @@ def reference_score_scripts(activations, kb, *, generalization=True, max_hops=No
 
 def run_scores_match_reference(kb, cases=300, seed=20260808):
     """``score_scripts`` equals ``reference_score_scripts`` exactly (order,
-    float scores, evidence tuples) with generalization on and off and
-    ``max_hops`` None, 0, 1 and 2, on random sets of 1-6 activations: drawn
-    from every concept, drawn with repeats from a few, or drawn from the
-    descendants of one concept, so that they share ancestors."""
+    float scores, evidence tuples) with generalization on and off, on random
+    sets of 1-6 activations: drawn from every concept, drawn with repeats
+    from a few, or drawn from the descendants of one concept, so that they
+    share ancestors."""
     rng = random.Random(seed)
     onto = kb.ontology
     pool = sorted(onto.concepts())
@@ -163,13 +188,9 @@ def run_scores_match_reference(kb, cases=300, seed=20260808):
         acts = ActivationSet(tuple(
             Activation(c, i, i + 1, c, c) for i, c in enumerate(chosen)))
         for generalization in (True, False):
-            for max_hops in (None, 0, 1, 2):
-                got = score_scripts(acts, kb, generalization=generalization,
-                                    max_hops=max_hops)
-                want = reference_score_scripts(acts, kb, generalization=generalization,
-                                               max_hops=max_hops)
-                assert got == want and repr(got) == repr(want), \
-                    (chosen, generalization, max_hops)
+            got = score_scripts(acts, kb, generalization=generalization)
+            want = reference_score_scripts(acts, kb, generalization=generalization)
+            assert got == want and repr(got) == repr(want), (chosen, generalization)
 
 
 def plain_twin(cls, **namespace):
@@ -563,6 +584,111 @@ def reference_build_script(kb, concept):
     script.events = tuple(
         EventGroup(i, tuple(groups[i]), gotos.get(i)) for i in sorted(groups))
     return script
+
+
+def reference_is_a(onto, a, b):
+    """Whether ``b`` is ``a`` or reachable from it over parent links, by a
+    walk of its own that stops at ``b``."""
+    seen, stack = {a}, [a]
+    while stack:
+        node = stack.pop()
+        if node == b:
+            return True
+        for p in onto.parents(node):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return False
+
+
+def reference_validate(kb, script):
+    """``validate`` as it checked a script before one hierarchy walk: each
+    diagnostic placed by a scan of every site, repeated fields counted in a
+    second pass, and each event argument tested against every related
+    concept with two reachability walks."""
+    onto = kb.ontology
+    sites = kb.sites_about(script.concept)
+    out = []
+
+    def report(severity, code, message, attr=None, index=None, value=None):
+        position = (sites[0][1], sites[0][2], 1) if sites else ("<script>", 0, 0)
+        for a, file, line in sites:
+            spec = FIELDS.get(a.predicate)
+            if spec and spec.attr == attr and index in (None, spec.index) \
+                    and (value is None or value in a.args[1:2]):
+                position = (file, line, 1)
+                break
+        out.append(Diagnostic(*position, severity, code, message))
+
+    indices = list(script.roles)
+    if indices and indices != list(range(1, len(indices) + 1)):
+        report(ERROR, "RoleGap", f"role indices {indices} are not contiguous from 01")
+    for index in script.role_scripts:
+        if index not in script.roles:
+            report(WARNING, "RoleScriptWithoutRole",
+                   f"role{index:02d}-script-of has no matching role",
+                   "role_scripts", index)
+    group_indices = {g.index for g in script.events}
+    for g in script.events:
+        if not g.events:
+            report(ERROR, "EmptyEventGroup", f"event group {g.index:02d} is empty")
+        if g.goto_target is not None:
+            goto = next((t for t in g.events if goto_target(t) is not None), None)
+            if g.goto_target not in group_indices:
+                report(ERROR, "BadGotoTarget",
+                       f"goto in group {g.index:02d} targets missing group "
+                       f"{g.goto_target:02d}", "events", g.index, goto)
+            if len(g.events) > 1:
+                report(WARNING, "GotoNotAlone",
+                       f"group {g.index:02d} mixes a goto with other events",
+                       "events", g.index, goto)
+    for label in ("duration", "period"):
+        measure = getattr(script, label)
+        if measure is not None and measure.quantity <= 0:
+            report(ERROR, "NonPositiveMeasure",
+                   f"{label} must be positive, got {measure.text}", label)
+    if script.cost is not None and script.cost.quantity < 0:
+        report(ERROR, "NonPositiveMeasure",
+               f"cost must not be negative, got {script.cost.text}", "cost")
+    repeats = {}
+    for a, file, line in sites:
+        spec = FIELDS.get(a.predicate)
+        if spec and spec.attr != "events" \
+                and (spec.index is not None or spec.shape == MEASURE):
+            repeats.setdefault(a.predicate, []).append((file, line))
+    for pred, places in repeats.items():
+        if len(places) > 1:
+            file, line = places[1]
+            out.append(Diagnostic(file, line, 1, WARNING, "DuplicateField",
+                                  f"{pred} given {len(places)} times; first wins"))
+
+    def role_related(name, related):
+        return name in onto and any(
+            rc in onto and (reference_is_a(onto, name, rc) or reference_is_a(onto, rc, name))
+            for rc in related)
+
+    related = set(script.roles.values()) | set(script.places)
+    flagged = set()
+    for g in script.events:
+        for term in g.events:
+            if not isinstance(term, Assertion) or goto_target(term) is not None:
+                continue
+            for name in term_symbols(term, include_predicates=False):
+                if name not in flagged and not role_related(name, related):
+                    flagged.add(name)
+                    report(INFO, "EventArgOutsideRoles",
+                           f"event argument {name!r} names no declared role "
+                           f"concept (nor an ancestor or descendant of one)",
+                           "events", g.index, term)
+    return out
+
+
+def run_validate_matches_reference(kb):
+    """``validate`` of every script, and of every concept's view, equals
+    ``reference_validate``, order included."""
+    for concept in kb.ontology.concepts():
+        script = build_script(kb, concept)
+        assert validate(kb, script) == reference_validate(kb, script), concept
 
 
 _INHERITABLE = ("places", "duration", "period", "cost")

@@ -277,6 +277,38 @@ def test_cyc_extract_json():
     assert data["summary"]["events"] == 17  # comment lines are not event names
 
 
+def test_cyc_extract_refuses_an_atom_outside_any_form(tmp_path):
+    rules, events = tmp_path / "rules.txt", tmp_path / "events.txt"
+    rules.write_text("BirthdayParty stray words\n(subEvents Bathing WashingHair)\n",
+                     encoding="utf-8")
+    events.write_text("BirthdayParty\n", encoding="utf-8")
+    code, out, err = invoke("cyc-extract", str(rules), "--events", str(events))
+    assert (code, out) == (2, "")
+    assert err == "load error: 1:1: atom 'BirthdayParty' outside any form\n"
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [("show", "hum-along"),
+                                  ("ask", "How long does hum along take?")])
+def test_json_gives_null_for_a_measure_beyond_a_float(argv, tmp_path):
+    base = tmp_path / "big.kb"
+    base.write_text("Object hum-along\n[English] hum along\n[event01-of ^ [hum human]]\n"
+                    "[duration-of ^ NUMBER:second:1e999]\n", encoding="utf-8")
+    code, out, err = invoke("--kb", str(base), "--json", *argv)
+    assert (code, err) == (0, "")
+    data = _strict_json(out)
+    measure = data["duration-of"] if argv[0] == "show" else data["payload"]
+    assert measure == {"unit": "second", "value": None, "text": "1e999"}
+    code, out, _ = invoke("--kb", str(base), *argv)
+    assert code == 0 and "1e999 second" in out
+
+
 def test_env_var_supplies_default_paths(monkeypatch):
     import os
     monkeypatch.setenv("SCRIPTKB_KB", os.pathsep.join(

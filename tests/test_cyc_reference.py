@@ -7,6 +7,7 @@ at the same position.
 """
 
 import random
+from collections import Counter
 
 from scriptkb.cyc import (
     ACTS_IN_CAPACITY,
@@ -25,7 +26,7 @@ from scriptkb.cyc import (
     parse_forms,
     subforms,
 )
-from scriptkb.errors import UnbalancedParen
+from scriptkb.errors import StrayAtom, UnbalancedParen
 
 # -- references --------------------------------------------------------------------
 
@@ -64,10 +65,9 @@ def ref_parse_forms(text):
             j = i
             while j < n and not text[j].isspace() and text[j] not in "();":
                 j += 1
-            if stack:
-                stack[-1].append(text[i:j])
-            else:
-                forms.append(text[i:j])
+            if not stack:
+                raise StrayAtom(f"atom {text[i:j]!r} outside any form", *pos(i))
+            stack[-1].append(text[i:j])
             i = j
     if stack:
         raise UnbalancedParen("unclosed '('", *pos(opens[0]))
@@ -150,19 +150,19 @@ _PIECES = ("(", "(", "(", ")", ")", ")", " ", " ", "\n", "\r\n", "\t", "\x1c", "
 def _outcome(reader, text):
     try:
         return "forms", reader(text)
-    except UnbalancedParen as e:
+    except (UnbalancedParen, StrayAtom) as e:
         return type(e), e.message, e.line, e.col
 
 
 def test_reader_matches_the_reference_on_seeded_texts():
     rng = random.Random(20261018)
-    errors = 0
+    outcomes = Counter()
     for _ in range(50_000):
         text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 24)))
         expected = _outcome(ref_parse_forms, text)
         assert _outcome(parse_forms, text) == expected, repr(text)
-        errors += expected[0] != "forms"
-    assert 0 < errors < 50_000, "both outcomes must occur"
+        outcomes[expected[0]] += 1
+    assert set(outcomes) == {"forms", UnbalancedParen, StrayAtom}, "every outcome must occur"
 
 
 def test_reader_matches_the_reference_on_bundled_rules():

@@ -62,6 +62,11 @@ def test_unknown_concept_raises():
     o = small()
     with pytest.raises(UnknownConcept):
         o.is_a("blackout", "nope")
+    # the first argument is checked first, and an equal pair is checked too
+    for a, b in (("nope", "nada"), ("nope", "blackout"), ("nope", "nope")):
+        with pytest.raises(UnknownConcept) as info:
+            o.is_a(a, b)
+        assert str(info.value) == "nope"
     with pytest.raises(UnknownConcept):
         o.ancestors("nope")
 
@@ -103,10 +108,6 @@ def test_ancestors_bfs_on_diamond(kb):
                     stack.append(p)
         return out
     assert set(anc) == closure("green-pea")
-
-
-def test_ancestors_max_depth(kb):
-    assert kb.ontology.ancestors("green-pea", max_depth=1) == ["vegetable", "seed"]
 
 
 def test_link_and_lookup_both_directions():

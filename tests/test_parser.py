@@ -225,14 +225,6 @@ def test_html_entities_decoded():
     assert result.blocks[0].lexicon[0][1] == ("café",)
 
 
-def test_headerless_listing_with_default_concept():
-    result = parse_database("[ako ^ disaster]\n[role01-of ^ human]\n",
-                            default_concept="blackout")
-    assert len(result.blocks) == 1
-    assert result.blocks[0].concept == "blackout"
-    assert result.blocks[0].assertions[0] == Assertion("ako", ("blackout", "disaster"))
-
-
 def test_orphan_assertion_diagnosed():
     result = parse_database("[ako x y]\n")
     assert result.blocks == []

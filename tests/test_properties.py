@@ -80,6 +80,26 @@ def test_views_and_inherited_fields_match_a_per_assertion_build_with_malformed_f
     pc.run_on_malformed_field_bases(pc.run_views_match_reference, [scripts_text, demo_text])
 
 
+def test_ancestors_match_the_frontier_walk(kb, bench_texts):
+    pc.run_ancestors_match_reference(kb.ontology)
+    pc.run_ancestors_match_reference(KnowledgeBase.from_texts(bench_texts).ontology)
+
+
+def test_validate_matches_the_reference(kb, bench_texts):
+    pc.run_validate_matches_reference(kb)
+    pc.run_validate_matches_reference(KnowledgeBase.from_texts(bench_texts))
+
+
+def test_validate_matches_the_reference_on_mutated_bases(core_text, scripts_text, demo_text):
+    pc.run_on_mutated_bases(pc.run_validate_matches_reference,
+                            [core_text, scripts_text, demo_text], cases=1000)
+
+
+def test_validate_matches_the_reference_with_malformed_fields(scripts_text, demo_text):
+    pc.run_on_malformed_field_bases(pc.run_validate_matches_reference,
+                                    [scripts_text, demo_text])
+
+
 def test_timeline_length_bound():
     pc.run_timeline_bound(cases=1000)
 

@@ -169,12 +169,6 @@ def test_generalization_off_requires_exact_mention(kb):
         assert all(c in mset for c in r.evidence)
 
 
-def test_hop_cap(kb):
-    acts = activate("my poodle", kb)
-    assert score_scripts(acts, kb, max_hops=0) == []
-    assert [r.script for r in score_scripts(acts, kb, max_hops=1)] == ["walk-the-dog"]
-
-
 def test_score_is_evidence_count(kb):
     text = "the dog ate shampoo near the hair in the restaurant"
     for r in score_scripts(activate(text, kb), kb):

@@ -251,6 +251,19 @@ def test_validate_duplicate_field_sits_on_second_line():
                    "duration-of given 2 times; first wins")]
 
 
+def test_validate_field_given_three_times_warns_once_at_its_second():
+    text = ("Object thing\n[role01-of ^ human]\n[duration-of ^ NUMBER:second:5]\n"
+            "[event01-of ^ [hum human]]\n[duration-of ^ NUMBER:second:9]\n"
+            "[role01-of ^ dog]\n[duration-of ^ NUMBER:second:7]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [d for d in validate(kb, build_script(kb, "thing"))
+            if d.code == "DuplicateField"] == [
+        Diagnostic("t", 6, 1, "warning", "DuplicateField",
+                   "role01-of given 2 times; first wins"),
+        Diagnostic("t", 5, 1, "warning", "DuplicateField",
+                   "duration-of given 3 times; first wins")]
+
+
 def test_validate_diagnostics_sit_at_the_offending_assertion():
     text = ("Object looper\n[role01-of ^ singer]\n[role03-of ^ hall]\n"
             "[event01-of ^ [sing singer]]\n[event01-of ^ [tune piano]]\n"
