@@ -3,11 +3,11 @@
 Loading merges any number of files: the blocks of one concept are read
 together, in load order, and each keeps its own file and lines.  The files
 are parsed with one set of token tables, so each distinct predicate and
-argument token is classified once per load, not once per file; a token
-that is bad stays out of the tables and is reported in every file, at its
-own position.  Each field assertion's argument check and census column
-come from its predicate's one ``FIELDS`` entry, and each block's lexicon
-is linked by one ``Ontology.link_lexicon`` call.  ``ako``
+argument token is classified once per load and held as one string; a bad
+token stays out of the tables and is reported in every file, at its own
+position.  Each field assertion's argument check and census column come
+from its predicate's one ``FIELDS`` entry.  Each block's lexicon is linked
+by one ``Ontology.link_lexicon`` call as its concept is registered.  ``ako``
 assertions supply hierarchy parents.  Symbols that are referenced but never
 declared are auto-registered as children of the root with a warning, since
 source excerpts routinely mention concepts defined elsewhere; each is
@@ -319,6 +319,8 @@ class KnowledgeBase:
         for block in self.blocks:
             if block.concept not in ontology:
                 ontology.add_concept(block.concept, ako_parents.get(block.concept, ()))
+            if block.lexicon:  # a link needs its concept registered, nothing more
+                ontology.link_lexicon(block.concept, block.lexicon)
 
         for sym, (file, line) in mentioned.items():
             if sym not in ontology:
@@ -342,10 +344,6 @@ class KnowledgeBase:
                         f"undeclared concept {sym!r} registered under {ROOT!r}"))
 
         ontology.resolve()
-
-        for block in self.blocks:
-            if block.lexicon:
-                ontology.link_lexicon(block.concept, block.lexicon)
 
 
 def load(paths) -> KnowledgeBase:

@@ -39,7 +39,9 @@ def as_language(value) -> Language:
 
 
 def _normalize_phrase(phrase: str) -> str:
-    return phrase[:1].lower() + phrase[1:]
+    """The lookup key, first character lowercased; the phrase itself, not a copy, if unchanged."""
+    lower = phrase[:1].lower()
+    return phrase if lower == phrase[:1] else lower + phrase[1:]
 
 
 class Ontology:
@@ -163,11 +165,7 @@ class Ontology:
             by_concept = self._by_concept[lang]
             linked = own = by_concept.get(concept, ())
             for phrase in phrases:
-                # the lookup key; the table shares the block's string when
-                # normalizing leaves it unchanged, not an equal copy
-                first = phrase[:1]
-                lower = first.lower()
-                key = phrase if lower == first else lower + phrase[1:]
+                key = _normalize_phrase(phrase)
                 concepts = by_phrase.get(key, ())
                 if concept not in concepts:
                     by_phrase[key] = concepts + (concept,)

@@ -9,8 +9,8 @@ A file is a sequence of blocks::
     [ako ^ disaster]
     [duration-of ^ NUMBER:second:3600]
 
-* ``Object <name>`` opens a block; it ends at the next header, a grid
-  header (``==``), or end of file.
+* ``Object``, whitespace, then a name opens a block; it ends at the next
+  header, a grid header (``==``), or end of file.
 * Lexicon lines start with a bracketed language name; ``;`` separates
   language sections and a trailing comma continues the line onto the next.
 * Assertion lines are bracket expressions; an assertion with unbalanced
@@ -29,9 +29,7 @@ module to parse.
 from __future__ import annotations
 
 import html
-import itertools
 import re
-import sys
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, Diagnostic
@@ -48,10 +46,8 @@ from .terms import DEFAULT_UNITS, NA, Assertion, Measure, ObjectBlock
 
 _NUM_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _SUFFIX_RE = re.compile(rf"({_NUM_RE.pattern})([A-Za-z]+)")
-_OBJECT_RE = re.compile(r"Object\s+(\S+)\s*$")
 _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
-_TOKEN_RE = re.compile(r"[\[\]]|[^\s\[\]]+")
 _ASCII_SYMBOL = re.compile(r"[a-z0-9][a-z0-9-]*")
 _LANGUAGES = {lang.value: lang for lang in Language}  # lexicon section name -> language
 
@@ -96,8 +92,11 @@ def parse_measure(token: str) -> Measure:
 
 
 def _pos(text: str, token: int, base_line: int) -> tuple[int, int]:
-    """Line and column of the token with the given index; only errors need it."""
-    idx = next(itertools.islice(_TOKEN_RE.finditer(text), token, None)).start()
+    """Line and column of token ``token`` of ``_tokens(text)``; only errors need it."""
+    idx = end = 0  # only whitespace separates tokens: each is its text's next match
+    for tok in _tokens(text)[:token + 1]:
+        idx = text.index(tok, end)
+        end = idx + len(tok)
     newlines = text.count("\n", 0, idx)
     if newlines:
         return base_line + newlines, idx - text.rfind("\n", 0, idx)
@@ -115,9 +114,7 @@ def parse_assertion(text: str, self_concept: str | None = None, *,
 
 
 def _tokens(text: str) -> list[str]:
-    """The tokens ``_TOKEN_RE.findall`` yields, by splitting on whitespace
-    around padded brackets (``\\s`` and ``str.isspace`` agree on every code
-    point)."""
+    """Each bracket, and each run of other characters that are not whitespace."""
     return text.replace("[", " [ ").replace("]", " ] ").split()
 
 
@@ -186,7 +183,7 @@ def _parse_assertion(text, self_concept, line, predicates, atoms, values,
                 if predicate is None:
                     if not is_symbol(tok):
                         raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
-                    predicate = predicates[tok] = sys.intern(tok)
+                    predicate = predicates[tok] = tok
                 parts.append(predicate)
                 if predicate not in mentions:
                     mentions[predicate] = line
@@ -210,16 +207,26 @@ def _classify_atom(val):
         if unit in DEFAULT_UNITS:
             return Measure(unit, num)
         if is_symbol(val):
-            return sys.intern(val)
+            return val
         raise UnknownUnit(f"unknown unit {unit!r} in {val!r}")
     if is_symbol(val):
-        return sys.intern(val)
+        return val
     if _NUM_RE.fullmatch(val):
         raise MalformedNumber(f"number without a unit: {val!r}")
     raise KbSyntaxError(f"invalid token {val!r}")
 
 
 # -- whole-file parsing -------------------------------------------------------
+
+
+def _is_header(line: str) -> bool:
+    """Whether a stripped line is a header: ``Object`` alone or before whitespace."""
+    return line[:6] == "Object" and (len(line) == 6 or line[6].isspace())
+
+
+def _ends_item(line: str) -> bool:
+    """Whether a stripped line ends a continued item: blank, ``;``, ``==`` or a header."""
+    return not line or line[0] == ";" or line[:2] == "==" or _is_header(line)
 
 
 @dataclass(frozen=True)
@@ -294,9 +301,9 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
                     err(lineno, 1, "OrphanContent", "lexicon line outside an Object block")
                     continue
                 parts = [stripped]
-                while parts[-1].endswith(",") and i < n and lines[i].strip() \
-                        and not lines[i].strip().startswith(("Object ", "==", ";", "[")):
-                    parts.append(lines[i].strip())
+                while parts[-1].endswith(",") and i < n \
+                        and not _ends_item(nxt := lines[i].strip()) and nxt[0] != "[":
+                    parts.append(nxt)
                     i += 1
                 if not _parse_lexicon_line(" ".join(parts), current, lineno, err):
                     current_ok = False
@@ -307,8 +314,7 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
             depth = raw.count("[") - raw.count("]")
             if depth > 0:
                 chunk_lines = [raw]
-                while depth > 0 and i < n and (nxt := lines[i].strip()) \
-                        and not nxt.startswith(("Object ", "==", ";")):
+                while depth > 0 and i < n and not _ends_item(nxt := lines[i].strip()):
                     chunk_lines.append(lines[i])
                     depth += nxt.count("[") - nxt.count("]")
                     i += 1
@@ -341,11 +347,11 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
             result.grid_sources.append(GridSource("\n".join(lines[i - 1:j]), lineno, filename))
             i = j
             continue
-        if stripped == "Object" or stripped.startswith("Object "):
+        if _is_header(stripped):
             finish()
-            m = _OBJECT_RE.match(stripped)
-            if m and is_symbol(m.group(1)):
-                current = ObjectBlock(sys.intern(m.group(1)), line=lineno, file=filename)
+            words = stripped.split()
+            if len(words) == 2 and is_symbol(words[1]):
+                current = ObjectBlock(words[1], line=lineno, file=filename)
             else:
                 err(lineno, 1, "MalformedHeader", f"bad Object header: {stripped!r}")
                 current = ObjectBlock("invalid", line=lineno, file=filename)

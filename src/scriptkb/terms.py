@@ -13,7 +13,6 @@ each field predicate fills and what argument it needs, and ``ako`` and
 
 from __future__ import annotations
 
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from typing import Union
@@ -193,8 +192,6 @@ for _n in range(100):
     FIELDS[f"role{_n:02d}-of"] = Field("roles", _n, CONCEPT)
     FIELDS[f"role{_n:02d}-script-of"] = Field("role_scripts", _n, CONCEPT)
     FIELDS[f"event{_n:02d}-of"] = Field("events", _n, TERM)
-# the parser interns predicates, so lookups of parsed ones find these very strings
-FIELDS = {sys.intern(p): f for p, f in FIELDS.items()}
 
 EVENT_PREDICATES = frozenset(p for p, f in FIELDS.items() if f.attr == "events")
 # predicates the file format itself defines

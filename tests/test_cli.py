@@ -685,3 +685,67 @@ def test_loading_inside_a_command_leaves_the_collector_paused(monkeypatch):
         assert gc.isenabled()
     assert code == 0 and out
     assert after == [False]
+
+
+# -- output paths of a small base ------------------------------------------------
+
+HUM = ("Object hum-along\n"
+       "[English] hum along\n"
+       "[role01-of ^ singer]\n"
+       "[role01-script-of ^ sing-song]\n"
+       "[event01-of ^ [hum singer tune]]\n"
+       "\n"
+       "Object singer\n"
+       "[English] singer\n"
+       "\n"
+       "Object tune\n"
+       "[English] tune\n")
+
+
+@pytest.fixture()
+def hum_kb(tmp_path):
+    path = tmp_path / "hum.kb"
+    path.write_text(HUM, encoding="utf-8")
+    return ["--kb", str(path)]
+
+
+def test_ask_prints_unknown_for_a_field_no_script_gives(hum_kb):
+    assert invoke(*hum_kb, "ask", "How long does hum along take?") == (0, "unknown\n", "")
+
+
+def test_ask_used_for_text(hum_kb):
+    assert invoke(*hum_kb, "ask", "What is a tune used for?") == (
+        0, "hum-along\n  [hum singer tune]\n", "")
+
+
+def test_show_lists_role_scripts(hum_kb):
+    code, out, err = invoke(*hum_kb, "show", "hum-along")
+    assert (code, err) == (0, "")
+    assert "roles:\n  01 singer\nrole scripts:\n  01 sing-song\nevents:\n" in out
+
+
+def test_ask_what_does_json(hum_kb):
+    code, out, err = invoke(*hum_kb, "--json", "ask", "What does a singer do?")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["kind"], data["subject"], data["sources"]) == (
+        "what-does", "singer", ["hum-along"])
+    assert data["payload"] == [{
+        "script": "hum-along", "role": "01", "role-script": "sing-song",
+        "events": [{"predicate": "hum", "args": ["singer", "tune"]}]}]
+
+
+def test_json_stats_on_a_base_without_scripts(tmp_path):
+    path = tmp_path / "plain.kb"
+    path.write_text("Object tune\n[English] tune\n", encoding="utf-8")
+    code, out, err = invoke("--kb", str(path), "--json", "stats")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"census": []}
+
+
+def test_a_tab_header_after_a_continued_lexicon_line_opens_its_block(tmp_path):
+    path = tmp_path / "tab.kb"
+    path.write_text("Object foo\n[English] a,\nObject\tbar\n[ako ^ foo]\n", encoding="utf-8")
+    assert invoke("validate", str(path)) == (0, "", "")
+    assert invoke("--kb", str(path), "show", "bar") == (
+        3, "", "error: 'bar' is not a script (no events)\n")

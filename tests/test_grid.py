@@ -159,3 +159,8 @@ def test_legend_overflow_round_trips():
 def test_blank_line_ends_grid():
     grid, _ = parse_grid("==shed1//\nww    w:wall\n\nww")
     assert grid.height == 1
+
+
+def test_a_concept_outside_the_legend_has_no_cells(hotel):
+    grid, _ = hotel
+    assert grid.cells_of("sofa") == []

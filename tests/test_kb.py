@@ -473,3 +473,31 @@ def test_a_block_repeated_in_another_file_appends_its_assertions():
         "[role01-of s human]", "[event01-of s [wake human]]", "[event02-of s [wake human]]",
         "[role02-of s alarm]"]
     run_load_matches_fresh_tables(named)
+
+
+# -- loader diagnostics for grids and ako arguments ------------------------------
+
+def test_a_grid_header_without_a_name_terminator_is_a_malformed_header():
+    kb = KnowledgeBase.from_texts([("t", "Object a\n[ako ^ concept]\n\n==room\nww  w:wall\n")])
+    assert [(d.file, d.line, d.severity, d.code) for d in kb.diagnostics] == [
+        ("t", 4, "error", "MalformedHeader")]
+    assert kb.grids == {}
+
+
+def test_a_grid_defined_twice_keeps_the_last_definition():
+    first, second = "==room//\nw    w:wall\n", "==room//\nd    d:door\n"
+    kb = KnowledgeBase.from_texts([("a", first), ("b", second)])
+    assert [(d.file, d.line, d.severity, d.code, d.message) for d in kb.diagnostics
+            if d.code == "DuplicateGrid"] == [
+        ("b", 1, "warning", "DuplicateGrid",
+         "grid 'room' defined again; last definition wins")]
+    assert kb.grids["room"].legend == {"d": "door"}
+
+
+def test_a_measure_as_an_ako_parent_is_ignored_with_a_warning():
+    kb = KnowledgeBase.from_texts([("t", "Object x\n[ako x NUMBER:USD:1 thing]\n")])
+    assert [(d.line, d.severity, d.code, d.message) for d in kb.diagnostics
+            if d.code == "BadAkoArgument"] == [
+        (2, "warning", "BadAkoArgument",
+         "ignoring non-symbol ako argument in [ako x NUMBER:USD:1 thing]")]
+    assert kb.ontology.parents("x") == ("thing",)

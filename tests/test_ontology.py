@@ -217,3 +217,10 @@ def test_lexicon_matches_one_linked_by_language_name(kb, bench_texts):
         for c in onto.concepts():
             for language in Language:
                 assert onto.lexemes_of(c, language) == ref.lexemes_of(c, language)
+
+
+def test_the_root_takes_no_parents():
+    o = Ontology()
+    with pytest.raises(KbError, match="the root concept takes no parents"):
+        o.add_concept(ROOT, ["x"])
+    assert ROOT not in o

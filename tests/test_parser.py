@@ -15,7 +15,7 @@ from scriptkb.errors import (
 )
 from scriptkb.ontology import Language
 from scriptkb.parser import is_symbol, parse_assertion, parse_database, parse_measure, serialize
-from scriptkb.terms import FIELDS, NA, Assertion, Measure, term_symbols
+from scriptkb.terms import NA, Assertion, Measure, term_symbols
 
 
 def assertion_line_count(text: str) -> int:
@@ -258,7 +258,6 @@ def test_parsed_symbols_are_shared_strings():
     result = parse_database("Object looper\n[role01-of ^ singer]\n[event01-of ^ [sing singer]]\n")
     role, event = block_of(result, "looper").assertions
     assert role.args[1] is event.args[1].args[0]
-    assert next(p for p in FIELDS if p == event.predicate) is event.predicate
 
 
 def test_unbalanced_block_diagnosed():
@@ -283,6 +282,10 @@ def test_multiline_lexicon_continuation():
         (Language.ENGLISH, ("alpha", "beta")),
         (Language.FRENCH, ("gamma", "delta", "epsilon zeta")),
     ]
+    # a trailing comma does not carry a lexicon line into an assertion
+    result = parse_database("Object thing\n[English] alpha,\n[ako ^ concept]\n")
+    assert [(b.lexicon, b.assertions) for b in result.blocks] == [
+        ([(Language.ENGLISH, ("alpha",))], [Assertion("ako", ("thing", "concept"))])]
 
 
 
@@ -407,7 +410,18 @@ def test_parse_assertion_shares_nothing_between_calls():
         parse_assertion("[p ^ x]")
 
 
-# -- tokens by splitting --------------------------------------------------------
+def test_an_assertion_must_open_with_a_bracket():
+    with pytest.raises(KbSyntaxError) as info:
+        parse_assertion("ako x", line=4)
+    assert (info.value.line, info.value.col, str(info.value)) == (
+        4, 1, "4:1: assertion must start with '['")
+
+
+def test_a_positioned_error_without_a_line_reads_as_its_message():
+    assert str(KbSyntaxError("no position")) == "no position"
+
+
+# -- tokens and their positions ------------------------------------------------
 
 def test_the_regex_whitespace_class_is_str_isspace():
     space = re.compile(r"\s")
@@ -429,15 +443,35 @@ def assertion_chunks(text):
     return chunks
 
 
-def test_split_tokens_are_the_regex_tokens(core_text, scripts_text, demo_text, bench_texts):
+# reference tokens: each bracket, and each run of characters that are neither
+# whitespace nor brackets
+REFERENCE_TOKEN_RE = re.compile(r"[\[\]]|[^\s\[\]]+")
+
+
+def reference_positions(text, base_line):
+    """Line and column of each reference token, from its ``finditer`` start."""
+    out = []
+    for m in REFERENCE_TOKEN_RE.finditer(text):
+        before = text[:m.start()]
+        out.append((base_line + before.count("\n"), len(before) - before.rfind("\n")))
+    return out
+
+
+def test_token_positions_match_the_reference_regex(core_text, scripts_text, demo_text,
+                                                   bench_texts):
     # every code point, each between two token characters
     every = "x".join(map(chr, range(0x110000)))
-    assert parser._tokens(every) == parser._TOKEN_RE.findall(every)
+    expected = reference_positions(every, 3)
+    assert len(expected) == len(parser._tokens(every))
+    assert [parser._pos(every, k, 3) for k in range(len(expected))] == expected
     texts = [core_text, scripts_text, demo_text, *(t for _, t in bench_texts),
              *_mutations([core_text, scripts_text, demo_text], 3000, 20261018)]
     chunks = [c for text in texts for c in assertion_chunks(text)]
     assert len(chunks) > 20000
-    assert [c for c in chunks if parser._tokens(c) != parser._TOKEN_RE.findall(c)] == []
+    for chunk in chunks:
+        expected = reference_positions(chunk, 5)
+        assert len(expected) == len(parser._tokens(chunk)), chunk
+        assert [parser._pos(chunk, k, 5) for k in range(len(expected))] == expected, chunk
 
 
 # -- first mentions recorded while parsing ---------------------------------------
@@ -504,3 +538,35 @@ def test_a_continuation_that_overshoots_is_unbalanced():
     result = parse_database("Object a\n[p ^\n  [q x]]]\n")
     assert [(d.line, d.code, d.message) for d in result.diagnostics] == [
         (2, "UnbalancedBracket", "unmatched ']'")]
+
+
+# -- Object headers end items ----------------------------------------------------
+
+def test_a_tab_header_ends_a_continued_lexicon_line():
+    result = parse_database("Object foo\n[English] a,\nObject\tbar\n[ako ^ concept]\n")
+    assert result.diagnostics == []
+    assert [(b.concept, b.lexicon) for b in result.blocks] == [
+        ("foo", [(Language.ENGLISH, ("a",))]), ("bar", [])]
+    assert block_of(result, "bar").line == 3
+
+
+def test_a_tab_header_opens_a_block_at_the_top_level():
+    result = parse_database("Object\tbar\n[ako ^ thing]\n", filename="t")
+    assert result.diagnostics == []
+    assert [(b.concept, b.line, b.assertions) for b in result.blocks] == [
+        ("bar", 1, [Assertion("ako", ("bar", "thing"))])]
+
+
+def test_a_bare_header_ends_a_continued_assertion():
+    result = parse_database("Object a\n[p ^\nObject\n[q x]\n", filename="t")
+    assert [(d.line, d.col, d.code, d.message) for d in result.diagnostics] == [
+        (2, 1, "UnbalancedBracket", "assertion is missing a closing ']'"),
+        (3, 1, "MalformedHeader", "bad Object header: 'Object'")]
+    assert result.blocks == []
+
+
+@pytest.mark.parametrize("line, header", [
+    ("Object", True), ("Object a", True), ("Object\ta", True), ("Object\u00a0a", True),
+    ("Objects", False), ("Object-a", False), ("object a", False), ("", False)])
+def test_a_header_is_the_word_object_alone_or_before_whitespace(line, header):
+    assert parser._is_header(line) is header

@@ -351,3 +351,22 @@ def test_views_inherited_fields_and_census_read_no_assertion(kb, monkeypatch):
         if name.split(".")[0] == "scriptkb" and vars(module).get("malformed") is original:
             monkeypatch.setattr(module, "malformed", fail)
     assert query() == expected
+
+
+def test_validate_warns_when_a_goto_shares_its_group():
+    text = ("Object loop\n"
+            "[event01-of ^ [sing loop]]\n"
+            "[event02-of ^ [rest loop]]\n"
+            "[event02-of ^ [goto event01-of]]\n")
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [(d.file, d.line, d.severity, d.code, d.message)
+            for d in validate(kb, build_script(kb, "loop")) if d.code == "GotoNotAlone"] == [
+        ("t", 4, "warning", "GotoNotAlone", "group 02 mixes a goto with other events")]
+
+
+def test_validate_rejects_a_negative_cost():
+    text = "Object buy\n[event01-of ^ [pay buyer]]\n[cost-of ^ NUMBER:USD:-2]\n"
+    kb = KnowledgeBase.from_texts([("t", text)])
+    assert [(d.file, d.line, d.severity, d.code, d.message)
+            for d in validate(kb, build_script(kb, "buy")) if d.code == "NonPositiveMeasure"] == [
+        ("t", 3, "error", "NonPositiveMeasure", "cost must not be negative, got -2")]
