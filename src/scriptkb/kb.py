@@ -1,7 +1,10 @@
 """Knowledge base: parsed blocks, hierarchy, lexicon, and grids in one place.
 
 Loading merges any number of files: the blocks of one concept are read
-together, in load order, and each keeps its own file and lines.  The files
+together, in load order, and each keeps its own file and lines.  A load
+from paths parses each file once: a file whose bytes the same code parsed
+before is decoded from its entry in the parse cache beside it
+(``parsecache``), which gives the same parse result.  The files it parses
 are parsed with one set of token tables, so each distinct predicate and
 argument token is classified once per load and held as one string; a bad
 token stays out of the tables and is reported in every file, at its own
@@ -28,14 +31,15 @@ call.  Recognition and the what-does, used-for and where-found questions
 also read two concept -> scripts maps, built by the first of them from the
 recorded field assertions, with no script view.
 
-The cyclic garbage collector is paused while a base parses and assembles
-(``collector_paused``).  Loading allocates tens of thousands of tuples,
-assertions, lists and dicts that all stay alive (about 54,000 for a base of
-500 scripts), so each collection it would trigger walks them in vain, and
-the older generations' collections walk them again and again as the base
-grows.  The collector's earlier state comes back when loading ends, by an
-exception too.  The CLI holds the same pause for a whole command, since the
-first collections after a load would walk the new base and free nothing.
+The cyclic garbage collector is paused while a base parses (or decodes) and
+assembles (``collector_paused``).  Loading allocates tens of thousands of
+tuples, assertions, lists and dicts that all stay alive (about 54,000 for a
+base of 500 scripts), so each collection it would trigger walks them in
+vain, and the older generations' collections walk them again and again as
+the base grows.  The collector's earlier state comes back when loading
+ends, by an exception too.  The CLI holds the same pause for a whole
+command, since the first collections after a load would walk the new base
+and free nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
+from .parsecache import parse_file, source_text
 from .parser import ParseResult, _parse_database
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, term_symbols)
@@ -79,12 +84,9 @@ def instance_base(name: str) -> str | None:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text, without the byte-order mark it may open with;
-    undecodable bytes raise a KbError naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as e:
-        raise KbError(f"{path}: {e}") from e
+    """A UTF-8 file's text, without the byte-order mark it may open with and
+    with ``\\n`` line ends; undecodable bytes raise a KbError naming the file."""
+    return source_text(Path(path).read_bytes(), path)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +198,15 @@ class KnowledgeBase:
 
     @classmethod
     def from_paths(cls, paths) -> "KnowledgeBase":
-        return cls.from_texts([(str(p), read_text(p)) for p in paths])
+        """Build a base from files, merged in order, as ``from_texts`` builds
+        it from their texts.  A file parsed by an earlier load, with the same
+        bytes and the same code, is decoded from its cache entry instead of
+        parsed (see ``parsecache``)."""
+        kb = cls()
+        tables = ({}, {}, {})
+        with collector_paused():
+            kb._assemble([parse_file(p, tables) for p in paths])
+        return kb
 
     def _merge_blocks(self, results: list[ParseResult]) -> dict[str, tuple[str, int]]:
         """Append the parsed blocks to ``blocks``, a later block of a concept
