@@ -15,10 +15,11 @@ collections after a load would walk every object in it and free nothing:
 a base holds no reference cycles, so reference counting frees it once the
 command drops it.
 
-A command parses only the files no earlier command parsed: each file's
-parse result is kept in ``__pycache__`` beside it, keyed by the file's
-bytes, the interpreter and the package's code, and a later command decodes
-it (``parsecache``).  The base is still assembled whole by every command.
+A command parses only the files that are new or changed since an earlier
+command parsed them: each file's parse result is kept in ``__pycache__``
+beside it, keyed by the file's bytes and identity, the interpreter and the
+package's code, and a later command decodes it (``parsecache``).  The base
+is still assembled whole by every command.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Loading merges any number of files: the blocks of one concept are read
 together, in load order, and each keeps its own file and lines.  A load
-from paths parses each file once: a file whose bytes the same code parsed
-before is decoded from its entry in the parse cache beside it
+from paths parses each file once: a file that has not changed since the
+same code parsed it is decoded from its entry in the parse cache beside it
 (``parsecache``), which gives the same parse result.  The files it parses
 are parsed with one set of token tables, so each distinct predicate and
 argument token is classified once per load and held as one string; a bad
@@ -199,8 +199,8 @@ class KnowledgeBase:
     @classmethod
     def from_paths(cls, paths) -> "KnowledgeBase":
         """Build a base from files, merged in order, as ``from_texts`` builds
-        it from their texts.  A file parsed by an earlier load, with the same
-        bytes and the same code, is decoded from its cache entry instead of
+        it from their texts.  A file parsed by an earlier load, and not changed
+        since, is decoded from its cache entry by the same code instead of
         parsed (see ``parsecache``)."""
         kb = cls()
         tables = ({}, {}, {})

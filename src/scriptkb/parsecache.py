@@ -10,14 +10,24 @@ parsing the text again.  An entry answers only when its header matches:
 * a fingerprint of the bytes of every ``scriptkb/*.py`` module, computed
   once per process, so any change to the code retires every entry;
 * the source's size in bytes and its ``importlib.util.source_hash``;
+* the source's inode number and status-change time (``st_ctime_ns``), which
+  a user cannot set: a copy of the file, or one unpacked from an archive or
+  checked out, has new ones, so an entry that arrives with its source never
+  answers for it;
 * the ``source_hash`` of the payload that follows, so a damaged entry is
   found before it is decoded.
 
-An entry whose header does not match is ignored: the file is parsed and the
-entry written again.  An entry is written atomically, to a temporary file in
-the same directory that then replaces it, and a write that fails is skipped,
-so a read-only directory only costs the cache.  As with ``.pyc`` files, an entry is trusted as far as its
-directory is; deleting ``__pycache__`` clears the entries.
+An entry is read only when it is the current user's alone: owned by the
+effective user and writable by neither group nor others, as ssh treats its
+files.  An entry is written with the source's read permissions, so it shows
+no one a text they cannot read.  Where files have no owners (no
+``os.geteuid``) no entry is kept.
+
+An entry that is not read or whose header does not match is ignored: the
+file is parsed and the entry written again.  An entry is written
+atomically, to a temporary file in the same directory that then replaces
+it, and a write that fails is skipped, so a read-only directory only costs
+the cache.  Deleting ``__pycache__`` clears the entries.
 
 The payload is ``marshal`` data of plain values.  An assertion is the
 tuple ``(predicate, *args)``, a measure the list ``[unit, text]``, ``na``
@@ -69,10 +79,18 @@ def _code_key() -> bytes:
 
 def _entry_path(path: str) -> str | None:
     tag = sys.implementation.cache_tag
-    if tag is None:  # the interpreter keeps no bytecode cache, and neither do we
+    # no entry where the interpreter keeps no bytecode cache, or where an
+    # entry's owner cannot be checked
+    if tag is None or not hasattr(os, "geteuid"):
         return None
     head, name = os.path.split(path)
     return os.path.join(head, "__pycache__", f"{name}.{tag}.kbc")
+
+
+def _file_id(st: os.stat_result) -> bytes:
+    """The header's part that no copy of the file shares: its inode number and
+    status-change time."""
+    return st.st_ino.to_bytes(16, "little") + st.st_ctime_ns.to_bytes(8, "little", signed=True)
 
 
 def parse_file(path, tables) -> ParseResult:
@@ -83,15 +101,14 @@ def parse_file(path, tables) -> ParseResult:
     as they are.  Reading the file raises ``OSError``, and a file that is not
     UTF-8 raises a ``KbError`` naming it and writes no entry."""
     filename = str(path)
-    data = Path(path).read_bytes()
-    key = _code_key() + len(data).to_bytes(8, "little") + source_hash(data)
+    with open(path, "rb") as f:
+        source = os.fstat(f.fileno())
+        data = f.read()
+    key = (_code_key() + _file_id(source) + len(data).to_bytes(8, "little")
+           + source_hash(data))
     entry = _entry_path(filename)
     if entry is not None:
-        try:
-            with open(entry, "rb") as f:
-                cached = f.read()
-        except OSError:
-            cached = b""
+        cached = _read_entry(entry)
         payload = memoryview(cached)[len(key) + 8:]
         if cached.startswith(key) and cached[len(key):len(key) + 8] == source_hash(payload):
             try:
@@ -100,18 +117,33 @@ def parse_file(path, tables) -> ParseResult:
                 pass
     result = _parse_database(source_text(data, filename), filename, *tables)
     if entry is not None:
-        _store(entry, key, result)
+        _store(entry, key, result, source.st_mode)
     return result
 
 
-def _store(entry: str, key: bytes, result: ParseResult) -> None:
-    """Write an entry through a temporary file in its directory.  A failure
-    leaves no file behind and raises nothing, and a directory that takes no
-    file costs no encoding."""
+def _read_entry(entry: str) -> bytes:
+    """The entry's bytes, or none when it is missing, unreadable, owned by
+    another user, or writable by group or others."""
+    try:
+        with open(entry, "rb") as f:
+            st = os.fstat(f.fileno())
+            if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+                return b""
+            return f.read()
+    except OSError:
+        return b""
+
+
+def _store(entry: str, key: bytes, result: ParseResult, source_mode: int) -> None:
+    """Write an entry through a temporary file in its directory, readable by
+    whom the source is readable by and writable by its owner only.  A
+    failure leaves no file behind and raises nothing, and a directory that
+    takes no file costs no encoding."""
     tmp = f"{entry}.{os.getpid()}.{id(result)}.tmp"
     try:
         os.makedirs(os.path.dirname(entry), exist_ok=True)
-        f = open(tmp, "xb")
+        f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                         source_mode & 0o644 | 0o600), "wb")
     except OSError:
         return
     try:
@@ -127,12 +159,20 @@ def _store(entry: str, key: bytes, result: ParseResult) -> None:
 # -- payload ---------------------------------------------------------------------
 
 
+def _encode_assertion(a):
+    args = a.args
+    for arg in args:
+        if arg.__class__ is not str:
+            return (a.predicate, *map(_encode_term, args))
+    return (a.predicate,) + args
+
+
 def _encode_term(term):
     cls = term.__class__
     if cls is str:
         return term
     if cls is Assertion:
-        return (term.predicate, *map(_encode_term, term.args))
+        return _encode_assertion(term)
     if cls is Measure:
         return [term.unit, term.text]
     return None  # na
@@ -140,7 +180,7 @@ def _encode_term(term):
 
 def _encode(result: ParseResult):
     blocks = [(b.concept, b.line, [(lang.value, phrases) for lang, phrases in b.lexicon],
-               [_encode_term(a) for a in b.assertions], b.assertion_lines, symbols, lines)
+               list(map(_encode_assertion, b.assertions)), b.assertion_lines, symbols, lines)
               for b, (symbols, lines) in zip(result.blocks, result.first_mentions)]
     grids = [(g.text, g.line) for g in result.grid_sources]
     diagnostics = [(d.line, d.col, d.severity, d.code, d.message) for d in result.diagnostics]

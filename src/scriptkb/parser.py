@@ -351,9 +351,7 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
             finish()
             words = stripped.split()
             if len(words) == 2 and is_symbol(words[1]):
-                # the string the argument table holds for this token, if any
-                current = ObjectBlock(atoms.get(words[1], words[1]), line=lineno,
-                                      file=filename)
+                current = ObjectBlock(words[1], line=lineno, file=filename)
             else:
                 err(lineno, 1, "MalformedHeader", f"bad Object header: {stripped!r}")
                 current = ObjectBlock("invalid", line=lineno, file=filename)

@@ -30,6 +30,14 @@ def collector_state(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def bundled_data_parsed_afresh():
+    """Each run starts with no parse cache entries for the bundled data, so its
+    first load of each file parses it, whatever an earlier run left."""
+    for entry in (Path(data_path("core.kb")).parent / "__pycache__").glob("*.kbc"):
+        entry.unlink()
+
+
 @pytest.fixture(scope="session")
 def core_text():
     return data_text("core.kb")

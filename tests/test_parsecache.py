@@ -164,8 +164,12 @@ def loads_as_text(path, parses) -> None:
     assert_same_base(kb, KnowledgeBase.from_texts([(str(path), path.read_text("utf-8"))]))
 
 
-def test_an_edit_keeping_size_and_mtime_is_parsed(one_file, parses):
+def test_an_edit_keeping_size_and_mtime_is_parsed(one_file, parses, monkeypatch):
     path, entry = one_file
+    # leave only the bytes to tell the two texts apart: an edit also gives the
+    # file a new status-change time, which would retire the entry by itself
+    monkeypatch.setattr(parsecache, "_file_id", lambda st: b"")
+    KnowledgeBase.from_paths([path])
     stat = path.stat()
     path.write_text(path.read_text("utf-8").replace("buzz", "fizz"), encoding="utf-8")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -215,6 +219,53 @@ def test_an_entry_of_another_interpreter_is_parsed(one_file, parses, monkeypatch
         loads_as_text(path, parses)
     finally:
         parsecache._code_key.cache_clear()
+
+
+def test_an_entry_that_came_with_its_source_is_parsed(tmp_path, one_file, parses):
+    # as from an archive or a checkout: the same bytes, times and modes, but
+    # a new file, so the entry was not written for it
+    path, entry = one_file
+    copy = tmp_path / "copy" / path.name
+    copy.parent.mkdir()
+    shutil.copy2(path, copy)
+    shutil.copytree(entry.parent, copy.parent / "__pycache__")
+    assert copy.stat().st_mtime_ns == path.stat().st_mtime_ns
+    loads_as_text(copy, parses)
+    del parses[:]
+    KnowledgeBase.from_paths([copy])
+    assert parses == []
+
+
+@pytest.mark.parametrize("mode", [0o664, 0o646, 0o666], ids=oct)
+def test_an_entry_others_can_write_is_parsed(one_file, parses, mode):
+    path, entry = one_file
+    entry.chmod(mode)
+    loads_as_text(path, parses)
+    assert not entry.stat().st_mode & 0o022  # written again, for its owner alone
+    del parses[:]
+    KnowledgeBase.from_paths([path])
+    assert parses == []
+
+
+def test_an_entry_of_another_user_is_parsed(one_file, parses, monkeypatch):
+    path, entry = one_file
+    owner = entry.stat().st_uid
+    monkeypatch.setattr(os, "geteuid", lambda: owner + 1)
+    loads_as_text(path, parses)
+    loads_as_text(path, parses)
+
+
+@pytest.mark.parametrize("source_mode", [0o600, 0o640, 0o644, 0o666], ids=oct)
+def test_an_entry_shows_no_one_a_text_they_cannot_read(tmp_path, source_mode):
+    path = tmp_path / "one.kb"
+    path.write_text("Object hum\n[event01-of ^ [buzz hum]]\n", encoding="utf-8")
+    path.chmod(source_mode)
+    KnowledgeBase.from_paths([path])
+    (entry,) = entries([path])
+    mode = entry.stat().st_mode & 0o777
+    assert mode & 0o600 == 0o600
+    assert not mode & 0o022
+    assert not mode & 0o044 & ~source_mode
 
 
 def test_an_unwritable_cache_only_costs_the_cache(tmp_path, parses):
