@@ -9,7 +9,7 @@ in free text; and computes per-script census statistics.
 
 from .diagnostics import Diagnostic, has_errors
 from .grid import Grid, parse_grid, render as render_grid
-from .kb import KnowledgeBase, instance_base, load
+from .kb import KnowledgeBase, instance_base
 from .ontology import ROOT, Language, Ontology
 from .parser import is_symbol, parse_assertion, parse_database, parse_measure, serialize
 from .qa import Answer, Question, QuestionKind, answer, parse_question, render_question
@@ -45,7 +45,7 @@ __all__ = [
     "Ontology", "Question", "QuestionKind", "RecognitionResult", "ROOT",
     "Script", "SummaryRow", "activate", "answer", "build_script", "census",
     "format_results", "has_errors", "inherited_field", "instance_assertion",
-    "instance_base", "is_script", "is_symbol", "load", "mention_set",
+    "instance_base", "is_script", "is_symbol", "mention_set",
     "parse_assertion", "parse_database", "parse_grid", "parse_measure",
     "parse_question", "render_grid", "render_question", "render_term",
     "score_scripts", "serialize", "summary", "timeline", "validate",

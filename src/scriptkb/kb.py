@@ -1,10 +1,12 @@
 """Knowledge base: parsed blocks, hierarchy, lexicon, and grids in one place.
 
-Loading merges any number of files: the blocks of one concept are read
-together, in load order, and each keeps its own file and lines.  A load
-from paths parses each file once: a file that has not changed since the
-same code parsed it is decoded from its entry in the parse cache beside it
-(``parsecache``), which gives the same parse result.  The files it parses
+``KnowledgeBase.from_texts`` builds a base from (name, text) pairs and
+``from_paths`` from files; both read each text by the parser's one text
+rule, so the same bytes give the same base.  Loading merges any number of
+files: the blocks of one concept are read together, in load order, and
+each keeps its own file and lines.  From paths, a file that has not changed
+since the same code parsed it is decoded from its parse cache entry
+(``parsecache``) instead.  The files it parses
 are parsed with one set of token tables, so each distinct predicate and
 argument token is classified once per load and held as one string; a bad
 token stays out of the tables and is reported in every file, at its own
@@ -57,7 +59,7 @@ from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
 from .parsecache import parse_file, source_text
-from .parser import ParseResult, _parse_database
+from .parser import ParseResult, _parse_database, normalize_text
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, term_symbols)
 
@@ -84,9 +86,9 @@ def instance_base(name: str) -> str | None:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text, without the byte-order mark it may open with and
-    with ``\\n`` line ends; undecodable bytes raise a KbError naming the file."""
-    return source_text(Path(path).read_bytes(), path)
+    """A UTF-8 file's text by the parser's text rule; undecodable bytes raise
+    a KbError naming the file."""
+    return normalize_text(source_text(Path(path).read_bytes(), path))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,16 +112,17 @@ class ScriptIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    ontology: Ontology = field(default_factory=Ontology)
-    blocks: list[ObjectBlock] = field(default_factory=list)  # as parsed, a concept's together
-    grids: dict[str, Grid] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    ontology: Ontology = field(default_factory=Ontology, init=False)
+    # as parsed, a concept's blocks together
+    blocks: list[ObjectBlock] = field(default_factory=list, init=False)
+    grids: dict[str, Grid] = field(default_factory=dict, init=False)
+    diagnostics: list[Diagnostic] = field(default_factory=list, init=False)
     # subject -> its field assertions that are not malformed, in load order
-    _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict)
+    _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict, init=False)
     # sorted script names -> census rows
-    _scripts: dict[str, CensusRow] = field(default_factory=dict)
+    _scripts: dict[str, CensusRow] = field(default_factory=dict, init=False)
     # the census rows' column sums: subevents, roles, places, other
-    _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0], init=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -186,9 +189,7 @@ class KnowledgeBase:
 
     @classmethod
     def from_texts(cls, named_texts) -> "KnowledgeBase":
-        """Build a base from (name, text) pairs, merged in order.  The files
-        share one set of token tables, so a token is classified once per
-        load, not once per file."""
+        """Build a base from (name, text) pairs, merged in order."""
         kb = cls()
         tables = ({}, {}, {})  # predicates, symbol arguments, na and measures
         with collector_paused():
@@ -199,9 +200,7 @@ class KnowledgeBase:
     @classmethod
     def from_paths(cls, paths) -> "KnowledgeBase":
         """Build a base from files, merged in order, as ``from_texts`` builds
-        it from their texts.  A file parsed by an earlier load, and not changed
-        since, is decoded from its cache entry by the same code instead of
-        parsed (see ``parsecache``)."""
+        it from their decoded bytes, or from their parse cache entries."""
         kb = cls()
         tables = ({}, {}, {})
         with collector_paused():
@@ -354,7 +353,3 @@ class KnowledgeBase:
                         f"undeclared concept {sym!r} registered under {ROOT!r}"))
 
         ontology.resolve()
-
-
-def load(paths) -> KnowledgeBase:
-    return KnowledgeBase.from_paths(paths)

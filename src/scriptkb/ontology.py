@@ -6,6 +6,7 @@ link to concepts many-to-many.  Phrase lookup lowercases only the first
 character of the query, so sentence-initial capitalization still matches
 while the rest of the phrase is compared exactly.  Lexicon methods take a
 ``Language`` member or a language's name, ``"English"`` or ``"French"``.
+A concept's lexicon is kept as linked, one phrase tuple per section.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Ontology:
         # one table of each kind per language, so a lookup builds no key
         self._by_phrase: dict[Language, dict[str, tuple[str, ...]]] = {
             lang: {} for lang in Language}
-        self._by_concept: dict[Language, dict[str, tuple[str, ...]]] = {
+        # concept -> its linked sections' phrase tuples, in link order
+        self._lexicon: dict[Language, dict[str, tuple[tuple[str, ...], ...]]] = {
             lang: {} for lang in Language}
         self._reach: dict[Language, dict[str, int]] = {lang: {} for lang in Language}
 
@@ -160,10 +162,9 @@ class Ontology:
         once.  A block's lexicon is such a list of sections."""
         self._require(concept)
         for language, phrases in sections:
-            lang = as_language(language)
+            lang, phrases = as_language(language), tuple(phrases)
             by_phrase, reach = self._by_phrase[lang], self._reach[lang]
-            by_concept = self._by_concept[lang]
-            linked = own = by_concept.get(concept, ())
+            lexicon = self._lexicon[lang]
             for phrase in phrases:
                 key = _normalize_phrase(phrase)
                 concepts = by_phrase.get(key, ())
@@ -172,10 +173,8 @@ class Ontology:
                 words = key.split()
                 if words and reach.get(words[0], 0) < len(words):
                     reach[words[0]] = len(words)
-                if phrase not in own:
-                    own += (phrase,)
-            if own is not linked:
-                by_concept[concept] = own
+            if phrases:
+                lexicon[concept] = lexicon.get(concept, ()) + (phrases,)
 
     def lookup_phrase(self, phrase: str, language) -> tuple[str, ...]:
         return self._by_phrase[as_language(language)].get(_normalize_phrase(phrase), ())
@@ -185,8 +184,10 @@ class Ontology:
         return self._reach[as_language(language)].get(_normalize_phrase(word), 0)
 
     def lexemes_of(self, concept: str, language) -> list[str]:
+        """The concept's phrases in the language, in link order, each once."""
         self._require(concept)
-        return list(self._by_concept[as_language(language)].get(concept, ()))
+        sections = self._lexicon[as_language(language)].get(concept, ())
+        return list(dict.fromkeys(p for phrases in sections for p in phrases))
 
     def _require(self, name: str) -> None:
         if name not in self._parents:

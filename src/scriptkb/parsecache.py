@@ -1,6 +1,9 @@
 """Parse each knowledge-base file once: a cache of parse results beside the sources.
 
 ``KnowledgeBase.from_paths`` reads every file through :func:`parse_file`.
+It decodes the file's UTF-8 bytes as they are and leaves the text rule
+(``parser.normalize_text``) to the parser, as ``from_texts`` does.
+
 A file's parse result is kept in an entry at
 ``<dir>/__pycache__/<file name>.<cache tag>.kbc``, next to where Python
 keeps a module's bytecode, and a later load decodes the entry instead of
@@ -56,16 +59,13 @@ _MAGIC = b"scriptkb parse cache 1\0"
 
 
 def source_text(data: bytes, path) -> str:
-    """A file's text from its bytes, as ``open`` in text mode reads UTF-8: the
-    byte-order mark it may open with is dropped and every line end becomes
-    ``\\n``.  Undecodable bytes raise a KbError naming the file."""
+    """A file's text from its UTF-8 bytes, as they are: the parser applies the
+    text rule (``parser.normalize_text``).  Undecodable bytes raise a KbError
+    naming the file."""
     try:
-        text = data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise KbError(f"{path}: {e}") from e
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 @functools.cache

@@ -19,6 +19,8 @@ A file is a sequence of blocks::
   ``NUMBER:<unit>:<value>`` or as a number with a unit suffix (``.25in``).
 * Lines starting with ``;`` are comments.  HTML character entities are
   decoded on ingestion.
+* Every text first loses a leading byte-order mark, and ``\\r\\n`` or a
+  lone ``\\r`` ends a line as ``\\n`` does (``normalize_text``).
 
 Parsing is total: bad input produces diagnostics, never an exception.  A
 block containing any error is dropped as a whole; parsing continues with
@@ -251,13 +253,17 @@ class ParseResult:
         default_factory=list)
 
 
+def normalize_text(text: str) -> str:
+    """The text rule of every loader, applied before entities are decoded."""
+    text = text.removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def parse_database(text: str, *, filename: str = "<kb>") -> ParseResult:
     """Parse a whole knowledge-base document.  A lexicon line or an
     assertion before the first ``Object`` header is an ``OrphanContent``
     error."""
-    # fresh token tables (predicates, symbol arguments, na and measures), so
-    # each distinct token is classified once per call; a load passes one set
-    # to all its files, so there a token is classified once per load
+    # fresh token tables: predicates, symbol arguments, na and measures
     return _parse_database(text, filename, {}, {}, {})
 
 
@@ -267,10 +273,7 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
     every file it parses, so a token the files share is classified in the
     first file that holds it.  A token that fails to classify is never
     stored, so each file still reports it at its own position."""
-    text = html.unescape(text)
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [ln.rstrip("\r") for ln in lines]
+    lines = html.unescape(normalize_text(text)).split("\n")
     result = ParseResult()
 
     current: ObjectBlock | None = None

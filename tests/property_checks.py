@@ -822,7 +822,8 @@ def assert_lexicon_matches_reference(kb):
         # and nothing more is linked
         assert len(onto._by_phrase[lang]) == len(by_phrase)
         assert len(onto._reach[lang]) == len(reach)
-        assert len(onto._by_concept[lang]) == len(by_concept)
+        assert sum(1 for c in onto.concepts() if onto.lexemes_of(c, lang)) == len(by_concept)
+        assert len(onto._lexicon[lang]) == len(by_concept)
 
 
 def run_load_matches_fresh_tables(named_texts):

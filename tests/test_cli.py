@@ -505,7 +505,8 @@ def test_the_script_index_builds_no_script_view(core_text, scripts_text, demo_te
 def test_validate_builds_each_script_once(built_scripts):
     code, _, _ = invoke("validate", *bundled_kb_paths())
     assert code == 0
-    assert sorted(built_scripts) == scriptkb.load(bundled_kb_paths()).script_concepts()
+    kb = scriptkb.KnowledgeBase.from_paths(bundled_kb_paths())
+    assert sorted(built_scripts) == kb.script_concepts()
 
 
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--csv"], ["--json", "stats"]])

@@ -110,13 +110,12 @@ def test_fixture_load_has_no_errors(kb):
 
 
 def test_load_from_paths_merges_in_order(tmp_path):
-    from scriptkb.kb import load
     first = tmp_path / "one.kb"
     second = tmp_path / "two.kb"
     first.write_text("Object hum\n[event01-of ^ [buzz hum]]\n", encoding="utf-8")
     second.write_text("Object hum\n[event02-of ^ [fade hum]]\n"
                       "\nObject other\n[ako ^ hum]\n", encoding="utf-8")
-    kb = load([first, second])
+    kb = KnowledgeBase.from_paths([first, second])
     preds = [a.predicate for a in kb.assertions_about("hum")]
     assert preds == ["event01-of", "event02-of"]
     assert kb.ontology.is_a("other", "hum")

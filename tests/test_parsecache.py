@@ -14,7 +14,7 @@ import pytest
 from property_checks import _mutations, as_two_files
 from scriptkb import parsecache
 from scriptkb.errors import CycleDetected, KbError
-from scriptkb.kb import KnowledgeBase
+from scriptkb.kb import KnowledgeBase, read_text
 from test_cli import invoke
 
 
@@ -32,14 +32,23 @@ def parses(monkeypatch):
 
 
 def write_base(root: Path, named_texts) -> list[str]:
-    """Write (name, text) pairs under ``root``; returns their paths."""
+    """Write (name, text) pairs under ``root`` as UTF-8, line ends as they are
+    in the text; returns their paths."""
     paths = []
     for name, text in named_texts:
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         paths.append(str(path))
     return paths
+
+
+def other_line_ends(named_texts):
+    """The texts with CRLF line ends, with lone-CR line ends, and led by a
+    byte-order mark, each set as its own base."""
+    for change in (lambda t: t.replace("\n", "\r\n"), lambda t: t.replace("\n", "\r"),
+                   lambda t: "\ufeff" + t):
+        yield [(name, change(text)) for name, text in named_texts]
 
 
 def entries(paths) -> list[Path]:
@@ -61,7 +70,7 @@ def assert_same_base(kb, want):
     assert kb._census_totals == want._census_totals
     onto, other = kb.ontology, want.ontology
     assert list(onto._parents.items()) == list(other._parents.items())
-    for table in ("_by_phrase", "_by_concept", "_reach"):
+    for table in ("_by_phrase", "_lexicon", "_reach"):
         assert {lang: list(t.items()) for lang, t in getattr(onto, table).items()} \
             == {lang: list(t.items()) for lang, t in getattr(other, table).items()}
     assert [(name, g, g.line, g.file) for name, g in kb.grids.items()] \
@@ -70,8 +79,10 @@ def assert_same_base(kb, want):
 
 def check_cold_and_warm(paths, parses):
     """A cold load (entries written) and a warm one (entries read, nothing
-    parsed) both give what ``from_texts`` gives, or raise the same cycle."""
-    texts = [(p, Path(p).read_text(encoding="utf-8")) for p in paths]
+    parsed) both give what ``from_texts`` gives for each file's text as
+    decoded, line ends untranslated, or raise the same cycle.  Returns the
+    ``from_texts`` base, or None for a cycle."""
+    texts = [(p, Path(p).read_bytes().decode("utf-8")) for p in paths]
     clear_entries(paths)
     try:
         want = KnowledgeBase.from_texts(texts)
@@ -80,7 +91,7 @@ def check_cold_and_warm(paths, parses):
             with pytest.raises(CycleDetected) as got:
                 KnowledgeBase.from_paths(paths)
             assert str(got.value) == str(e)
-        return
+        return None
     del parses[:]
     assert_same_base(KnowledgeBase.from_paths(paths), want)
     assert parses == paths
@@ -88,17 +99,27 @@ def check_cold_and_warm(paths, parses):
     del parses[:]
     assert_same_base(KnowledgeBase.from_paths(paths), want)
     assert parses == []
+    return want
+
+
+def check_line_ends(root, named_texts, parses):
+    """The base loads the same cold, warm and from its texts, and so does each
+    copy with other line ends or a byte-order mark, written over it, which
+    gives the base the LF files give."""
+    want = check_cold_and_warm(write_base(root, named_texts), parses)
+    for texts in other_line_ends(named_texts):
+        assert_same_base(check_cold_and_warm(write_base(root, texts), parses), want)
 
 
 def test_fixtures_load_the_same_cold_and_warm(tmp_path, parses, core_text, scripts_text,
                                               demo_text):
-    check_cold_and_warm(write_base(tmp_path, [
-        ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)]),
+    check_line_ends(tmp_path, [
+        ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)],
         parses)
 
 
 def test_the_benchmark_base_loads_the_same_cold_and_warm(tmp_path, parses, bench_texts):
-    check_cold_and_warm(write_base(tmp_path, bench_texts), parses)
+    check_line_ends(tmp_path, bench_texts, parses)
 
 
 def test_mutated_bases_load_the_same_cold_and_warm(tmp_path, parses, core_text,
@@ -314,10 +335,13 @@ def test_line_ends_and_a_byte_order_mark_read_as_open_reads_them(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfObject hum\r\n[event01-of ^\r[buzz hum]]\r\n")
     with open(path, encoding="utf-8-sig") as f:
         text = f.read()
-    assert parsecache.source_text(path.read_bytes(), path) == text
+    assert read_text(path) == text
+    # the parser applies the text rule, so the bytes as decoded load the same
+    raw = path.read_bytes().decode("utf-8")
     for _ in range(2):
-        assert_same_base(KnowledgeBase.from_paths([path]),
-                         KnowledgeBase.from_texts([(str(path), text)]))
+        kb = KnowledgeBase.from_paths([path])
+        assert_same_base(kb, KnowledgeBase.from_texts([(str(path), text)]))
+        assert_same_base(kb, KnowledgeBase.from_texts([(str(path), raw)]))
 
 
 def test_an_assertion_nested_too_deeply_to_store_loads_without_an_entry(tmp_path, parses):

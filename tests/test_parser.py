@@ -523,7 +523,15 @@ def test_a_capitalized_bracket_word_is_a_lexicon_line_only_when_closed():
 def test_crlf_input_parses_as_lf_input(core_text, scripts_text, demo_text):
     texts = [core_text, scripts_text, demo_text, "Object a\n[p ^\n  [q x]]\n[r ^ Bad]\n"]
     for text in texts:
-        assert parsed(parse_database(text.replace("\n", "\r\n"))) == parsed(parse_database(text))
+        want = parsed(parse_database(text))
+        # line ends in turn CR, CRLF and LF; a lone CR is never followed by
+        # an LF, which would read as one CRLF
+        lines = text.split("\n")
+        mixed = "".join(line + ("\r", "\r\n", "\n")[i % 3]
+                        for i, line in enumerate(lines[:-1])) + lines[-1]
+        for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"), mixed,
+                        "\ufeff" + text, "\ufeff" + text.replace("\n", "\r\n")):
+            assert parsed(parse_database(variant)) == want
 
 
 @pytest.mark.parametrize("line", ["[p ^ x]]", "[p ^ x] ]", "[p [q ^]]]]", "  [p ^ [q x]]]] [r"])
