@@ -10,16 +10,19 @@ Exit codes: 0 success, 1 usage error, 2 load error, 3 query error.
 
 A command runs with the cyclic garbage collector paused, from argument
 parsing to output, and the collector's earlier state comes back however
-the command ends.  Each command loads a whole base, and the first
-collections after a load would walk every object in it and free nothing:
+the command ends.  Each command loads a base, and the first collections
+after a load would walk every object in it and free nothing:
 a base holds no reference cycles, so reference counting frees it once the
 command drops it.
 
-A command parses only the files that are new or changed since an earlier
-command parsed them: each file's parse result is kept in ``__pycache__``
-beside it, keyed by the file's bytes and identity, the interpreter and the
-package's code, and a later command decodes it (``parsecache``).  The base
-is still assembled whole by every command.
+A command parses its files only when the set of them is new or one of
+them has changed since an earlier command loaded the same set: the
+assembled base is kept in one snapshot entry in ``__pycache__`` beside the
+first file, keyed by each file's bytes and identity, the interpreter and
+the package's code (``parsecache``).  A later command reads the entry's
+tables and decodes the lexicon, a script's fields, the index or the blocks
+only when its query reads them, so a command costs little more than its query and
+the reading and hashing of its files.
 """
 
 from __future__ import annotations

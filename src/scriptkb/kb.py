@@ -4,20 +4,21 @@
 ``from_paths`` from files; both read each text by the parser's one text
 rule, so the same bytes give the same base.  Loading merges any number of
 files: the blocks of one concept are read together, in load order, and
-each keeps its own file and lines.  From paths, a file that has not changed
-since the same code parsed it is decoded from its parse cache entry
-(``parsecache``) instead.  The files it parses
-are parsed with one set of token tables, so each distinct predicate and
-argument token is classified once per load and held as one string; a bad
-token stays out of the tables and is reported in every file, at its own
-position.  Each field assertion's argument check and census column come
-from its predicate's one ``FIELDS`` entry.  Each block's lexicon is linked
-by one ``Ontology.link_lexicon`` call as its concept is registered.  ``ako``
-assertions supply hierarchy parents.  Symbols that are referenced but never
-declared are auto-registered as children of the root with a warning, since
-source excerpts routinely mention concepts defined elsewhere; each is
-reported at its first mention, which the parser records for each block as
-it reads the assertions, so loading does not walk them again.  A
+each keeps its own file and lines.  From paths, a load set whose files
+have not changed since the same code loaded them is decoded from the set's
+snapshot entry (``parsecache``) instead of parsed and assembled.  The
+files of a load are parsed with one set of token tables, so each distinct
+predicate and argument token is classified once per load and held as one
+interned string; a bad token stays out of the tables and is reported in
+every file, at its own position.  Each field assertion's argument check
+and census column come from its predicate's one ``FIELDS`` entry.  Each
+block's lexicon is linked by one ``Ontology.link_lexicon`` call as its
+concept is registered.  ``ako`` assertions supply hierarchy parents.
+Symbols that are referenced but never declared are auto-registered as
+children of the root with a warning, since source excerpts routinely
+mention concepts defined elsewhere; each is reported at its first mention,
+which the parser records for each block as it reads the assertions, so
+loading does not walk them again.  A
 trailing-digit name like ``hotel-room1`` is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
@@ -33,8 +34,14 @@ call.  Recognition and the what-does, used-for and where-found questions
 also read two concept -> scripts maps, built by the first of them from the
 recorded field assertions, with no script view.
 
-The cyclic garbage collector is paused while a base parses (or decodes) and
-assembles (``collector_paused``).  Loading allocates tens of thousands of
+A base decoded from a snapshot entry has its hierarchy, census, grids and
+diagnostics at once, as they were stored.  The lexicon tables, each
+subject's field assertions, the blocks and the two maps stay encoded until
+a query first reads them, so a command pays to decode only what it reads.  Both kinds of
+base answer every query through the same tables.
+
+The cyclic garbage collector is paused while a base parses and assembles,
+or decodes (``collector_paused``).  Loading allocates tens of thousands of
 tuples, assertions, lists and dicts that all stay alive (about 54,000 for a
 base of 500 scripts), so each collection it would trigger walks them in
 vain, and the older generations' collections walk them again and again as
@@ -47,10 +54,11 @@ and free nothing.
 from __future__ import annotations
 
 import gc
+import marshal
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,10 +66,11 @@ from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .ontology import ROOT, Ontology
-from .parsecache import parse_file, source_text
+from .parsecache import (FieldTable, Sources, decode_blocks, encode_assertion, encode_blocks,
+                         source_text)
 from .parser import ParseResult, _parse_database, normalize_text
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
-                    ObjectBlock, goto_target, malformed, term_symbols)
+                    ObjectBlock, goto_target, malformed, slot_init, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)\d+$")
 
@@ -91,6 +100,7 @@ def read_text(path) -> str:
     return normalize_text(source_text(Path(path).read_bytes(), path))
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CensusRow:
     """One script's own field assertions by census column; ``other`` counts
@@ -113,16 +123,18 @@ class ScriptIndex(NamedTuple):
 @dataclass(frozen=True)
 class KnowledgeBase:
     ontology: Ontology = field(default_factory=Ontology, init=False)
-    # as parsed, a concept's blocks together
-    blocks: list[ObjectBlock] = field(default_factory=list, init=False)
     grids: dict[str, Grid] = field(default_factory=dict, init=False)
     diagnostics: list[Diagnostic] = field(default_factory=list, init=False)
     # subject -> its field assertions that are not malformed, in load order
-    _field_assertions: dict[str, list[Assertion]] = field(default_factory=dict, init=False)
+    _field_assertions: FieldTable = field(default_factory=FieldTable, init=False)
     # sorted script names -> census rows
     _scripts: dict[str, CensusRow] = field(default_factory=dict, init=False)
     # the census rows' column sums: subevents, roles, places, other
     _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0], init=False)
+    # a base read from a snapshot entry: its load set's file names, the
+    # entry's payload, and the spans of its index and block sections, each
+    # decoded on first read
+    _stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -139,6 +151,14 @@ class KnowledgeBase:
         """``assertions_about`` with the file and line of each assertion; empty
         for a concept the base does not know."""
         return tuple(self._sites.get(concept, ()))
+
+    @cached_property
+    def blocks(self) -> list[ObjectBlock]:
+        """The blocks as parsed, a concept's blocks together; a base read from
+        a snapshot entry decodes them on first read."""
+        spans = self._stored.get("blocks")
+        return [] if spans is None else decode_blocks(
+            self._stored["payload"], spans, self._stored["files"], self._field_assertions)
 
     @cached_property
     def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
@@ -159,11 +179,18 @@ class KnowledgeBase:
 
     @cached_property
     def index(self) -> ScriptIndex:
-        """The script index, built on first use: loading and the queries that
-        need no map never pay for it.  It reads each script's recorded field
-        assertions as ``mention_set(build_script(...))`` would, and builds no
-        script view: a role's first value wins, goto events are left out, and
-        the other events give every symbol inside them."""
+        """The script index, built or, from a snapshot entry, decoded on first
+        use: loading and the queries that need no map never pay for it."""
+        span = self._stored.get("index")
+        if span is None:
+            return self._build_index()
+        return ScriptIndex(*marshal.loads(self._stored["payload"][span[0]:span[1]]))
+
+    def _build_index(self) -> ScriptIndex:
+        """The script index from each script's recorded field assertions, read
+        as ``mention_set(build_script(...))`` would read them, with no script
+        view: a role's first value wins, goto events are left out, and the
+        other events give every symbol inside them."""
         by_mention: dict[str, list[str]] = {}
         by_role: dict[str, list[str]] = {}
         for name in self._scripts:  # sorted, so each script list is too
@@ -200,11 +227,58 @@ class KnowledgeBase:
     @classmethod
     def from_paths(cls, paths) -> "KnowledgeBase":
         """Build a base from files, merged in order, as ``from_texts`` builds
-        it from their decoded bytes, or from their parse cache entries."""
-        kb = cls()
-        tables = ({}, {}, {})
+        it from their decoded bytes, or decode it from the load set's snapshot
+        entry (``parsecache``).  Reading a file raises ``OSError``, and a file
+        that is not UTF-8 raises a ``KbError`` naming it."""
+        files = [str(p) for p in paths]
         with collector_paused():
-            kb._assemble([parse_file(p, tables) for p in paths])
+            sources = Sources(files)
+            stored = sources.read()
+            if stored is not None:
+                return cls._from_snapshot(*stored, files)
+            kb = cls.from_texts(sources.texts())
+            sources.write(partial(kb._snapshot, files))
+        return kb
+
+    def _snapshot(self, files: list[str], section):
+        """The head of the base's snapshot entry: the spans of the sections
+        that ``section`` writes, one table or one language's lexicon tables
+        at a time, then each subject's field assertions, the index and each
+        block.  Each file is stored as its index in ``files``."""
+        at = {name: i for i, name in reversed(list(enumerate(files)))}
+        parents, languages = self.ontology.tables()
+        return (section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
+                         for d in self.diagnostics]),
+                section(parents),
+                {lang: section(tables) for lang, tables in languages.items()},
+                section(([(r.script, r.subevents, r.roles, r.places, r.other)
+                          for r in self._scripts.values()], self._census_totals)),
+                section([(g.name, g.rows, g.legend, g.extended_keys, g.line, at[g.file])
+                         for g in self.grids.values()]),
+                {subject: section(list(map(encode_assertion, assertions)))
+                 for subject, assertions in self._field_assertions.items() if assertions},
+                section(tuple(self._build_index())),
+                encode_blocks(self.blocks, self._field_assertions, at, section))
+
+    @classmethod
+    def _from_snapshot(cls, head, payload, files: list[str]) -> "KnowledgeBase":
+        diagnostics, parents, languages, census, grids, fields, index, blocks = head
+
+        def read(span):
+            return marshal.loads(payload[span[0]:span[1]])
+
+        kb = cls()
+        init = partial(object.__setattr__, kb)
+        init("diagnostics", [Diagnostic(files[file], *d) for file, *d in read(diagnostics)])
+        init("ontology", Ontology.from_tables(
+            read(parents), lambda: {lang: read(span) for lang, span in languages.items()}))
+        rows, totals = read(census)
+        init("_scripts", {row[0]: CensusRow(*row) for row in rows})
+        init("_census_totals", totals)
+        init("grids", {name: Grid(name, rows, legend, keys, line, files[file])
+                       for name, rows, legend, keys, line, file in read(grids)})
+        init("_field_assertions", FieldTable(payload, fields))
+        kb._stored.update(files=files, payload=payload, index=index, blocks=blocks)
         return kb
 
     def _merge_blocks(self, results: list[ParseResult]) -> dict[str, tuple[str, int]]:

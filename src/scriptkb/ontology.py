@@ -45,6 +45,22 @@ def _normalize_phrase(phrase: str) -> str:
     return phrase if lower == phrase[:1] else lower + phrase[1:]
 
 
+class _StoredLexicon(dict):
+    """Language -> one of the lexicon tables of an ontology made by
+    ``Ontology.from_tables``; the first read of any of them reads them all.
+    Once read, a language's table is a plain dict lookup away, as in a
+    built ontology."""
+
+    __slots__ = ("read",)
+
+    def __missing__(self, lang):
+        self.read()
+        table = dict.get(self, lang)
+        if table is None:
+            raise KeyError(lang)
+        return table
+
+
 class Ontology:
     """Mutable while loading; treated as read-only once a base is built."""
 
@@ -57,6 +73,36 @@ class Ontology:
         self._lexicon: dict[Language, dict[str, tuple[tuple[str, ...], ...]]] = {
             lang: {} for lang in Language}
         self._reach: dict[Language, dict[str, int]] = {lang: {} for lang in Language}
+
+    # -- stored tables -------------------------------------------------------
+
+    def tables(self):
+        """The resolved tables as plain values: the parents map, and the
+        lexicon tables, each language's phrase, reach and lexicon maps by the
+        language's name."""
+        return self._parents, {lang.value: (self._by_phrase[lang], self._reach[lang],
+                                            self._lexicon[lang]) for lang in Language}
+
+    @classmethod
+    def from_tables(cls, parents, read_lexicon) -> "Ontology":
+        """The ontology whose ``tables()`` these are, taken as they are: a
+        resolved hierarchy is not resolved again.  ``read_lexicon()`` gives
+        the lexicon tables; it is called when a lexicon table is first read,
+        so a base whose queries read no phrase never decodes them."""
+        onto = cls.__new__(cls)
+        onto._parents = parents
+        tables = onto._by_phrase, onto._reach, onto._lexicon = \
+            _StoredLexicon(), _StoredLexicon(), _StoredLexicon()
+
+        def read():
+            by_language = read_lexicon()
+            for lang in Language:
+                for table, value in zip(tables, by_language[lang.value]):
+                    table.setdefault(lang, value)
+
+        for table in tables:
+            table.read = read
+        return onto
 
     # -- construction ------------------------------------------------------
 

@@ -1,43 +1,57 @@
-"""Parse each knowledge-base file once: a cache of parse results beside the sources.
+"""Load each set of knowledge-base files once: a snapshot of the assembled base
+beside the sources.
 
-``KnowledgeBase.from_paths`` reads every file through :func:`parse_file`.
-It decodes the file's UTF-8 bytes as they are and leaves the text rule
-(``parser.normalize_text``) to the parser, as ``from_texts`` does.
+``KnowledgeBase.from_paths`` reads every file of its load set and hashes it
+on every load.  It decodes each file's UTF-8 bytes as they are and leaves
+the text rule (``parser.normalize_text``) to the parser, as ``from_texts``
+does.
 
-A file's parse result is kept in an entry at
-``<dir>/__pycache__/<file name>.<cache tag>.kbc``, next to where Python
-keeps a module's bytecode, and a later load decodes the entry instead of
-parsing the text again.  An entry answers only when its header matches:
+The assembled base of an ordered load set is kept in one entry at
+``<dir>/__pycache__/<first file name>.<set hash>.<cache tag>.kbs``, beside
+the first file, where the set hash is of the files' absolute paths in
+order, so the same set named by relative or absolute paths finds the same
+entry.  A later load of the set decodes the entry instead of parsing and
+assembling the files again.  An entry answers only when its header matches:
 
 * a magic string and ``sys.version``;
 * a fingerprint of the bytes of every ``scriptkb/*.py`` module, computed
   once per process, so any change to the code retires every entry;
-* the source's size in bytes and its ``importlib.util.source_hash``;
-* the source's inode number and status-change time (``st_ctime_ns``), which
-  a user cannot set: a copy of the file, or one unpacked from an archive or
-  checked out, has new ones, so an entry that arrives with its source never
-  answers for it;
-* the ``source_hash`` of the payload that follows, so a damaged entry is
-  found before it is decoded.
+* for each file, in order: its inode number and status-change time
+  (``st_ctime_ns``), which a user cannot set, so an entry that arrives with
+  its sources (a copy, an archive, a checkout) never answers for them; its
+  size in bytes; and the ``importlib.util.source_hash`` of its bytes;
+* a CRC-32 of the payload that follows, so a damaged entry is found before
+  any of it is decoded.
+
+Editing any file of the set retires the entry, and the next load parses
+every file of the set.
 
 An entry is read only when it is the current user's alone: owned by the
 effective user and writable by neither group nor others, as ssh treats its
-files.  An entry is written with the source's read permissions, so it shows
-no one a text they cannot read.  Where files have no owners (no
-``os.geteuid``) no entry is kept.
+files.  An entry is written with the read permissions that every source of
+the set has, so it shows no one a text they cannot read.  Where files have
+no owners (no ``os.geteuid``) no entry is kept.
 
 An entry that is not read or whose header does not match is ignored: the
-file is parsed and the entry written again.  An entry is written
-atomically, to a temporary file in the same directory that then replaces
-it, and a write that fails is skipped, so a read-only directory only costs
-the cache.  Deleting ``__pycache__`` clears the entries.
+files are parsed and the entry written again.  A load that raises writes
+no entry.  An entry is written atomically, to a temporary file in the same
+directory that then replaces it, and a write that fails is skipped, so a
+read-only directory only costs the cache.  Deleting ``__pycache__`` clears
+the entries.
 
-The payload is ``marshal`` data of plain values.  An assertion is the
-tuple ``(predicate, *args)``, a measure the list ``[unit, text]``, ``na``
-is ``None`` and a symbol is its string; lexicon languages are stored by
-value.  Nothing holds the file name: blocks, grid sources and diagnostics
-get the path as the caller gave it when an entry is decoded, so one entry
-serves a file named by any path.
+The payload is a series of sections, then a head, then the head's size.
+The head and each section are ``marshal`` data of plain values (see
+``KnowledgeBase._snapshot``).  A load decodes the head, which names each
+section by its span, and keeps the payload it read: each section is a
+slice of it, decoded when the base is made or, for the lexicon, a
+subject's fields, the index and the blocks, when a query first reads it.
+Sections are written to the entry as they are made, so writing one never
+holds the whole payload.  In a section, an assertion is the tuple
+``(predicate, *args)``, a measure the list ``[unit, text]``, ``na`` is
+``None`` and a symbol is its string; a block holds each of its field
+assertions as the assertion's subject, and its lexicon languages by
+value.  No part holds a file name: each file is stored as its index in the
+set, and gets the path as the caller gave it when it is decoded.
 """
 
 from __future__ import annotations
@@ -47,15 +61,20 @@ import functools
 import marshal
 import os
 import sys
+import threading
+import zlib
 from importlib.util import source_hash
 from pathlib import Path
 
-from .diagnostics import Diagnostic
 from .errors import KbError
-from .parser import _LANGUAGES, GridSource, ParseResult, _parse_database
-from .terms import NA, Assertion, Measure, ObjectBlock
+from .parser import _LANGUAGES
+from .terms import FIELDS, NA, Assertion, Measure, ObjectBlock
 
-_MAGIC = b"scriptkb parse cache 1\0"
+_MAGIC = b"scriptkb snapshot 1\0"
+# the nesting a stored assertion may have: a section is decoded by a
+# recursive walk, at query time, so the walk must stay well inside the
+# interpreter's recursion limit; a deeper base is loaded without an entry
+_MAX_DEPTH = 100
 
 
 def source_text(data: bytes, path) -> str:
@@ -77,119 +96,159 @@ def _code_key() -> bytes:
     return _MAGIC + sys.version.encode() + b"\0" + source_hash(code)
 
 
-def _entry_path(path: str) -> str | None:
-    tag = sys.implementation.cache_tag
-    # no entry where the interpreter keeps no bytecode cache, or where an
-    # entry's owner cannot be checked
-    if tag is None or not hasattr(os, "geteuid"):
-        return None
-    head, name = os.path.split(path)
-    return os.path.join(head, "__pycache__", f"{name}.{tag}.kbc")
-
-
 def _file_id(st: os.stat_result) -> bytes:
-    """The header's part that no copy of the file shares: its inode number and
+    """The header's part that no copy of a file shares: its inode number and
     status-change time."""
     return st.st_ino.to_bytes(16, "little") + st.st_ctime_ns.to_bytes(8, "little", signed=True)
 
 
-def parse_file(path, tables) -> ParseResult:
-    """Parse one file with the load's token tables, or decode its cache entry.
+class Sources:
+    """The files of one ordered load set, each read once: their bytes, the
+    header their entry must carry, and where that entry lives.
 
-    ``tables`` are the predicate, symbol and value tables that
-    ``parser._parse_database`` reads and extends; a decoded entry leaves them
-    as they are.  Reading the file raises ``OSError``, and a file that is not
-    UTF-8 raises a ``KbError`` naming it and writes no entry."""
-    filename = str(path)
-    with open(path, "rb") as f:
-        source = os.fstat(f.fileno())
-        data = f.read()
-    key = (_code_key() + _file_id(source) + len(data).to_bytes(8, "little")
-           + source_hash(data))
-    entry = _entry_path(filename)
-    if entry is not None:
-        cached = _read_entry(entry)
-        payload = memoryview(cached)[len(key) + 8:]
-        if cached.startswith(key) and cached[len(key):len(key) + 8] == source_hash(payload):
-            try:
-                return _decode(marshal.loads(payload), filename)
-            except RecursionError:  # decoding runs deeper than encoding ran
-                pass
-    result = _parse_database(source_text(data, filename), filename, *tables)
-    if entry is not None:
-        _store(entry, key, result, source.st_mode)
-    return result
+    Reading a file raises ``OSError``."""
+
+    def __init__(self, files: list[str]):
+        self.files = files
+        self.data: list[bytes] = []
+        key = [_code_key()]
+        self.mode = 0o644  # the read permissions every source grants
+        for name in files:
+            with open(name, "rb") as f:
+                st = os.fstat(f.fileno())
+                data = f.read()
+            self.data.append(data)
+            key.append(_file_id(st) + len(data).to_bytes(8, "little") + source_hash(data))
+            self.mode &= st.st_mode
+        self.key = b"".join(key)
+        self.entry = _entry_path(files)
+
+    def texts(self):
+        """(name, text) pairs of the files, each decoded when it is reached and
+        its bytes then let go; a file that is not UTF-8 raises a KbError
+        naming it."""
+        data, self.data = self.data, []
+        data.reverse()
+        for name in self.files:
+            yield name, source_text(data.pop(), name)
+
+    def read(self):
+        """The entry's head and its whole payload, whose slices the head's
+        section spans name, when the entry is the user's alone and its header
+        matches; else None."""
+        if self.entry is None:
+            return None
+        try:
+            with open(self.entry, "rb") as f:
+                st = os.fstat(f.fileno())
+                if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+                    return None
+                cached = f.read()
+        except OSError:
+            return None
+        n = len(self.key)
+        payload = memoryview(cached)[n + 4:]
+        if not (cached.startswith(self.key)
+                and cached[n:n + 4] == zlib.crc32(payload).to_bytes(4, "little")):
+            return None
+        size = int.from_bytes(payload[-8:], "little")
+        return marshal.loads(payload[-8 - size:-8]), payload
+
+    def write(self, make_head) -> None:
+        """Write the entry through a temporary file in its directory, readable
+        by whom every source is readable by and writable by its owner only.
+
+        ``make_head(section)`` makes the head to store; ``section(value)``
+        writes a value as a section and returns its span.  It is called only
+        once the temporary file is open, so a directory that takes no file
+        costs no encoding, and each section goes to the file as it is made,
+        so the whole payload is never held at once.  A failure, an assertion
+        nested too deeply to store included, leaves no file behind and raises
+        nothing."""
+        if self.entry is None:
+            return
+        tmp = f"{self.entry}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            os.makedirs(os.path.dirname(self.entry), exist_ok=True)
+            f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             self.mode & 0o644 | 0o600), "wb")
+        except OSError:
+            return
+        try:
+            with f:
+                f.write(self.key + bytes(4))
+                out = _Payload(f)
+                head = marshal.dumps(make_head(out.section))
+                out.put(head)
+                out.put(len(head).to_bytes(8, "little"))
+                f.seek(len(self.key))
+                f.write(out.crc.to_bytes(4, "little"))
+            os.replace(tmp, self.entry)
+        except (OSError, ValueError):  # ValueError: nested too deeply to store
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def _read_entry(entry: str) -> bytes:
-    """The entry's bytes, or none when it is missing, unreadable, owned by
-    another user, or writable by group or others."""
-    try:
-        with open(entry, "rb") as f:
-            st = os.fstat(f.fileno())
-            if st.st_uid != os.geteuid() or st.st_mode & 0o022:
-                return b""
-            return f.read()
-    except OSError:
-        return b""
+class _Payload:
+    """A payload written to a file part by part, with its size and CRC-32 so
+    far: sections, then the head, then the head's size."""
+
+    def __init__(self, f):
+        self.f, self.size, self.crc = f, 0, 0
+
+    def put(self, data: bytes) -> tuple[int, int]:
+        self.f.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+        self.size += len(data)
+        return self.size - len(data), self.size
+
+    def section(self, value) -> tuple[int, int]:
+        """Write a value as a section; returns its span in the payload."""
+        return self.put(marshal.dumps(value))
 
 
-def _store(entry: str, key: bytes, result: ParseResult, source_mode: int) -> None:
-    """Write an entry through a temporary file in its directory, readable by
-    whom the source is readable by and writable by its owner only.  A
-    failure leaves no file behind and raises nothing, and a directory that
-    takes no file costs no encoding."""
-    tmp = f"{entry}.{os.getpid()}.{id(result)}.tmp"
-    try:
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                         source_mode & 0o644 | 0o600), "wb")
-    except OSError:
-        return
-    try:
-        with f:
-            payload = marshal.dumps(_encode(result))
-            f.write(key + source_hash(payload) + payload)
-        os.replace(tmp, entry)
-    except (OSError, ValueError, RecursionError):  # the last two: nested too deeply to store
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+def _entry_path(files: list[str]) -> str | None:
+    tag = sys.implementation.cache_tag
+    # no entry where the interpreter keeps no bytecode cache, or where an
+    # entry's owner cannot be checked
+    if not files or tag is None or not hasattr(os, "geteuid"):
+        return None
+    head, name = os.path.split(files[0])
+    digest = source_hash(b"\0".join(os.fsencode(os.path.abspath(p)) for p in files)).hex()
+    return os.path.join(head, "__pycache__", f"{name}.{digest}.{tag}.kbs")
 
 
-# -- payload ---------------------------------------------------------------------
+# -- sections --------------------------------------------------------------------
 
 
-def _encode_assertion(a):
+def encode_assertion(a, depth=0):
+    """An assertion as the plain value a section stores."""
     args = a.args
     for arg in args:
         if arg.__class__ is not str:
-            return (a.predicate, *map(_encode_term, args))
-    return (a.predicate,) + args
+            break
+    else:
+        return (a.predicate, *args)
+    if depth == _MAX_DEPTH:
+        raise ValueError("assertion nested too deeply to store")
+    out = [a.predicate]
+    for t in args:
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+        elif cls is Assertion:
+            out.append(encode_assertion(t, depth + 1))
+        elif cls is Measure:
+            out.append([t.unit, t.text])
+        else:  # na
+            out.append(None)
+    return tuple(out)
 
 
-def _encode_term(term):
-    cls = term.__class__
-    if cls is str:
-        return term
-    if cls is Assertion:
-        return _encode_assertion(term)
-    if cls is Measure:
-        return [term.unit, term.text]
-    return None  # na
-
-
-def _encode(result: ParseResult):
-    blocks = [(b.concept, b.line, [(lang.value, phrases) for lang, phrases in b.lexicon],
-               list(map(_encode_assertion, b.assertions)), b.assertion_lines, symbols, lines)
-              for b, (symbols, lines) in zip(result.blocks, result.first_mentions)]
-    grids = [(g.text, g.line) for g in result.grid_sources]
-    diagnostics = [(d.line, d.col, d.severity, d.code, d.message) for d in result.diagnostics]
-    return blocks, grids, diagnostics
-
-
-def _decode(payload, filename: str) -> ParseResult:
-    blocks, grids, diagnostics = payload
-    measures: dict[tuple, Measure] = {}  # one Measure per distinct (unit, text) in the file
+def _term_decoder():
+    """A decoder of stored terms that makes one Measure per distinct
+    (unit, text) it meets."""
+    measures: dict[tuple, Measure] = {}
 
     def term(t):
         cls = t.__class__
@@ -206,12 +265,75 @@ def _decode(payload, filename: str) -> ParseResult:
             m = measures[key] = Measure(*key)
         return m
 
-    result = ParseResult()
-    for concept, line, lexicon, assertions, assertion_lines, symbols, lines in blocks:
-        result.blocks.append(ObjectBlock(
+    return term
+
+
+def encode_blocks(blocks, fields, at: dict[str, int], section) -> list[tuple[int, int]]:
+    """Write each block as a section, its file as ``at[file]``; returns their
+    spans.  A block's field assertion is stored as its subject alone: it is
+    the subject's next assertion in ``fields``, which holds them in block
+    order, so no assertion is stored twice."""
+    met: dict[str, int] = {}  # subject -> its field assertions stored so far
+    spans = []
+    for b in blocks:
+        stored = []
+        for a in b.assertions:
+            subject = a.args[0]
+            own = fields.get(subject) if a.predicate in FIELDS else None
+            i = met.get(subject, 0) if own else 0
+            if own and i < len(own) and own[i] is a:
+                met[subject] = i + 1
+                stored.append(subject)
+            else:
+                stored.append(encode_assertion(a))
+        spans.append(section((b.concept, [(lang.value, phrases) for lang, phrases in b.lexicon],
+                              stored, b.line, at[b.file], b.assertion_lines)))
+    return spans
+
+
+def decode_blocks(payload, spans, files: list[str], fields) -> list[ObjectBlock]:
+    """The blocks stored in the payload's sections at ``spans``; a field
+    assertion is the one ``fields`` holds, so blocks and fields share it, as
+    they do in a parsed base."""
+    term = _term_decoder()
+    taken: dict[str, int] = {}  # subject -> its field assertions read so far
+    blocks = []
+    for start, end in spans:
+        concept, lexicon, stored, line, file, lines = marshal.loads(payload[start:end])
+        assertions = []
+        for t in stored:
+            if t.__class__ is str:
+                i = taken.get(t, 0)
+                taken[t] = i + 1
+                assertions.append(fields[t][i])
+            else:
+                assertions.append(term(t))
+        blocks.append(ObjectBlock(
             concept, [(_LANGUAGES[lang], phrases) for lang, phrases in lexicon],
-            [term(a) for a in assertions], line, filename, assertion_lines))
-        result.first_mentions.append((symbols, lines))
-    result.grid_sources = [GridSource(text, line, filename) for text, line in grids]
-    result.diagnostics = [Diagnostic(filename, *d) for d in diagnostics]
-    return result
+            assertions, line, files[file], lines))
+    return blocks
+
+
+class FieldTable(dict):
+    """Subject -> its field assertions that are not malformed, in load order.
+
+    Reading a subject with none gives ``()``, and records it.  A base read
+    from a snapshot entry starts with each subject's assertions in a section
+    of the entry's payload, decoded and recorded on the subject's first
+    read, so a later read is a plain dict lookup."""
+
+    __slots__ = ("payload", "spans")
+
+    def __init__(self, payload=None, spans=None):
+        super().__init__()
+        self.payload = payload
+        self.spans: dict[str, tuple[int, int]] = spans or {}
+
+    def __missing__(self, subject):
+        span = self.spans.get(subject)
+        if span is None:
+            return self.setdefault(subject, ())
+        term = _term_decoder()
+        # setdefault: a thread that decoded it meanwhile keeps its list
+        return self.setdefault(subject, [
+            term(a) for a in marshal.loads(self.payload[span[0]:span[1]])])

@@ -18,7 +18,7 @@ A file is a sequence of blocks::
   concept, ``na`` is the unspecified placeholder, and measures are written
   ``NUMBER:<unit>:<value>`` or as a number with a unit suffix (``.25in``).
 * Lines starting with ``;`` are comments.  HTML character entities are
-  decoded on ingestion.
+  decoded on ingestion, line by line, after the text is split into lines.
 * Every text first loses a leading byte-order mark, and ``\\r\\n`` or a
   lone ``\\r`` ends a line as ``\\n`` does (``normalize_text``).
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import html
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, Diagnostic
@@ -172,7 +173,10 @@ def _parse_assertion(text, self_concept, line, predicates, atoms, values,
                     if atom is None:
                         atom = _classify_atom(tok)
                         if atom.__class__ is str:
-                            atoms[tok] = atom
+                            # interned, as predicates and block names are, so
+                            # the sections of a snapshot entry, each decoded
+                            # on its own, share one string per symbol
+                            atoms[tok] = atom = sys.intern(atom)
                             if atom not in mentions:
                                 mentions[atom] = line
                         else:
@@ -185,7 +189,7 @@ def _parse_assertion(text, self_concept, line, predicates, atoms, values,
                 if predicate is None:
                     if not is_symbol(tok):
                         raise KbSyntaxError(f"expected a predicate symbol, got {tok!r}")
-                    predicate = predicates[tok] = tok
+                    predicate = predicates[tok] = sys.intern(tok)
                 parts.append(predicate)
                 if predicate not in mentions:
                     mentions[predicate] = line
@@ -259,6 +263,13 @@ def normalize_text(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _unescape(line: str) -> str:
+    """A line with its HTML character entities decoded; a decoded line break
+    reads as a space, so it stays inside its line and every later position
+    stays true."""
+    return html.unescape(line).replace("\n", " ")
+
+
 def parse_database(text: str, *, filename: str = "<kb>") -> ParseResult:
     """Parse a whole knowledge-base document.  A lexicon line or an
     assertion before the first ``Object`` header is an ``OrphanContent``
@@ -273,7 +284,9 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
     every file it parses, so a token the files share is classified in the
     first file that holds it.  A token that fails to classify is never
     stored, so each file still reports it at its own position."""
-    lines = html.unescape(normalize_text(text)).split("\n")
+    lines = normalize_text(text).split("\n")
+    if "&" in text:
+        lines = [_unescape(line) if "&" in line else line for line in lines]
     result = ParseResult()
 
     current: ObjectBlock | None = None
@@ -354,7 +367,7 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
             finish()
             words = stripped.split()
             if len(words) == 2 and is_symbol(words[1]):
-                current = ObjectBlock(words[1], line=lineno, file=filename)
+                current = ObjectBlock(sys.intern(words[1]), line=lineno, file=filename)
             else:
                 err(lineno, 1, "MalformedHeader", f"bad Object header: {stripped!r}")
                 current = ObjectBlock("invalid", line=lineno, file=filename)

@@ -72,7 +72,7 @@ def build_script(kb: KnowledgeBase, concept: str) -> Script:
     groups: dict[int, list[Term]] = {}
     gotos: dict[int, int] = {}
 
-    for a in kb._field_assertions.get(concept, ()):
+    for a in kb._field_assertions[concept]:
         spec = FIELDS[a.predicate]
         value = a.args[1]
         if spec.attr == "events":
@@ -264,7 +264,7 @@ def inherited_field(kb: KnowledgeBase, concept: str, fieldname: str) -> FieldVal
     if fieldname not in _INHERITABLE:
         raise ValueError(f"field {fieldname!r} does not support inheritance")
     for source in [concept] + kb.ontology.ancestors(concept):
-        values = tuple(a.args[1] for a in kb._field_assertions.get(source, ())
+        values = tuple(a.args[1] for a in kb._field_assertions[source]
                        if FIELDS[a.predicate].attr == fieldname)
         if values:
             return FieldValue(values if fieldname == "places" else values[0],

@@ -32,9 +32,10 @@ def collector_state(enabled: bool):
 
 @pytest.fixture(scope="session", autouse=True)
 def bundled_data_parsed_afresh():
-    """Each run starts with no parse cache entries for the bundled data, so its
-    first load of each file parses it, whatever an earlier run left."""
-    for entry in (Path(data_path("core.kb")).parent / "__pycache__").glob("*.kbc"):
+    """Each run starts with no snapshot entries for the bundled data, so its
+    first load of each set of the bundled files parses them, whatever an
+    earlier run left."""
+    for entry in (Path(data_path("core.kb")).parent / "__pycache__").glob("*.kbs"):
         entry.unlink()
 
 

@@ -1,6 +1,6 @@
-"""The parse cache: a load from files gives what a load from their texts gives,
-whether each file's entry is written (cold) or read (warm), and an entry that
-is stale, corrupt or foreign never answers."""
+"""The load-set snapshot: a load from files gives what a load from their texts
+gives, on every table, whether the set's entry is written (cold) or read
+(warm), and an entry that is stale, corrupt or foreign never answers."""
 
 import os
 import re
@@ -12,22 +12,24 @@ from pathlib import Path
 import pytest
 
 from property_checks import _mutations, as_two_files
+from scriptkb import kb as kbmodule
 from scriptkb import parsecache
 from scriptkb.errors import CycleDetected, KbError
 from scriptkb.kb import KnowledgeBase, read_text
+from scriptkb.ontology import Language
 from test_cli import invoke
 
 
 @pytest.fixture()
 def parses(monkeypatch):
     """The file names that loads parse from text while the test runs."""
-    original, names = parsecache._parse_database, []
+    original, names = kbmodule._parse_database, []
 
     def counted(text, filename, *tables):
         names.append(filename)
         return original(text, filename, *tables)
 
-    monkeypatch.setattr(parsecache, "_parse_database", counted)
+    monkeypatch.setattr(kbmodule, "_parse_database", counted)
     return names
 
 
@@ -53,7 +55,7 @@ def other_line_ends(named_texts):
 
 def entries(paths) -> list[Path]:
     return sorted({e for p in paths
-                   for e in (Path(p).parent / "__pycache__").glob("*.kbc")})
+                   for e in (Path(p).parent / "__pycache__").glob("*.kbs")})
 
 
 def clear_entries(paths) -> None:
@@ -62,26 +64,33 @@ def clear_entries(paths) -> None:
 
 
 def assert_same_base(kb, want):
+    """Every table of the two bases is equal, in order: blocks, positions,
+    field assertions, census, hierarchy, lexicon, grids and the index."""
     assert [(b, b.file, b.line, b.assertion_lines) for b in kb.blocks] \
         == [(b, b.file, b.line, b.assertion_lines) for b in want.blocks]
+    assert [(s, sites) for s, sites in kb._sites.items()] \
+        == [(s, sites) for s, sites in want._sites.items()]
     assert kb.diagnostics == want.diagnostics
-    assert list(kb._field_assertions.items()) == list(want._field_assertions.items())
+    subjects = list(want.ontology.concepts())
+    assert [list(kb._field_assertions[s]) for s in subjects] \
+        == [list(want._field_assertions[s]) for s in subjects]
     assert list(kb._scripts.items()) == list(want._scripts.items())
     assert kb._census_totals == want._census_totals
     onto, other = kb.ontology, want.ontology
     assert list(onto._parents.items()) == list(other._parents.items())
     for table in ("_by_phrase", "_lexicon", "_reach"):
-        assert {lang: list(t.items()) for lang, t in getattr(onto, table).items()} \
-            == {lang: list(t.items()) for lang, t in getattr(other, table).items()}
+        assert [list(getattr(onto, table)[lang].items()) for lang in Language] \
+            == [list(getattr(other, table)[lang].items()) for lang in Language]
     assert [(name, g, g.line, g.file) for name, g in kb.grids.items()] \
         == [(name, g, g.line, g.file) for name, g in want.grids.items()]
+    assert kb.index == want.index
 
 
 def check_cold_and_warm(paths, parses):
-    """A cold load (entries written) and a warm one (entries read, nothing
-    parsed) both give what ``from_texts`` gives for each file's text as
-    decoded, line ends untranslated, or raise the same cycle.  Returns the
-    ``from_texts`` base, or None for a cycle."""
+    """A cold load (the set's entry written) and a warm one (the entry read,
+    nothing parsed) both give what ``from_texts`` gives for each file's text
+    as decoded, line ends untranslated, or raise the same cycle and write no
+    entry.  Returns the ``from_texts`` base, or None for a cycle."""
     texts = [(p, Path(p).read_bytes().decode("utf-8")) for p in paths]
     clear_entries(paths)
     try:
@@ -91,11 +100,12 @@ def check_cold_and_warm(paths, parses):
             with pytest.raises(CycleDetected) as got:
                 KnowledgeBase.from_paths(paths)
             assert str(got.value) == str(e)
+        assert not entries(paths)
         return None
     del parses[:]
     assert_same_base(KnowledgeBase.from_paths(paths), want)
     assert parses == paths
-    assert len(entries(paths)) == len(set(paths))
+    assert len(entries(paths)) == 1
     del parses[:]
     assert_same_base(KnowledgeBase.from_paths(paths), want)
     assert parses == []
@@ -244,12 +254,15 @@ def test_an_entry_of_another_interpreter_is_parsed(one_file, parses, monkeypatch
 
 def test_an_entry_that_came_with_its_source_is_parsed(tmp_path, one_file, parses):
     # as from an archive or a checkout: the same bytes, times and modes, but
-    # a new file, so the entry was not written for it
+    # a new file, so the entry was not written for it; the entry goes where
+    # the copy's own set looks for it, so only its header can refuse it
     path, entry = one_file
     copy = tmp_path / "copy" / path.name
     copy.parent.mkdir()
     shutil.copy2(path, copy)
-    shutil.copytree(entry.parent, copy.parent / "__pycache__")
+    moved = Path(parsecache._entry_path([str(copy)]))
+    moved.parent.mkdir()
+    shutil.copy2(entry, moved)
     assert copy.stat().st_mtime_ns == path.stat().st_mtime_ns
     loads_as_text(copy, parses)
     del parses[:]
@@ -289,6 +302,18 @@ def test_an_entry_shows_no_one_a_text_they_cannot_read(tmp_path, source_mode):
     assert not mode & 0o044 & ~source_mode
 
 
+def test_an_entry_of_several_files_shows_what_every_file_shows(tmp_path):
+    paths = write_base(tmp_path, [("a.kb", "Object hum\n[event01-of ^ [buzz hum]]\n"),
+                                  ("b.kb", "Object fizz\n[ako ^ hum]\n")])
+    Path(paths[0]).chmod(0o644)
+    Path(paths[1]).chmod(0o640)
+    KnowledgeBase.from_paths(paths)
+    (entry,) = entries(paths)
+    mode = entry.stat().st_mode & 0o777
+    assert mode & 0o600 == 0o600
+    assert not mode & 0o007  # b.kb is not readable by others
+
+
 def test_an_unwritable_cache_only_costs_the_cache(tmp_path, parses):
     path = tmp_path / "one.kb"
     path.write_text("Object hum\n[event01-of ^ [buzz hum]]\n", encoding="utf-8")
@@ -318,6 +343,79 @@ def test_a_file_named_by_another_path_reads_the_same_entry(tmp_path, parses, mon
     kb = KnowledgeBase.from_paths(["one.kb"])
     assert parses == []
     assert {(b.file, d.file) for b in kb.blocks for d in kb.diagnostics} == {("one.kb", "one.kb")}
+
+
+def test_a_set_named_by_relative_and_absolute_paths_speaks_each_callers_spelling(
+        tmp_path, parses, monkeypatch):
+    texts = [("a.kb", "Object hum\n[event01-of ^ [buzz hum]]\n==room//\nxy    x:hum\n"),
+             ("sub/b.kb", "Object bad\n[event01-of ^ Bad]\nObject hum\n[ako ^ noise]\n")]
+    absolute = write_base(tmp_path, texts)
+    monkeypatch.chdir(tmp_path)
+    relative = [name for name, _ in texts]
+    for first, second in ((absolute, relative), (relative, absolute)):
+        clear_entries(absolute)
+        want = KnowledgeBase.from_texts([(p, t) for p, (_, t) in zip(second, texts)])
+        assert {d.file for d in want.diagnostics} == set(second)
+        KnowledgeBase.from_paths(first)
+        del parses[:]
+        assert_same_base(KnowledgeBase.from_paths(second), want)
+        assert parses == []
+        assert len(entries(absolute)) == 1
+
+
+def test_reordered_files_are_another_set(tmp_path, parses):
+    texts = [("a.kb", "Object hum\n[event01-of ^ [buzz hum]]\n"),
+             ("b.kb", "Object hum\n[event01-of ^ [fizz hum]]\n[ako ^ noise]\n"),
+             ("c.kb", "Object hum\n[ako ^ sound]\n")]
+    paths = write_base(tmp_path, texts)
+    # the same first file, so both entries sit beside it
+    orders = [paths, [paths[0], paths[2], paths[1]]]
+    for order in orders:
+        del parses[:]
+        kb = KnowledgeBase.from_paths(order)
+        assert parses == order
+        assert_same_base(kb, KnowledgeBase.from_texts(
+            [(p, Path(p).read_text("utf-8")) for p in order]))
+    assert len(entries(paths)) == 2
+    for order in orders:
+        want = KnowledgeBase.from_texts([(p, Path(p).read_text("utf-8")) for p in order])
+        del parses[:]
+        assert_same_base(KnowledgeBase.from_paths(order), want)
+        assert parses == []
+
+
+def test_editing_one_file_of_a_set_loads_the_new_texts(tmp_path, parses, core_text,
+                                                       scripts_text, demo_text):
+    named = [("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)]
+    paths = write_base(tmp_path, named)
+    check_cold_and_warm(paths, parses)
+    edited = scripts_text.replace("[duration-of ^ NUMBER:second:3600]",
+                                  "[duration-of ^ NUMBER:second:60]\n[likes ^ quiet]")
+    assert edited != scripts_text
+    Path(paths[1]).write_text(edited, encoding="utf-8")
+    want = KnowledgeBase.from_texts(
+        [(p, Path(p).read_bytes().decode("utf-8")) for p in paths])
+    for expect in (paths, []):  # the whole set is parsed again, then read
+        del parses[:]
+        kb = KnowledgeBase.from_paths(paths)
+        assert parses == expect
+        assert_same_base(kb, want)
+    assert "quiet" in kb.ontology and len(entries(paths)) == 1
+
+
+def test_a_read_entry_decodes_each_section_when_it_is_first_read(tmp_path, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    want = KnowledgeBase.from_paths([path])
+    kb = KnowledgeBase.from_paths([path])
+    assert dict(kb._field_assertions) == {}
+    assert not {"blocks", "_sites", "index"} & set(vars(kb))
+    script = kb.script_concepts()[0]
+    assert kb._field_assertions[script] == want._field_assertions[script]
+    assert list(kb._field_assertions) == [script]
+    assert kb.index == want.index and "blocks" not in vars(kb)
+    assert dict(kb.ontology._by_phrase) == {}
+    assert kb.ontology.lookup_phrase("blackout", "English") == ("blackout",)
+    assert kb.ontology._lexicon == want.ontology._lexicon
 
 
 def test_a_non_utf8_file_is_a_load_error_and_writes_no_entry(tmp_path):
@@ -382,4 +480,4 @@ def test_loads_racing_to_write_one_entry_all_answer_alike(tmp_path, scripts_text
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert [p.suffix for p in (tmp_path / "__pycache__").iterdir()] == [".kbc"]
+    assert [p.suffix for p in (tmp_path / "__pycache__").iterdir()] == [".kbs"]

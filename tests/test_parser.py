@@ -225,6 +225,21 @@ def test_html_entities_decoded():
     assert result.blocks[0].lexicon[0][1] == ("café",)
 
 
+@pytest.mark.parametrize("entity", ["&#10;", "&#x0A;", "&NewLine;"])
+def test_an_entity_for_a_line_break_keeps_every_line_number(entity):
+    result = parse_database(f"Object a\n[English] one{entity}two\n[ako ^ b]\n[likes ^ c]\n")
+    assert result.diagnostics == []
+    (block,) = result.blocks
+    assert block.lexicon[0][1] == ("one two",)
+    assert block.assertion_lines == [3, 4]
+    # a bad token after a decoded line break keeps its line; columns count
+    # the decoded line's characters, as for every entity
+    result = parse_database(f"Object a\n[ako ^ b]\n[likes{entity}^ Bad]\n")
+    assert [(d.line, d.col) for d in result.diagnostics] == [(3, 10)]
+    result = parse_database(f"Object a\n[likes ^{entity}x\n  Bad]\n")
+    assert [(d.line, d.col) for d in result.diagnostics] == [(3, 3)]
+
+
 def test_orphan_assertion_diagnosed():
     result = parse_database("[ako x y]\n")
     assert result.blocks == []
