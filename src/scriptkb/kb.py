@@ -37,8 +37,8 @@ recorded field assertions, with no script view.
 A base decoded from a snapshot entry has its hierarchy, census, grids and
 diagnostics at once, as they were stored.  The lexicon tables, each
 subject's field assertions, the blocks and the two maps stay encoded until
-a query first reads them, so a command pays to decode only what it reads.  Both kinds of
-base answer every query through the same tables.
+a query first reads them, so a command pays to decode only what it
+reads.  Both kinds of base answer every query through the same tables.
 
 The cyclic garbage collector is paused while a base parses and assembles,
 or decodes (``collector_paused``).  Loading allocates tens of thousands of

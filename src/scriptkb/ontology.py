@@ -45,22 +45,6 @@ def _normalize_phrase(phrase: str) -> str:
     return phrase if lower == phrase[:1] else lower + phrase[1:]
 
 
-class _StoredLexicon(dict):
-    """Language -> one of the lexicon tables of an ontology made by
-    ``Ontology.from_tables``; the first read of any of them reads them all.
-    Once read, a language's table is a plain dict lookup away, as in a
-    built ontology."""
-
-    __slots__ = ("read",)
-
-    def __missing__(self, lang):
-        self.read()
-        table = dict.get(self, lang)
-        if table is None:
-            raise KeyError(lang)
-        return table
-
-
 class Ontology:
     """Mutable while loading; treated as read-only once a base is built."""
 
@@ -87,22 +71,24 @@ class Ontology:
     def from_tables(cls, parents, read_lexicon) -> "Ontology":
         """The ontology whose ``tables()`` these are, taken as they are: a
         resolved hierarchy is not resolved again.  ``read_lexicon()`` gives
-        the lexicon tables; it is called when a lexicon table is first read,
-        so a base whose queries read no phrase never decodes them."""
+        the lexicon tables by the language's name; it is called when a
+        lexicon table is first read, so a base whose queries read no phrase
+        never decodes them."""
         onto = cls.__new__(cls)
         onto._parents = parents
-        tables = onto._by_phrase, onto._reach, onto._lexicon = \
-            _StoredLexicon(), _StoredLexicon(), _StoredLexicon()
-
-        def read():
-            by_language = read_lexicon()
-            for lang in Language:
-                for table, value in zip(tables, by_language[lang.value]):
-                    table.setdefault(lang, value)
-
-        for table in tables:
-            table.read = read
+        onto._read_lexicon = read_lexicon
         return onto
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the lexicon tables of an
+        # ontology made by ``from_tables``, before their first read
+        read = self.__dict__.get("_read_lexicon")
+        if read is None or name not in ("_by_phrase", "_reach", "_lexicon"):
+            raise AttributeError(name)
+        languages = read()
+        self._by_phrase, self._reach, self._lexicon = (
+            {lang: languages[lang.value][i] for lang in Language} for i in range(3))
+        return getattr(self, name)
 
     # -- construction ------------------------------------------------------
 

@@ -28,9 +28,10 @@ every file of the set.
 
 An entry is read only when it is the current user's alone: owned by the
 effective user and writable by neither group nor others, as ssh treats its
-files.  An entry is written with the read permissions that every source of
-the set has, so it shows no one a text they cannot read.  Where files have
-no owners (no ``os.geteuid``) no entry is kept.
+files.  An entry is written readable and writable by its owner alone: it
+holds the text of every file of the set, which may sit in directories
+others cannot enter, and no other user would read it anyway.  Where files
+have no owners (no ``os.geteuid``) no entry is kept.
 
 An entry that is not read or whose header does not match is ignored: the
 files are parsed and the entry written again.  A load that raises writes
@@ -112,14 +113,12 @@ class Sources:
         self.files = files
         self.data: list[bytes] = []
         key = [_code_key()]
-        self.mode = 0o644  # the read permissions every source grants
         for name in files:
             with open(name, "rb") as f:
                 st = os.fstat(f.fileno())
                 data = f.read()
             self.data.append(data)
             key.append(_file_id(st) + len(data).to_bytes(8, "little") + source_hash(data))
-            self.mode &= st.st_mode
         self.key = b"".join(key)
         self.entry = _entry_path(files)
 
@@ -156,7 +155,7 @@ class Sources:
 
     def write(self, make_head) -> None:
         """Write the entry through a temporary file in its directory, readable
-        by whom every source is readable by and writable by its owner only.
+        and writable by its owner alone.
 
         ``make_head(section)`` makes the head to store; ``section(value)``
         writes a value as a section and returns its span.  It is called only
@@ -170,8 +169,7 @@ class Sources:
         tmp = f"{self.entry}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             os.makedirs(os.path.dirname(self.entry), exist_ok=True)
-            f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                             self.mode & 0o644 | 0o600), "wb")
+            f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb")
         except OSError:
             return
         try:
