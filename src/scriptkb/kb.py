@@ -36,9 +36,10 @@ recorded field assertions, with no script view.
 
 A base decoded from a snapshot entry has its hierarchy, census, grids and
 diagnostics at once, as they were stored.  The lexicon tables, each
-subject's field assertions, the blocks and the two maps stay encoded until
-a query first reads them, so a command pays to decode only what it
-reads.  Both kinds of base answer every query through the same tables.
+subject's field assertions, the blocks and the two maps stay in the entry,
+which the base keeps open, until a query first reads them, so a command
+pays to read and decode only what it reads.  Both kinds of base answer
+every query through the same tables.
 
 The cyclic garbage collector is paused while a base parses and assembles,
 or decodes (``collector_paused``).  Loading allocates tens of thousands of
@@ -132,8 +133,8 @@ class KnowledgeBase:
     # the census rows' column sums: subevents, roles, places, other
     _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0], init=False)
     # a base read from a snapshot entry: its load set's file names, the
-    # entry's payload, and the spans of its index and block sections, each
-    # decoded on first read
+    # open entry, and the spans of its index and block sections, each read
+    # and decoded on first use
     _stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------------

@@ -42,16 +42,20 @@ the entries.
 
 The payload is a series of sections, then a head, then the head's size.
 The head and each section are ``marshal`` data of plain values (see
-``KnowledgeBase._snapshot``).  A load decodes the head, which names each
-section by its span, and keeps the payload it read: each section is a
-slice of it, decoded when the base is made or, for the lexicon, a
-subject's fields, the index and the blocks, when a query first reads it.
-Sections are written to the entry as they are made, so writing one never
-holds the whole payload.  In a section, an assertion is the tuple
-``(predicate, *args)``, a measure the list ``[unit, text]``, ``na`` is
-``None`` and a symbol is its string; a block holds each of its field
-assertions as the assertion's subject, and its lexicon languages by
-value.  No part holds a file name: each file is stored as its index in the
+``KnowledgeBase._snapshot``).  A load checks the payload's CRC-32 a
+chunk at a time, decodes the head, which names each section by its span,
+and keeps the entry open rather than a copy of its payload: each section
+is read from the file when the base is made or, for the lexicon, a
+subject's fields, the index and the blocks, when a query first reads it,
+so a base holds only what its queries decoded.  A writer replaces an entry
+and never changes one in place, so a base goes on reading the entry it
+checked after a later write replaces it or ``__pycache__`` is deleted; the
+file is closed when the base is freed.  Sections are written to the entry
+as they are made, so writing one never holds the whole payload either.  In
+a section, an assertion is the tuple ``(predicate, *args)``, a measure the
+list ``[unit, text]``, ``na`` is ``None`` and a symbol is its string; a
+block holds each of its field assertions as the assertion's subject, and
+its lexicon languages by value.  No part holds a file name: each file is stored as its index in the
 set, and gets the path as the caller gave it when it is decoded.
 """
 
@@ -63,6 +67,7 @@ import marshal
 import os
 import sys
 import threading
+import weakref
 import zlib
 from importlib.util import source_hash
 from pathlib import Path
@@ -76,6 +81,7 @@ _MAGIC = b"scriptkb snapshot 1\0"
 # recursive walk, at query time, so the walk must stay well inside the
 # interpreter's recursion limit; a deeper base is loaded without an entry
 _MAX_DEPTH = 100
+_CHUNK = 1 << 18  # bytes of the payload read at a time for its CRC-32
 
 
 def source_text(data: bytes, path) -> str:
@@ -132,26 +138,45 @@ class Sources:
             yield name, source_text(data.pop(), name)
 
     def read(self):
-        """The entry's head and its whole payload, whose slices the head's
-        section spans name, when the entry is the user's alone and its header
+        """The entry's head and the open ``Entry`` whose spans the head's
+        sections name, when the entry is the user's alone and its header
         matches; else None."""
         if self.entry is None:
             return None
         try:
-            with open(self.entry, "rb") as f:
-                st = os.fstat(f.fileno())
-                if st.st_uid != os.geteuid() or st.st_mode & 0o022:
-                    return None
-                cached = f.read()
+            fd = os.open(self.entry, os.O_RDONLY)
         except OSError:
             return None
-        n = len(self.key)
-        payload = memoryview(cached)[n + 4:]
-        if not (cached.startswith(self.key)
-                and cached[n:n + 4] == zlib.crc32(payload).to_bytes(4, "little")):
+        try:
+            head = self._check(fd)
+        except OSError:
+            head = None
+        if head is None:
+            os.close(fd)
             return None
-        size = int.from_bytes(payload[-8:], "little")
-        return marshal.loads(payload[-8 - size:-8]), payload
+        return head, Entry(fd, len(self.key) + 4)
+
+    def _check(self, fd: int):
+        """The head of the open entry, when it is the user's alone and its
+        key and payload CRC-32 match; else None.  The payload is read a
+        chunk at a time, so no copy of it is kept."""
+        st = os.fstat(fd)
+        if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+            return None
+        n = len(self.key)
+        with open(fd, "rb", buffering=0, closefd=False) as f:
+            header = f.read(n + 4)
+            if header[:n] != self.key:
+                return None
+            buf = memoryview(bytearray(_CHUNK))
+            crc, end = 0, n + 4
+            while got := f.readinto(buf):
+                crc = zlib.crc32(buf[:got], crc)
+                end += got
+        if header[n:] != crc.to_bytes(4, "little"):
+            return None
+        size = int.from_bytes(os.pread(fd, 8, end - 8), "little")
+        return marshal.loads(os.pread(fd, size, end - 8 - size))
 
     def write(self, make_head) -> None:
         """Write the entry through a temporary file in its directory, readable
@@ -185,6 +210,21 @@ class Sources:
         except (OSError, ValueError):  # ValueError: nested too deeply to store
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+
+
+class Entry:
+    """The payload of an open snapshot entry: ``entry[start:end]`` reads the
+    bytes of that span from the file.  The file is closed when the last
+    reference to the entry goes."""
+
+    __slots__ = ("_fd", "_start", "__weakref__")
+
+    def __init__(self, fd: int, start: int):
+        self._fd, self._start = fd, start
+        weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, span: slice) -> bytes:
+        return os.pread(self._fd, span.stop - span.start, self._start + span.start)
 
 
 class _Payload:
@@ -290,14 +330,20 @@ def encode_blocks(blocks, fields, at: dict[str, int], section) -> list[tuple[int
 
 
 def decode_blocks(payload, spans, files: list[str], fields) -> list[ObjectBlock]:
-    """The blocks stored in the payload's sections at ``spans``; a field
-    assertion is the one ``fields`` holds, so blocks and fields share it, as
-    they do in a parsed base."""
+    """The blocks stored in the payload's sections at ``spans``, which follow
+    one another and are read at once; a field assertion is the one
+    ``fields`` holds, so blocks and fields share it, as they do in a parsed
+    base."""
+    if not spans:
+        return []
+    first = spans[0][0]
+    data = memoryview(payload[first:spans[-1][1]])
     term = _term_decoder()
     taken: dict[str, int] = {}  # subject -> its field assertions read so far
     blocks = []
     for start, end in spans:
-        concept, lexicon, stored, line, file, lines = marshal.loads(payload[start:end])
+        concept, lexicon, stored, line, file, lines = marshal.loads(
+            data[start - first:end - first])
         assertions = []
         for t in stored:
             if t.__class__ is str:

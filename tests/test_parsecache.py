@@ -422,6 +422,30 @@ def test_a_read_entry_decodes_each_section_when_it_is_first_read(tmp_path, scrip
     assert kb.ontology._lexicon == want.ontology._lexicon
 
 
+def test_a_read_base_keeps_reading_its_entry_once_replaced_or_deleted(tmp_path, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    want = KnowledgeBase.from_texts([(path, scripts_text)])
+    KnowledgeBase.from_paths([path])
+    # neither base has decoded a lazy section yet
+    first, second = KnowledgeBase.from_paths([path]), KnowledgeBase.from_paths([path])
+    Path(path).write_text(scripts_text + "Object quiet\n", encoding="utf-8")
+    assert "quiet" in KnowledgeBase.from_paths([path]).ontology  # a new entry replaces it
+    assert_same_base(first, want)
+    clear_entries([path])
+    assert_same_base(second, want)
+
+
+def test_a_read_base_closes_its_entry_when_it_is_freed(tmp_path, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    KnowledgeBase.from_paths([path])
+    kb = KnowledgeBase.from_paths([path])
+    fd = kb._stored["payload"]._fd
+    os.fstat(fd)
+    del kb  # no cycle holds a base, so the last reference closes the file
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
 def test_a_non_utf8_file_is_a_load_error_and_writes_no_entry(tmp_path):
     latin = tmp_path / "latin.kb"
     latin.write_bytes(b"Object caf\xe9\n")
