@@ -19,10 +19,13 @@ A command parses its files only when the set of them is new or one of
 them has changed since an earlier command loaded the same set: the
 assembled base is kept in one snapshot entry in ``__pycache__`` beside the
 first file, keyed by each file's bytes and identity, the interpreter and
-the package's code (``parsecache``).  A later command reads the entry's
-tables and decodes the lexicon, a script's fields, the index or the blocks
-only when its query reads them, so a command costs little more than its query and
-the reading and hashing of its files.
+the package's code (``parsecache``).  A later command decodes the entry's
+hierarchy, script names and grids, checks the base's ``errors`` (the error
+diagnostics alone, normally none) before its query, and decodes the rest
+only when its query reads it: the whole diagnostics list for ``validate``,
+the census rows for ``stats``, one language's lexicon tables, a script's
+fields, the index or the blocks.  So a command costs little more than its
+query and the reading and hashing of its files.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 
-from .diagnostics import ERROR, Diagnostic, has_errors
+from .diagnostics import Diagnostic, has_errors
 from .errors import KbError
 from .kb import KnowledgeBase, collector_paused, read_text
 from .ontology import Language
@@ -185,9 +188,8 @@ def _dispatch(args):
     if args.command in ("validate", "cyc-extract"):  # these read their own files
         return args.handler(args)
     kb = _load(_kb_paths(args))
-    bad = [d.render() for d in kb.diagnostics if d.severity == ERROR]
-    if bad:
-        raise _Exit(2, "\n".join(bad))
+    if kb.errors:
+        raise _Exit(2, "\n".join(d.render() for d in kb.errors))
     return 0, args.handler(kb, args)
 
 

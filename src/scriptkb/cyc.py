@@ -99,22 +99,40 @@ def atoms(form: Sexp) -> Iterator[str]:
             yield from atoms(child)
 
 
+def _walk(form: list, lists: list[list], found: list[str]) -> None:
+    """Append ``form`` and every list inside it to ``lists``, in the order
+    ``subforms`` yields them, and every atom inside it to ``found``, in the
+    order ``atoms`` yields them: one pass where those are two each."""
+    lists.append(form)
+    for child in form:
+        if isinstance(child, str):
+            found.append(child)
+        else:
+            _walk(child, lists, found)
+
+
 def extract_tuples(form: Sexp, known_events) -> frozenset[ExtractedTuple]:
     """Census tuples from one rule, falling back to Other tuples when the
     rule grounds nothing."""
+    lists: list[list] = []
+    found: list[str] = []
+    if isinstance(form, str):
+        found.append(form)
+    else:
+        _walk(form, lists, found)
     bindings: dict[str, list[str]] = {}
-    for f in subforms(form):
+    for f in lists:
         if len(f) >= 3 and f[0] == "isa" and isinstance(f[1], str) \
                 and is_variable(f[1]) and isinstance(f[2], str) \
                 and not is_variable(f[2]):
             bindings.setdefault(f[1], []).append(f[2])
 
     tuples: set[ExtractedTuple] = set()
-    if {a for a in atoms(form) if is_variable(a)} <= bindings.keys():
+    if all(a in bindings for a in found if is_variable(a)):
         def ground(term) -> list[str]:  # every variable is bound here
             return bindings.get(term, [term]) if isinstance(term, str) else []
 
-        for f in subforms(form):
+        for f in lists:
             positions = _RELATIONS.get(f[0]) if f and isinstance(f[0], str) else None
             if positions and len(f) > max(positions):
                 head, tail = (f[p] for p in positions)
@@ -122,16 +140,17 @@ def extract_tuples(form: Sexp, known_events) -> frozenset[ExtractedTuple]:
                               for h in ground(head) for t in ground(tail))
 
     if not tuples:
-        known = set(known_events)
-        tuples = {ExtractedTuple(a, OTHER, OTHER_TAIL)
-                  for a in atoms(form) if a in known}
+        known = known_events if isinstance(known_events, (set, frozenset)) \
+            else set(known_events)
+        tuples = {ExtractedTuple(a, OTHER, OTHER_TAIL) for a in found if a in known}
     return frozenset(tuples)
 
 
 def extract_all(forms, known_events) -> frozenset[ExtractedTuple]:
+    known = set(known_events)  # once, not once for each rule that grounds nothing
     out: set[ExtractedTuple] = set()
     for form in forms:
-        out |= extract_tuples(form, known_events)
+        out |= extract_tuples(form, known)
     return frozenset(out)
 
 

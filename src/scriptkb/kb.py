@@ -25,19 +25,24 @@ whose argument has the wrong shape is a load error, and so is a goto to an
 event group its script lacks.  The base is frozen.  Loading records each
 subject's field assertions that are not malformed, in load order; script
 views and inherited fields read only these.  It also records the sorted
-script names, the concepts with an event assertion that is not malformed,
-each with its census row: its events, roles, places and other fields, the
-malformed ones left out, and each column's total over the scripts.  Each
+script names, the concepts with an event assertion that is not malformed;
+in a table of their own, each script's census row: its events, roles,
+places and other fields, the malformed ones left out; and each column's
+total over the scripts.  ``errors`` lists the error diagnostics in load
+order, the one list a command checks before its query.  Each
 assertion's file and line, which only script checks read, are gathered
 under its subject on the first ``sites_about`` or ``assertions_about``
 call.  Recognition and the what-does, used-for and where-found questions
 also read two concept -> scripts maps, built by the first of them from the
 recorded field assertions, with no script view.
 
-A base decoded from a snapshot entry has its hierarchy, census, grids and
-diagnostics at once, as they were stored.  The lexicon tables, each
-subject's field assertions, the blocks and the two maps stay in the entry,
-which the base keeps open, until a query first reads them, so a command
+A base decoded from a snapshot entry has its hierarchy, script names,
+census totals and grids at once, as they were stored.  Everything else
+stays in the entry, which the base keeps open, until a query first reads
+it: the error diagnostics, which a command reads first, and the whole
+diagnostics list, which only ``validate`` reads; the census rows; each
+language's phrase, reach and lexicon tables, one section each; each
+subject's field assertions; the two maps; and the blocks.  So a command
 pays to read and decode only what it reads.  Both kinds of base answer
 every query through the same tables.
 
@@ -66,9 +71,9 @@ from typing import NamedTuple
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
-from .ontology import ROOT, Ontology
-from .parsecache import (FieldTable, Sources, decode_blocks, encode_assertion, encode_blocks,
-                         source_text)
+from .ontology import ROOT, Language, Ontology
+from .parsecache import (SectionTable, Sources, decode_assertions, decode_blocks,
+                         encode_assertion, encode_blocks, source_text)
 from .parser import ParseResult, _parse_database, normalize_text
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, slot_init, term_symbols)
@@ -125,16 +130,14 @@ class ScriptIndex(NamedTuple):
 class KnowledgeBase:
     ontology: Ontology = field(default_factory=Ontology, init=False)
     grids: dict[str, Grid] = field(default_factory=dict, init=False)
-    diagnostics: list[Diagnostic] = field(default_factory=list, init=False)
     # subject -> its field assertions that are not malformed, in load order
-    _field_assertions: FieldTable = field(default_factory=FieldTable, init=False)
-    # sorted script names -> census rows
-    _scripts: dict[str, CensusRow] = field(default_factory=dict, init=False)
+    _field_assertions: SectionTable = field(default_factory=SectionTable, init=False)
+    # the script names, sorted, as keys
+    _scripts: dict[str, None] = field(default_factory=dict, init=False)
     # the census rows' column sums: subevents, roles, places, other
     _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0], init=False)
-    # a base read from a snapshot entry: its load set's file names, the
-    # open entry, and the spans of its index and block sections, each read
-    # and decoded on first use
+    # a base read from a snapshot entry: the entry's head, which gives each
+    # section's span by name, the open entry, and the load set's file names
     _stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------------
@@ -153,11 +156,46 @@ class KnowledgeBase:
         for a concept the base does not know."""
         return tuple(self._sites.get(concept, ()))
 
+    def _read(self, name):
+        """The value of the stored section ``name``; None for a parsed base,
+        which stores none."""
+        span = self._stored.get(name)
+        return None if span is None else marshal.loads(self._stored["payload"][span[0]:span[1]])
+
+    @cached_property
+    def diagnostics(self) -> list[Diagnostic]:
+        """Every load diagnostic, in load order; a base read from a snapshot
+        entry decodes them on first read, which only ``validate`` makes."""
+        stored = self._read("diagnostics")
+        return [] if stored is None else self._decode_diagnostics(stored)
+
+    @cached_property
+    def errors(self) -> list[Diagnostic]:
+        """The error diagnostics, in load order, to be read and not changed: a
+        command checks these alone, so a base read from a snapshot entry
+        decodes them from a section of their own, normally empty."""
+        stored = self._read("errors")
+        if stored is None:
+            return [d for d in self.diagnostics if d.severity == ERROR]
+        return self._decode_diagnostics(stored)
+
+    def _decode_diagnostics(self, stored) -> list[Diagnostic]:
+        files = self._stored["files"]
+        return [Diagnostic(files[file], *d) for file, *d in stored]
+
+    @cached_property
+    def _census(self) -> list[CensusRow]:
+        """The census rows, one per script, by name; a base read from a
+        snapshot entry decodes them on first read."""
+        stored = self._read("census")
+        return [] if stored is None else [CensusRow(*row) for row in stored]
+
     @cached_property
     def blocks(self) -> list[ObjectBlock]:
         """The blocks as parsed, a concept's blocks together; a base read from
-        a snapshot entry decodes them on first read."""
-        spans = self._stored.get("blocks")
+        a snapshot entry decodes them, and the list of their spans, on first
+        read."""
+        spans = self._read("blocks")
         return [] if spans is None else decode_blocks(
             self._stored["payload"], spans, self._stored["files"], self._field_assertions)
 
@@ -182,10 +220,8 @@ class KnowledgeBase:
     def index(self) -> ScriptIndex:
         """The script index, built or, from a snapshot entry, decoded on first
         use: loading and the queries that need no map never pay for it."""
-        span = self._stored.get("index")
-        if span is None:
-            return self._build_index()
-        return ScriptIndex(*marshal.loads(self._stored["payload"][span[0]:span[1]]))
+        stored = self._read("index")
+        return self._build_index() if stored is None else ScriptIndex(*stored)
 
     def _build_index(self) -> ScriptIndex:
         """The script index from each script's recorded field assertions, read
@@ -242,44 +278,54 @@ class KnowledgeBase:
         return kb
 
     def _snapshot(self, files: list[str], section):
-        """The head of the base's snapshot entry: the spans of the sections
-        that ``section`` writes, one table or one language's lexicon tables
-        at a time, then each subject's field assertions, the index and each
-        block.  Each file is stored as its index in ``files``."""
+        """The head of the base's snapshot entry: each section's span by name,
+        of the sections that ``section`` writes, one table at a time: the
+        lexicon a table per language and kind, then each subject's field
+        assertions, the index, each block, and the list of the blocks'
+        spans.  Each file is stored as its index in ``files``."""
         at = {name: i for i, name in reversed(list(enumerate(files)))}
-        parents, languages = self.ontology.tables()
-        return (section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
-                         for d in self.diagnostics]),
-                section(parents),
-                {lang: section(tables) for lang, tables in languages.items()},
-                section(([(r.script, r.subevents, r.roles, r.places, r.other)
-                          for r in self._scripts.values()], self._census_totals)),
-                section([(g.name, g.rows, g.legend, g.extended_keys, g.line, at[g.file])
-                         for g in self.grids.values()]),
-                {subject: section(list(map(encode_assertion, assertions)))
-                 for subject, assertions in self._field_assertions.items() if assertions},
-                section(tuple(self._build_index())),
-                encode_blocks(self.blocks, self._field_assertions, at, section))
+
+        def diagnostics(ds):
+            return section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
+                            for d in ds])
+
+        parents, *lexicon = self.ontology.tables()
+        return {"parents": section(parents),
+                "scripts": section((list(self._scripts), self._census_totals)),
+                "grids": section([(g.name, g.rows, g.legend, g.extended_keys, g.line,
+                                   at[g.file]) for g in self.grids.values()]),
+                "errors": diagnostics(self.errors),
+                "diagnostics": diagnostics(self.diagnostics),
+                "census": section([(r.script, r.subevents, r.roles, r.places, r.other)
+                                   for r in self._census]),
+                "lexicon": [{lang.value: section(table[lang]) for lang in Language}
+                            for table in lexicon],
+                # the fields before the index: a field nested too deeply to
+                # store raises the ValueError that writes no entry, where the
+                # index's walk of it would exhaust the stack
+                "fields": {subject: section(list(map(encode_assertion, assertions)))
+                           for subject, assertions in self._field_assertions.items()
+                           if assertions},
+                "index": section(tuple(self._build_index())),
+                "blocks": section(encode_blocks(self.blocks, self._field_assertions, at,
+                                                section))}
 
     @classmethod
     def _from_snapshot(cls, head, payload, files: list[str]) -> "KnowledgeBase":
-        diagnostics, parents, languages, census, grids, fields, index, blocks = head
-
-        def read(span):
-            return marshal.loads(payload[span[0]:span[1]])
-
+        """The base of a snapshot entry: its hierarchy, script names, census
+        totals and grids decoded now, each other section when first read."""
         kb = cls()
+        kb._stored.update(head, payload=payload, files=files)
         init = partial(object.__setattr__, kb)
-        init("diagnostics", [Diagnostic(files[file], *d) for file, *d in read(diagnostics)])
-        init("ontology", Ontology.from_tables(
-            read(parents), lambda: {lang: read(span) for lang, span in languages.items()}))
-        rows, totals = read(census)
-        init("_scripts", {row[0]: CensusRow(*row) for row in rows})
+        init("ontology", Ontology.from_tables(kb._read("parents"), *(
+            SectionTable(payload, {Language(name): span for name, span in spans.items()})
+            for spans in head["lexicon"])))
+        names, totals = kb._read("scripts")
+        init("_scripts", dict.fromkeys(names))
         init("_census_totals", totals)
         init("grids", {name: Grid(name, rows, legend, keys, line, files[file])
-                       for name, rows, legend, keys, line, file in read(grids)})
-        init("_field_assertions", FieldTable(payload, fields))
-        kb._stored.update(files=files, payload=payload, index=index, blocks=blocks)
+                       for name, rows, legend, keys, line, file in kb._read("grids")})
+        init("_field_assertions", SectionTable(payload, head["fields"], decode_assertions))
         return kb
 
     def _merge_blocks(self, results: list[ParseResult]) -> dict[str, tuple[str, int]]:
@@ -381,7 +427,8 @@ class KnowledgeBase:
         for s in sorted(counts):
             own = counts[s]
             if own[0]:
-                self._scripts[s] = CensusRow(s, *own)
+                self._scripts[s] = None
+                self._census.append(CensusRow(s, *own))
                 for column, n in enumerate(own):
                     totals[column] += n
         for (subject, group), (target, file, line) in gotos.items():

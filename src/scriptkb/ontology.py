@@ -61,34 +61,21 @@ class Ontology:
     # -- stored tables -------------------------------------------------------
 
     def tables(self):
-        """The resolved tables as plain values: the parents map, and the
-        lexicon tables, each language's phrase, reach and lexicon maps by the
-        language's name."""
-        return self._parents, {lang.value: (self._by_phrase[lang], self._reach[lang],
-                                            self._lexicon[lang]) for lang in Language}
+        """The resolved tables as they are: the parents map, then the phrase,
+        reach and lexicon maps, each a table per ``Language``."""
+        return self._parents, self._by_phrase, self._reach, self._lexicon
 
     @classmethod
-    def from_tables(cls, parents, read_lexicon) -> "Ontology":
+    def from_tables(cls, parents, by_phrase, reach, lexicon) -> "Ontology":
         """The ontology whose ``tables()`` these are, taken as they are: a
-        resolved hierarchy is not resolved again.  ``read_lexicon()`` gives
-        the lexicon tables by the language's name; it is called when a
-        lexicon table is first read, so a base whose queries read no phrase
-        never decodes them."""
+        resolved hierarchy is not resolved again.  A lexicon map may decode
+        a language's table on its first read (``parsecache.SectionTable``),
+        so a base whose queries read no phrase of a language never decodes
+        that language's tables."""
         onto = cls.__new__(cls)
         onto._parents = parents
-        onto._read_lexicon = read_lexicon
+        onto._by_phrase, onto._reach, onto._lexicon = by_phrase, reach, lexicon
         return onto
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set: the lexicon tables of an
-        # ontology made by ``from_tables``, before their first read
-        read = self.__dict__.get("_read_lexicon")
-        if read is None or name not in ("_by_phrase", "_reach", "_lexicon"):
-            raise AttributeError(name)
-        languages = read()
-        self._by_phrase, self._reach, self._lexicon = (
-            {lang: languages[lang.value][i] for lang in Language} for i in range(3))
-        return getattr(self, name)
 
     # -- construction ------------------------------------------------------
 

@@ -43,11 +43,15 @@ the entries.
 The payload is a series of sections, then a head, then the head's size.
 The head and each section are ``marshal`` data of plain values (see
 ``KnowledgeBase._snapshot``).  A load checks the payload's CRC-32 a
-chunk at a time, decodes the head, which names each section by its span,
-and keeps the entry open rather than a copy of its payload: each section
-is read from the file when the base is made or, for the lexicon, a
-subject's fields, the index and the blocks, when a query first reads it,
-so a base holds only what its queries decoded.  A writer replaces an entry
+chunk at a time, decodes the head, which gives each section's span by
+name, and keeps the entry open rather than a copy of its payload.  The
+sections of the hierarchy, the script names and census totals, and the
+grids are read from the file when the base is made; every other section,
+when a query first reads it: the error diagnostics and the whole
+diagnostics list, the census rows, each language's phrase, reach and
+lexicon tables, each subject's field assertions (``SectionTable`` serves
+both of these), the index, and the blocks with the list of their spans.
+So a base holds only what its queries decoded.  A writer replaces an entry
 and never changes one in place, so a base goes on reading the entry it
 checked after a later write replaces it or ``__pycache__`` is deleted; the
 file is closed when the base is freed.  Sections are written to the entry
@@ -358,26 +362,34 @@ def decode_blocks(payload, spans, files: list[str], fields) -> list[ObjectBlock]
     return blocks
 
 
-class FieldTable(dict):
-    """Subject -> its field assertions that are not malformed, in load order.
+class SectionTable(dict):
+    """Key -> its value, which a base read from a snapshot entry decodes from
+    the key's section of the entry's payload on the key's first read and
+    then records, so a later read is a plain dict lookup.  ``decode(data)``
+    makes the value of a section's bytes.  A key with no section reads as
+    ``()``, recorded too: a parsed base's table has no sections, so it reads
+    a subject with no field assertions as ``()``.
 
-    Reading a subject with none gives ``()``, and records it.  A base read
-    from a snapshot entry starts with each subject's assertions in a section
-    of the entry's payload, decoded and recorded on the subject's first
-    read, so a later read is a plain dict lookup."""
+    Each subject's field assertions and each language's lexicon tables are
+    such tables, so a query decodes only the subjects and languages it
+    reads."""
 
-    __slots__ = ("payload", "spans")
+    __slots__ = ("payload", "spans", "decode")
 
-    def __init__(self, payload=None, spans=None):
+    def __init__(self, payload=None, spans=None, decode=marshal.loads):
         super().__init__()
         self.payload = payload
-        self.spans: dict[str, tuple[int, int]] = spans or {}
+        self.spans: dict = spans or {}
+        self.decode = decode
 
-    def __missing__(self, subject):
-        span = self.spans.get(subject)
-        if span is None:
-            return self.setdefault(subject, ())
-        term = _term_decoder()
-        # setdefault: a thread that decoded it meanwhile keeps its list
-        return self.setdefault(subject, [
-            term(a) for a in marshal.loads(self.payload[span[0]:span[1]])])
+    def __missing__(self, key):
+        span = self.spans.get(key)
+        value = () if span is None else self.decode(self.payload[span[0]:span[1]])
+        # setdefault: a thread that decoded it meanwhile keeps its value
+        return self.setdefault(key, value)
+
+
+def decode_assertions(data: bytes) -> list[Assertion]:
+    """The assertions stored in a section's bytes."""
+    term = _term_decoder()
+    return [term(a) for a in marshal.loads(data)]

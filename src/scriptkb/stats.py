@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import EmptyDatabase
 from .kb import CensusRow, KnowledgeBase
@@ -55,7 +55,7 @@ PUBLISHED = (
 
 def census(kb: KnowledgeBase) -> list[CensusRow]:
     """One row per script concept, name ascending, in a new list."""
-    return list(kb._scripts.values())
+    return list(kb._census)
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:
@@ -72,17 +72,28 @@ _COMPARISON_HEADER = ("Name", "Scripts (#)", "Subevents (#/script)",
                       "Roles (#/script)", "Places (#/script)", "Other (#/script)")
 
 
+def _cells(r: CensusRow) -> tuple:
+    """A row's values, read by name: ``dataclasses.astuple`` would deep-copy
+    each one."""
+    return r.script, r.subevents, r.roles, r.places, r.other
+
+
+def _averages(s: SummaryRow) -> list[str]:
+    """A summary's averages, two decimals each."""
+    return [f"{v:.2f}" for v in (s.avg_subevents, s.avg_roles, s.avg_places, s.avg_other)]
+
+
 def format_census(rows) -> str:
     header = tuple(f.name.capitalize() for f in fields(CensusRow))
-    return _align([header] + [tuple(str(v) for v in astuple(r)) for r in rows])
+    return _align([header] + [tuple(map(str, _cells(r))) for r in rows])
 
 
 def format_comparison(local: SummaryRow) -> str:
     table = [_COMPARISON_HEADER]
-    table.append(("local database", str(local.scripts),
-                  *(f"{v:.2f}" for v in astuple(local)[1:])))
+    table.append(("local database", str(local.scripts), *_averages(local)))
     for row in PUBLISHED:
-        table.append((f"{row.name} (published)", *astuple(row)[1:]))
+        table.append((f"{row.name} (published)", row.scripts, row.subevents, row.roles,
+                      row.places, row.other))
     return _align(table)
 
 
@@ -91,12 +102,12 @@ def census_csv(kb: KnowledgeBase) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f.name for f in fields(CensusRow)])
     rows = census(kb)
-    writer.writerows(astuple(r) for r in rows)
+    writer.writerows(map(_cells, rows))
     if rows:
         s = summary(kb)
         writer.writerow([])
         writer.writerow([f.name for f in fields(SummaryRow)])
-        writer.writerow([s.scripts, *(f"{v:.2f}" for v in astuple(s)[1:])])
+        writer.writerow([s.scripts, *_averages(s)])
     return out.getvalue()
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from property_checks import _mutations, as_two_files
 from scriptkb import kb as kbmodule
-from scriptkb import parsecache
+from scriptkb import cli, parsecache
+from scriptkb.diagnostics import ERROR
 from scriptkb.errors import CycleDetected, KbError
 from scriptkb.kb import KnowledgeBase, read_text
 from scriptkb.ontology import Language
@@ -65,16 +66,19 @@ def clear_entries(paths) -> None:
 
 def assert_same_base(kb, want):
     """Every table of the two bases is equal, in order: blocks, positions,
-    field assertions, census, hierarchy, lexicon, grids and the index."""
+    diagnostics and errors, field assertions, census, hierarchy, lexicon,
+    grids and the index."""
     assert [(b, b.file, b.line, b.assertion_lines) for b in kb.blocks] \
         == [(b, b.file, b.line, b.assertion_lines) for b in want.blocks]
     assert [(s, sites) for s, sites in kb._sites.items()] \
         == [(s, sites) for s, sites in want._sites.items()]
     assert kb.diagnostics == want.diagnostics
+    assert kb.errors == want.errors
     subjects = list(want.ontology.concepts())
     assert [list(kb._field_assertions[s]) for s in subjects] \
         == [list(want._field_assertions[s]) for s in subjects]
-    assert list(kb._scripts.items()) == list(want._scripts.items())
+    assert list(kb._scripts) == list(want._scripts)
+    assert list(kb._census) == list(want._census)  # rows by value, names included
     assert kb._census_totals == want._census_totals
     onto, other = kb.ontology, want.ontology
     assert list(onto._parents.items()) == list(other._parents.items())
@@ -84,6 +88,25 @@ def assert_same_base(kb, want):
     assert [(name, g, g.line, g.file) for name, g in kb.grids.items()] \
         == [(name, g, g.line, g.file) for name, g in want.grids.items()]
     assert kb.index == want.index
+
+
+def error_diagnostics_of_cold_warm_and_text_bases(paths):
+    """The ``errors`` of the ``from_texts``, cold and warm bases of the files,
+    each checked against the base's own error diagnostics; None for a
+    hierarchy cycle."""
+    texts = [(p, Path(p).read_bytes().decode("utf-8")) for p in paths]
+    clear_entries(paths)
+    got = []
+    try:
+        for kb in (KnowledgeBase.from_texts(texts), KnowledgeBase.from_paths(paths),
+                   KnowledgeBase.from_paths(paths)):
+            errors = kb.errors  # a warm base reads them from their own section
+            assert errors == [d for d in kb.diagnostics if d.severity == ERROR]
+            got.append(errors)
+    except CycleDetected:
+        return None
+    assert got[0] == got[1] == got[2]
+    return got[0]
 
 
 def check_cold_and_warm(paths, parses):
@@ -137,6 +160,21 @@ def test_mutated_bases_load_the_same_cold_and_warm(tmp_path, parses, core_text,
     # each mutated fixture is cut in two files that share its symbols
     for text in _mutations([core_text, scripts_text, demo_text], 1000, 20260808):
         check_cold_and_warm(write_base(tmp_path, as_two_files(text)), parses)
+
+
+def test_errors_are_the_error_diagnostics_cold_warm_and_from_texts(
+        tmp_path, core_text, scripts_text, demo_text, bench_texts):
+    fixtures = [core_text, scripts_text, demo_text]
+    assert error_diagnostics_of_cold_warm_and_text_bases(write_base(
+        tmp_path / "fixtures", zip(("core.kb", "scripts.kb", "demo.kb"), fixtures))) == []
+    assert error_diagnostics_of_cold_warm_and_text_bases(
+        write_base(tmp_path / "bench", bench_texts)) == []
+    found = 0
+    for text in _mutations(fixtures, 1000, 20260808):
+        errors = error_diagnostics_of_cold_warm_and_text_bases(
+            write_base(tmp_path / "mutated", as_two_files(text)))
+        found += bool(errors)
+    assert found > 100  # the mutations reach the error paths
 
 
 def test_every_command_prints_the_same_cold_and_warm(tmp_path, parses, core_text,
@@ -407,19 +445,62 @@ def test_editing_one_file_of_a_set_loads_the_new_texts(tmp_path, parses, core_te
     assert "quiet" in kb.ontology and len(entries(paths)) == 1
 
 
-def test_a_read_entry_decodes_each_section_when_it_is_first_read(tmp_path, scripts_text):
+PARTS = ("diagnostics", "errors", "_census", "blocks", "_sites", "index")
+TABLES = ("_by_phrase", "_reach", "_lexicon")
+# every lazy section of a base read from an entry; a lexicon table is named
+# by its kind and language
+LAZY = {*PARTS, *(f"{table} {lang.value}" for table in TABLES for lang in Language)}
+
+
+def undecoded(kb) -> set[str]:
+    """The lazy sections of a base read from an entry that nothing has read yet."""
+    return {name for name in PARTS if name not in vars(kb)} | {
+        f"{table} {lang.value}" for table in TABLES for lang in Language
+        if lang not in getattr(kb.ontology, table)}
+
+
+def test_a_read_entry_decodes_each_section_when_it_is_first_read(
+        tmp_path, monkeypatch, core_text, scripts_text, demo_text):
     (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
     want = KnowledgeBase.from_paths([path])
     kb = KnowledgeBase.from_paths([path])
     assert dict(kb._field_assertions) == {}
-    assert not {"blocks", "_sites", "index"} & set(vars(kb))
+    assert undecoded(kb) == LAZY
     script = kb.script_concepts()[0]
     assert kb._field_assertions[script] == want._field_assertions[script]
     assert list(kb._field_assertions) == [script]
-    assert kb.index == want.index and "blocks" not in vars(kb)
-    assert not {"_by_phrase", "_reach", "_lexicon"} & set(vars(kb.ontology))
+    assert kb.index == want.index and undecoded(kb) == LAZY - {"index"}
     assert kb.ontology.lookup_phrase("blackout", "English") == ("blackout",)
-    assert kb.ontology._lexicon == want.ontology._lexicon
+    assert undecoded(kb) == LAZY - {"index", "_by_phrase English"}
+    assert kb.ontology.lexemes_of("blackout", "French") == want.ontology.lexemes_of(
+        "blackout", "French")
+    assert undecoded(kb) == LAZY - {"index", "_by_phrase English", "_lexicon French"}
+    assert kb._census == want._census and kb.errors == []
+    assert kb.diagnostics == want.diagnostics and len(kb.diagnostics) > 10
+    assert undecoded(kb) == {"blocks", "_sites", "_by_phrase French", "_reach English",
+                             "_reach French", "_lexicon English"}
+
+    # each warm command decodes the error list and what its query reads
+    # alone: neither the diagnostics nor the blocks, nor the census rows or
+    # the French tables unless it reads them
+    fixtures = write_base(tmp_path / "fixtures", [
+        ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)])
+    flags = [f for p in fixtures for f in ("--kb", p)]
+    invoke(*flags, "stats")  # writes the set's entry
+    loaded, load = [], cli._load
+    monkeypatch.setattr(cli, "_load", lambda paths: loaded.append(load(paths)) or loaded[-1])
+    for command, decoded in [
+        (["show", "blackout"], {"errors"}),
+        (["grid", "hotel-room1"], {"errors"}),
+        (["stats"], {"errors", "_census"}),
+        (["stats", "--csv"], {"errors", "_census"}),
+        (["ask", "What does a waiter do?"], {"errors", "_by_phrase English", "index"}),
+        (["ask", "How long does eat in a restaurant take?"], {"errors", "_by_phrase English"}),
+    ]:
+        code, out, err = invoke(*flags, *command)
+        assert code == 0 and out and not err, command
+        assert undecoded(loaded[-1]) == LAZY - decoded, command
+    assert len(loaded) == 6
 
 
 def test_a_read_base_keeps_reading_its_entry_once_replaced_or_deleted(tmp_path, scripts_text):
