@@ -16,9 +16,9 @@ block's lexicon is linked by one ``Ontology.link_lexicon`` call as its
 concept is registered.  ``ako`` assertions supply hierarchy parents.
 Symbols that are referenced but never declared are auto-registered as
 children of the root with a warning, since source excerpts routinely
-mention concepts defined elsewhere; each is reported at its first mention,
-which the parser records for each block as it reads the assertions, so
-loading does not walk them again.  A
+mention concepts defined elsewhere; each is reported at its first mention
+in the files, in load order, which the parser records for each file as it
+reads the assertions, so loading does not walk them again.  A
 trailing-digit name like ``hotel-room1`` is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
@@ -300,13 +300,10 @@ class KnowledgeBase:
                                    for r in self._census]),
                 "lexicon": [{lang.value: section(table[lang]) for lang in Language}
                             for table in lexicon],
-                # the fields before the index: a field nested too deeply to
-                # store raises the ValueError that writes no entry, where the
-                # index's walk of it would exhaust the stack
                 "fields": {subject: section(list(map(encode_assertion, assertions)))
                            for subject, assertions in self._field_assertions.items()
                            if assertions},
-                "index": section(tuple(self._build_index())),
+                "index": section(tuple(self.index)),
                 "blocks": section(encode_blocks(self.blocks, self._field_assertions, at,
                                                 section))}
 
@@ -328,38 +325,30 @@ class KnowledgeBase:
         init("_field_assertions", SectionTable(payload, head["fields"], decode_assertions))
         return kb
 
-    def _merge_blocks(self, results: list[ParseResult]) -> dict[str, tuple[str, int]]:
+    def _merge_blocks(self, results: list[ParseResult]) -> None:
         """Append the parsed blocks to ``blocks``, a later block of a concept
-        right after the earlier ones, each keeping its own file and lines, and
-        return each symbol's first (file, line): its first mention, as the
-        parser recorded it, in the earliest of these blocks.  The parser's
-        first mentions are dropped once read, so the rest of the load does
-        not hold them."""
-        by_concept: dict[str, list[tuple]] = {}  # -> (block, its first mentions)
+        right after the earlier ones, each keeping its own file and lines."""
+        by_concept: dict[str, list[ObjectBlock]] = {}
         for r in results:
-            for block, first in zip(r.blocks, r.first_mentions):
+            for block in r.blocks:
                 same = by_concept.setdefault(block.concept, [])
                 if same:
                     self.diagnostics.append(Diagnostic(
                         block.file, block.line, 1, WARNING, "DuplicateBlock",
                         f"duplicate Object block for {block.concept!r}; "
                         f"assertions appended"))
-                same.append((block, first))
-            r.first_mentions = []
-        mentioned: dict[str, tuple[str, int]] = {}
+                same.append(block)
         for same in by_concept.values():
-            for block, (symbols, lines) in same:
-                self.blocks.append(block)
-                for sym, line in zip(symbols, lines):
-                    if sym not in mentioned:
-                        mentioned[sym] = (block.file, line)
-        return mentioned
+            self.blocks.extend(same)
 
     def _assemble(self, results: list[ParseResult]) -> None:
+        mentioned: dict[str, tuple[str, int]] = {}  # -> first (file, line), in load order
         for r in results:
             self.diagnostics.extend(r.diagnostics)
+            for sym, line in r.first_mentions.items():
+                mentioned.setdefault(sym, (r.file, line))
 
-        mentioned = self._merge_blocks(results)
+        self._merge_blocks(results)
 
         for r in results:
             for src in r.grid_sources:

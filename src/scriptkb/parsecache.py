@@ -81,10 +81,6 @@ from .parser import _LANGUAGES
 from .terms import FIELDS, NA, Assertion, Measure, ObjectBlock
 
 _MAGIC = b"scriptkb snapshot 1\0"
-# the nesting a stored assertion may have: a section is decoded by a
-# recursive walk, at query time, so the walk must stay well inside the
-# interpreter's recursion limit; a deeper base is loaded without an entry
-_MAX_DEPTH = 100
 _CHUNK = 1 << 18  # bytes of the payload read at a time for its CRC-32
 
 
@@ -190,9 +186,8 @@ class Sources:
         writes a value as a section and returns its span.  It is called only
         once the temporary file is open, so a directory that takes no file
         costs no encoding, and each section goes to the file as it is made,
-        so the whole payload is never held at once.  A failure, an assertion
-        nested too deeply to store included, leaves no file behind and raises
-        nothing."""
+        so the whole payload is never held at once.  A failure leaves no file
+        behind and raises nothing."""
         if self.entry is None:
             return
         tmp = f"{self.entry}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -211,7 +206,7 @@ class Sources:
                 f.seek(len(self.key))
                 f.write(out.crc.to_bytes(4, "little"))
             os.replace(tmp, self.entry)
-        except (OSError, ValueError):  # ValueError: nested too deeply to store
+        except OSError:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
 
@@ -263,7 +258,7 @@ def _entry_path(files: list[str]) -> str | None:
 # -- sections --------------------------------------------------------------------
 
 
-def encode_assertion(a, depth=0):
+def encode_assertion(a):
     """An assertion as the plain value a section stores."""
     args = a.args
     for arg in args:
@@ -271,15 +266,13 @@ def encode_assertion(a, depth=0):
             break
     else:
         return (a.predicate, *args)
-    if depth == _MAX_DEPTH:
-        raise ValueError("assertion nested too deeply to store")
     out = [a.predicate]
     for t in args:
         cls = t.__class__
         if cls is str:
             out.append(t)
         elif cls is Assertion:
-            out.append(encode_assertion(t, depth + 1))
+            out.append(encode_assertion(t))
         elif cls is Measure:
             out.append([t.unit, t.text])
         else:  # na

@@ -17,6 +17,8 @@ A file is a sequence of blocks::
   brackets continues on following lines.  ``^`` refers to the block's
   concept, ``na`` is the unspecified placeholder, and measures are written
   ``NUMBER:<unit>:<value>`` or as a number with a unit suffix (``.25in``).
+* An assertion holds assertions nested at most 100 levels below it; a
+  bracket that goes deeper is an error at its position.
 * Lines starting with ``;`` are comments.  HTML character entities are
   decoded on ingestion, line by line, after the text is split into lines.
 * Every text first loses a leading byte-order mark, and ``\\r\\n`` or a
@@ -53,6 +55,11 @@ _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
 _ASCII_SYMBOL = re.compile(r"[a-z0-9][a-z0-9-]*")
 _LANGUAGES = {lang.value: lang for lang in Language}  # lexicon section name -> language
+# how many levels an assertion may nest below the outermost one: every later
+# walk of a term (the index, a script view, a snapshot entry's encoder and
+# decoder) recurses, so a base that loads stays well inside the interpreter's
+# recursion limit
+_MAX_DEPTH = 100
 
 
 def is_symbol(token: str) -> bool:
@@ -128,7 +135,8 @@ def _parse_assertion(text, self_concept, line, predicates, atoms, values,
     arguments.  A token that fails to classify is not stored, so it raises
     again wherever it appears.  Each symbol the assertion names (``^`` as
     ``self_concept``) that ``mentions`` lacks is added to it with ``line``,
-    in preorder."""
+    in preorder.  A ``[`` nested more than ``_MAX_DEPTH`` levels below the
+    outermost one raises at its position."""
     toks = _tokens(text)
     if not toks or toks[0] != "[":
         raise KbSyntaxError("assertion must start with '['", line, 1)
@@ -150,6 +158,9 @@ def _parse_assertion(text, self_concept, line, predicates, atoms, values,
                 elif tok == "[":
                     outer.append((open_at, parts))
                     open_at, parts = at, []
+                    if len(outer) > _MAX_DEPTH:
+                        raise KbSyntaxError(
+                            f"assertion nested more than {_MAX_DEPTH} levels deep")
                 elif tok == "]":
                     if len(parts) < 2:
                         at = open_at
@@ -246,15 +257,14 @@ class GridSource:
 
 @dataclass
 class ParseResult:
+    file: str
     blocks: list[ObjectBlock] = field(default_factory=list)
     grid_sources: list[GridSource] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # beside each block: the symbols its assertions name (as a predicate, an
-    # argument or through '^'), in the order a preorder walk first meets them,
-    # and the line of the first assertion naming each; two exact-size tuples,
-    # since a dict per block left more memory resident after a load
-    first_mentions: list[tuple[tuple[str, ...], tuple[int, ...]]] = field(
-        default_factory=list)
+    # each symbol the kept blocks' assertions name (as a predicate, an
+    # argument or through '^') -> the line of the first assertion naming it,
+    # in the order a preorder walk of the file first meets them
+    first_mentions: dict[str, int] = field(default_factory=dict)
 
 
 def normalize_text(text: str) -> str:
@@ -287,23 +297,26 @@ def _parse_database(text, filename, predicates, atoms, values) -> ParseResult:
     lines = normalize_text(text).split("\n")
     if "&" in text:
         lines = [_unescape(line) if "&" in line else line for line in lines]
-    result = ParseResult()
+    result = ParseResult(filename)
 
     current: ObjectBlock | None = None
     current_ok = True
-    mentions: dict[str, int] = {}  # the current block's first mentions, so far
+    mentions = result.first_mentions  # the current block's are added last
+    kept = 0  # how many of them the kept blocks made
 
     def err(lineno, col, code, message):
         result.diagnostics.append(Diagnostic(filename, lineno, col, ERROR, code, message))
 
     def finish():
-        nonlocal current, current_ok
+        nonlocal current, current_ok, kept
         if current is not None and current_ok:
             result.blocks.append(current)
-            result.first_mentions.append((tuple(mentions), tuple(mentions.values())))
+        else:  # a dropped block names nothing
+            for _ in range(len(mentions) - kept):
+                mentions.popitem()
+        kept = len(mentions)
         current = None
         current_ok = True
-        mentions.clear()
 
     i, n = 0, len(lines)
     while i < n:

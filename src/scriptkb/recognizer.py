@@ -26,7 +26,7 @@ from .ontology import Language, as_language
 from .scripts import Script
 from .terms import goto_target, slot_init, term_symbols
 
-_TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ÿ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ÿ]+)*")
+_TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ſ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ſ]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
 
 

@@ -72,6 +72,18 @@ def test_validate_names_the_file_of_a_duplicate_block(tmp_path):
     assert f"{b}:4:1: warning: undeclared concept 'fade' registered under 'concept'" in out
 
 
+def test_validate_reports_an_undeclared_symbol_at_its_first_line(tmp_path):
+    # the second block of `a` is read beside the first, but line 6 comes first
+    path = tmp_path / "m.kb"
+    path.write_text("Object a\n[ako ^ thing]\n\nObject b\n[ako ^ thing]\n[likes ^ zzz]\n\n"
+                    "Object a\n[likes ^ zzz]\n", encoding="utf-8")
+    code, out, _ = invoke("validate", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"{path}:{line}:1: warning: undeclared concept {name!r} registered under 'concept'"
+        for line, name in ((2, "thing"), (6, "likes"), (6, "zzz"))]
+
+
 def test_validate_missing_file():
     code, _, err = invoke("validate", "/no/such/file.kb")
     assert code == 2

@@ -232,12 +232,16 @@ def _valid_name(name):
     return bool(name) and not any(c in name for c in " \t\n[]")
 
 
-def reference_hierarchy(kb):
+def reference_hierarchy(kb, files):
     """Concept order, parents and AutoRegistered (file, line, message) as the
-    loader derived them before: a first-mention walk of the loaded blocks, each
-    with its own file, with the generator and ``assertion_line``, then the grids."""
+    loader derived them before: a first-mention walk of the loaded blocks file
+    by file, in the load order ``files``, each file's blocks in line order,
+    with the generator and ``assertion_line``, then the grids."""
     mentioned, ako = {}, {}
-    for block in kb.blocks:
+    in_files = [b for file in files
+                for b in sorted((b for b in kb.blocks if b.file == file), key=lambda b: b.line)]
+    assert sorted(map(id, in_files)) == sorted(map(id, kb.blocks))
+    for block in in_files:
         for i, a in enumerate(block.assertions):
             for flag in (True, False):
                 assert term_symbols(a, flag) == list(generator_term_symbols(a, flag))
@@ -264,8 +268,8 @@ def reference_hierarchy(kb):
     return order, parents, auto
 
 
-def assert_hierarchy_matches_reference(kb):
-    order, parents, auto = reference_hierarchy(kb)
+def assert_hierarchy_matches_reference(kb, files):
+    order, parents, auto = reference_hierarchy(kb, files)
     assert list(kb.ontology.concepts()) == order
     assert {c: kb.ontology.parents(c) for c in order} == parents
     assert [(d.file, d.line, d.message) for d in kb.diagnostics
@@ -273,8 +277,9 @@ def assert_hierarchy_matches_reference(kb):
 
 
 def test_hierarchy_matches_the_generator_walk(kb, bench_texts):
-    assert_hierarchy_matches_reference(kb)
-    assert_hierarchy_matches_reference(KnowledgeBase.from_texts(bench_texts))
+    assert_hierarchy_matches_reference(kb, ["core.kb", "scripts.kb", "demo.kb"])
+    assert_hierarchy_matches_reference(KnowledgeBase.from_texts(bench_texts),
+                                       [name for name, _ in bench_texts])
 
 
 def test_hierarchy_matches_the_generator_walk_on_mutated_bases(core_text, scripts_text,
@@ -285,7 +290,7 @@ def test_hierarchy_matches_the_generator_walk_on_mutated_bases(core_text, script
             kb = KnowledgeBase.from_texts([("m", text)])
         except CycleDetected:
             continue
-        assert_hierarchy_matches_reference(kb)
+        assert_hierarchy_matches_reference(kb, ["m"])
         checked += 1
     assert checked > 900
 
@@ -304,20 +309,21 @@ def test_a_dropped_block_registers_none_of_its_symbols():
     assert auto_registered(kb) == [("t", 2, "likes"), ("t", 2, "seen")]
     assert "hates" not in kb.ontology and "unseen" not in kb.ontology
     assert "bad" not in kb.ontology
-    assert_hierarchy_matches_reference(kb)
+    assert_hierarchy_matches_reference(kb, ["t"])
 
 
-def test_first_mentions_follow_the_blocks_not_the_files():
-    # b.kb's block of `first` is read right after a.kb's, before a.kb's `second`
+def test_first_mentions_follow_the_files_not_the_blocks():
+    # b.kb's block of `first` is read right after a.kb's, before a.kb's
+    # `second`, but a.kb names `shared` first
     kb = KnowledgeBase.from_texts([
         ("a.kb", "Object first\n[likes ^ x]\n\nObject second\n[likes ^ shared]\n"),
         ("b.kb", "Object first\n\n[hates ^ shared]\n")])
     assert [(b.concept, b.file) for b in kb.blocks] == [
         ("first", "a.kb"), ("first", "b.kb"), ("second", "a.kb")]
     assert auto_registered(kb) == [("a.kb", 2, "likes"), ("a.kb", 2, "x"),
-                                   ("b.kb", 3, "hates"), ("b.kb", 3, "shared")]
-    assert list(kb.ontology.concepts())[-4:] == ["likes", "x", "hates", "shared"]
-    assert_hierarchy_matches_reference(kb)
+                                   ("a.kb", 5, "shared"), ("b.kb", 3, "hates")]
+    assert list(kb.ontology.concepts())[-4:] == ["likes", "x", "shared", "hates"]
+    assert_hierarchy_matches_reference(kb, ["a.kb", "b.kb"])
 
 
 def test_a_symbol_only_named_as_a_nested_predicate_is_registered():
@@ -325,7 +331,7 @@ def test_a_symbol_only_named_as_a_nested_predicate_is_registered():
                                          "[event01-of ^ [ponder human]]\n")])
     assert "ponder" in kb.ontology
     assert auto_registered(kb) == [("t", 2, "human"), ("t", 3, "ponder")]
-    assert_hierarchy_matches_reference(kb)
+    assert_hierarchy_matches_reference(kb, ["t"])
 
 # -- the collector during load ---------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 
 from property_checks import _mutations, as_two_files
 from scriptkb import kb as kbmodule
-from scriptkb import cli, parsecache
+from scriptkb import cli, parsecache, parser
 from scriptkb.diagnostics import ERROR
 from scriptkb.errors import CycleDetected, KbError
 from scriptkb.kb import KnowledgeBase, read_text
@@ -551,17 +551,57 @@ def test_line_ends_and_a_byte_order_mark_read_as_open_reads_them(tmp_path):
         assert_same_base(kb, KnowledgeBase.from_texts([(str(path), raw)]))
 
 
-def test_an_assertion_nested_too_deeply_to_store_loads_without_an_entry(tmp_path, parses):
-    path = tmp_path / "deep.kb"
-    depth = 3000  # past what marshal stores
-    path.write_text("Object x\n[event01-of ^ " + "[a " * depth + "b" + "]" * depth + "]\n",
-                    encoding="utf-8")
-    want = KnowledgeBase.from_texts([(str(path), path.read_text("utf-8"))])
-    for _ in range(2):
-        del parses[:]
-        assert KnowledgeBase.from_paths([path]).diagnostics == want.diagnostics
-        assert parses == [str(path)]
-    assert list((tmp_path / "__pycache__").iterdir()) == []
+def nested(depth: int) -> str:
+    """A script whose one event holds ``depth`` assertions, each nested in the
+    one before."""
+    return "Object x\n[event01-of ^ " + "[a " * depth + "b" + "]" * depth + "]\n"
+
+
+def test_the_deepest_nesting_loads_and_one_level_more_is_an_error(tmp_path, parses):
+    bases = []
+    for depth in (parser._MAX_DEPTH, parser._MAX_DEPTH + 1):
+        (path,) = write_base(tmp_path, [(f"deep{depth}.kb", nested(depth))])
+        want = KnowledgeBase.from_texts([(path, Path(path).read_text("utf-8"))])
+        for parsed in ([path], []):  # cold, then warm: the entry is written either way
+            del parses[:]
+            assert_same_base(KnowledgeBase.from_paths([path]), want)
+            assert parses == parsed
+        bases.append(want)
+    deepest, deeper = bases
+    assert deepest.errors == [] and deepest.script_concepts() == ["x"]
+    # the bracket that opens the level too many
+    col = len("[event01-of ^ ") + 3 * parser._MAX_DEPTH + 1
+    assert [(d.line, d.col, d.code) for d in deeper.diagnostics] == [(2, col, "KbSyntaxError")]
+    assert deeper.blocks == []
+
+
+@pytest.mark.parametrize("command", [["show", "x"], ["recognize", "a b"], ["validate"]])
+def test_a_base_nested_too_deeply_is_a_load_error_cold_and_warm(tmp_path, command):
+    (path,) = write_base(tmp_path, [("deep.kb", nested(3000))])
+    argv = command + [path] if command == ["validate"] else ["--kb", path, *command]
+    cold = invoke(*argv)
+    assert entries([path])
+    assert invoke(*argv) == cold
+    code, out, err = cold
+    assert code == 2
+    assert f"{path}:2:" in out + err
+    assert "Traceback" not in out + err
+
+
+def test_a_cold_load_builds_the_index_once(tmp_path, monkeypatch):
+    (path,) = write_base(tmp_path, [("hum.kb", "Object buzz\n[English] buzz\n\n"
+                                               "Object hum\n[event01-of ^ [buzz x]]\n")])
+    original, builds = KnowledgeBase._build_index, []
+
+    def counted(kb):
+        builds.append(kb)
+        return original(kb)
+
+    monkeypatch.setattr(KnowledgeBase, "_build_index", counted)
+    assert invoke("--kb", path, "recognize", "buzz") == (
+        0, "score 1.0 for script hum based on buzz\n", "")
+    assert entries([path])
+    assert len(builds) == 1
 
 
 def test_loads_racing_to_write_one_entry_all_answer_alike(tmp_path, scripts_text):

@@ -356,7 +356,7 @@ def test_measures_reserialize_exactly(scripts_text):
 def parse_per_assertion(text: str, **kwargs):
     """Reference: ``parse_database`` with every assertion parsed as
     ``parse_assertion`` parses it, with tables that no other assertion shares;
-    first mentions still go to their block."""
+    first mentions still go to the parse's one table."""
     shared = parser._parse_assertion
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser, "_parse_assertion",
@@ -367,11 +367,11 @@ def parse_per_assertion(text: str, **kwargs):
 
 def parsed(result):
     """Everything a parse gives: blocks with their lines and measure texts,
-    grid sources, positioned diagnostics and each block's first mentions."""
+    grid sources, positioned diagnostics and the first mentions, in order."""
     return ([(b.concept, b.file, b.line, b.lexicon, b.assertions,
               [a.render() for a in b.assertions], b.assertion_lines)
              for b in result.blocks], result.grid_sources, result.diagnostics,
-            result.first_mentions)
+            list(result.first_mentions.items()))
 
 
 def test_one_table_per_parse_matches_per_assertion_parsing(core_text, scripts_text,
@@ -491,13 +491,15 @@ def test_token_positions_match_the_reference_regex(core_text, scripts_text, demo
 
 # -- first mentions recorded while parsing ---------------------------------------
 
-def first_mention_walk(block):
-    """Reference: each symbol of the block's assertions with the line of the
-    first assertion that names it, by a ``term_symbols`` walk."""
+def first_mention_walk(blocks):
+    """Reference: each symbol of the blocks' assertions with the line of the
+    first assertion that names it, by a ``term_symbols`` walk of the blocks
+    in file order."""
     first = {}
-    for a, line in zip(block.assertions, block.assertion_lines):
-        for sym in term_symbols(a):
-            first.setdefault(sym, line)
+    for block in blocks:
+        for a, line in zip(block.assertions, block.assertion_lines):
+            for sym in term_symbols(a):
+                first.setdefault(sym, line)
     return list(first.items())
 
 
@@ -507,14 +509,12 @@ def test_first_mentions_are_a_term_symbols_walk(core_text, scripts_text, demo_te
              *_mutations([core_text, scripts_text, demo_text], 3000, 20261018)]
     for text in texts:
         result = parse_database(text)
-        assert len(result.first_mentions) == len(result.blocks)
-        assert [list(zip(*first)) for first in result.first_mentions] \
-            == [first_mention_walk(b) for b in result.blocks], text
+        assert list(result.first_mentions.items()) == first_mention_walk(result.blocks), text
 
 
 def test_first_mentions_follow_preorder_with_self_as_the_concept():
     result = parse_database("Object s\n[event01-of ^ [inner x [deep ^ y]] z]\n[ako ^ w x]\n")
-    assert list(zip(*result.first_mentions[0])) == [
+    assert list(result.first_mentions.items()) == [
         ("event01-of", 2), ("s", 2), ("inner", 2), ("x", 2), ("deep", 2), ("y", 2),
         ("z", 2), ("ako", 3), ("w", 3)]
 

@@ -1,5 +1,5 @@
 import pytest
-from property_checks import plain_twin, run_record_matches_twin
+from property_checks import plain_twin, run_lexicon_activation, run_record_matches_twin
 
 from scriptkb.kb import KnowledgeBase
 from scriptkb.recognizer import (
@@ -87,6 +87,16 @@ def test_french_text_has_no_stop_words():
     kb = KnowledgeBase.from_texts([("t", "Object ore\n[English] ore; [French] on, or\n")])
     assert activate("on or", kb, "French").concepts() == ("ore",)
     assert activate("on or", kb, "English").concepts() == ()
+
+
+def test_a_phrase_with_a_latin_extended_a_letter_activates():
+    kb = KnowledgeBase.from_texts([("t", "Object egg\n[French] œuf\n\n"
+                                         "Object heart\n[French] cœur\n\n"
+                                         "Object sister\n[French] sœur\n")])
+    acts = activate("Sœur, un œuf et mon cœur", kb, "French")
+    assert [(a.concept, a.surface) for a in acts.items] == [
+        ("sister", "Sœur"), ("egg", "œuf"), ("heart", "cœur")]
+    assert run_lexicon_activation(kb, cases=20) == 3
 
 
 def test_ambiguous_phrase_fans_out(kb):
