@@ -18,8 +18,8 @@ Symbols that are referenced but never declared are auto-registered as
 children of the root with a warning, since source excerpts routinely
 mention concepts defined elsewhere; each is reported at its first mention
 in the files, in load order, which the parser records for each file as it
-reads the assertions, so loading does not walk them again.  A
-trailing-digit name like ``hotel-room1`` is treated as an instance and
+reads the assertions, so loading does not walk them again.  A name
+ending in ASCII digits, like ``hotel-room1``, is treated as an instance and
 registered under its base concept when the base exists.  A field assertion
 whose argument has the wrong shape is a load error, and so is a goto to an
 event group its script lacks.  The base is frozen.  Loading records each
@@ -78,7 +78,7 @@ from .parser import ParseResult, _parse_database, normalize_text
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, slot_init, term_symbols)
 
-_INSTANCE_RE = re.compile(r"(.+?)\d+$")
+_INSTANCE_RE = re.compile(r"(.+?)[0-9]+$")
 
 
 @contextmanager

@@ -14,8 +14,9 @@ entry.  A later load of the set decodes the entry instead of parsing and
 assembling the files again.  An entry answers only when its header matches:
 
 * a magic string and ``sys.version``;
-* a fingerprint of the bytes of every ``scriptkb/*.py`` module, computed
-  once per process, so any change to the code retires every entry;
+* a fingerprint of the package's ``.py`` (or, sourceless, ``.pyc``) module
+  files, taken once per process, so any change to the code retires every
+  entry, and no entry is kept where there are none to read (a zip import);
 * for each file, in order: its inode number and status-change time
   (``st_ctime_ns``), which a user cannot set, so an entry that arrives with
   its sources (a copy, an archive, a checkout) never answers for them; its
@@ -97,10 +98,11 @@ def source_text(data: bytes, path) -> str:
 @functools.cache
 def _code_key() -> bytes:
     """The header's magic, interpreter and code parts, the same for every entry
-    this process reads or writes."""
-    modules = sorted(Path(__file__).parent.glob("*.py"))
+    this process reads or writes; empty, so no entry is kept, where the package
+    directory holds no module file to read, as in a zip import."""
+    modules = sorted(p for p in Path(__file__).parent.glob("*.py*") if p.suffix in (".py", ".pyc"))
     code = b"\0".join(part for p in modules for part in (p.name.encode(), p.read_bytes()))
-    return _MAGIC + sys.version.encode() + b"\0" + source_hash(code)
+    return _MAGIC + sys.version.encode() + b"\0" + source_hash(code) if modules else b""
 
 
 def _file_id(st: os.stat_result) -> bytes:
@@ -246,9 +248,9 @@ class _Payload:
 
 def _entry_path(files: list[str]) -> str | None:
     tag = sys.implementation.cache_tag
-    # no entry where the interpreter keeps no bytecode cache, or where an
-    # entry's owner cannot be checked
-    if not files or tag is None or not hasattr(os, "geteuid"):
+    # no entry where the interpreter keeps no bytecode cache, where an entry's
+    # owner cannot be checked, or where the code has no fingerprint
+    if not files or tag is None or not hasattr(os, "geteuid") or not _code_key():
         return None
     head, name = os.path.split(files[0])
     digest = source_hash(b"\0".join(os.fsencode(os.path.abspath(p)) for p in files)).hex()

@@ -17,6 +17,8 @@ A file is a sequence of blocks::
   brackets continues on following lines.  ``^`` refers to the block's
   concept, ``na`` is the unspecified placeholder, and measures are written
   ``NUMBER:<unit>:<value>`` or as a number with a unit suffix (``.25in``).
+* Symbols take ASCII digits, ``-`` after the first character and the
+  lowercase ``terms.LETTERS``, numbers ASCII digits, on every interpreter.
 * An assertion holds assertions nested at most 100 levels below it; a
   bracket that goes deeper is an error at its position.
 * Lines starting with ``;`` are comments.  HTML character entities are
@@ -47,13 +49,16 @@ from .errors import (
     UnknownUnit,
 )
 from .ontology import Language
-from .terms import DEFAULT_UNITS, NA, Assertion, Measure, ObjectBlock
+from .terms import DEFAULT_UNITS, LETTERS, NA, Assertion, Measure, ObjectBlock
 
-_NUM_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_NUM_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _SUFFIX_RE = re.compile(rf"({_NUM_RE.pattern})([A-Za-z]+)")
 _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
-_ASCII_SYMBOL = re.compile(r"[a-z0-9][a-z0-9-]*")
+# the table's lowercase letters, a-z and 97 more, whose case no Unicode version changed
+_LOWERCASE = "".join(c for c in map(chr, range(ord(LETTERS[-1]) + 1))
+                     if c.islower() and re.fullmatch(f"[{LETTERS}]", c))
+_SYMBOL_RE = re.compile(f"[0-9{_LOWERCASE}][-0-9{_LOWERCASE}]*")
 _LANGUAGES = {lang.value: lang for lang in Language}  # lexicon section name -> language
 # how many levels an assertion may nest below the outermost one: every later
 # walk of a term (the index, a script view, a snapshot entry's encoder and
@@ -63,18 +68,10 @@ _MAX_DEPTH = 100
 
 
 def is_symbol(token: str) -> bool:
-    """Symbols are lowercase-and-digit tokens with interior hyphens; accented
-    lowercase letters are allowed for French-derived names."""
-    if token.isascii():
-        return _ASCII_SYMBOL.fullmatch(token) is not None
-    first = token[0]
-    if not (first.isdigit() or (first.isalpha() and first.islower())):
-        return False
-    for ch in token[1:]:
-        if ch == "-" or ch.isdigit() or (ch.isalpha() and ch.islower()):
-            continue
-        return False
-    return True
+    """Whether a token is a symbol: an ASCII digit or a lowercase letter of
+    ``terms.LETTERS`` (``é``, ``œ`` for French-derived names), then any of
+    these or ``-``.  No Unicode table of the interpreter decides it."""
+    return _SYMBOL_RE.fullmatch(token) is not None
 
 
 def parse_measure(token: str) -> Measure:
@@ -219,15 +216,12 @@ def _classify_atom(val):
     if val.startswith("NUMBER:"):
         return parse_measure(val)
     m = _SUFFIX_RE.fullmatch(val)
-    if m:
-        num, unit = m.groups()
-        if unit in DEFAULT_UNITS:
-            return Measure(unit, num)
-        if is_symbol(val):
-            return val
-        raise UnknownUnit(f"unknown unit {unit!r} in {val!r}")
+    if m and m[2] in DEFAULT_UNITS:
+        return Measure(m[2], m[1])
     if is_symbol(val):
         return val
+    if m:
+        raise UnknownUnit(f"unknown unit {m[2]!r} in {val!r}")
     if _NUM_RE.fullmatch(val):
         raise MalformedNumber(f"number without a unit: {val!r}")
     raise KbSyntaxError(f"invalid token {val!r}")

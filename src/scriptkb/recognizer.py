@@ -24,9 +24,9 @@ from importlib import resources
 from .kb import KnowledgeBase
 from .ontology import Language, as_language
 from .scripts import Script
-from .terms import goto_target, slot_init, term_symbols
+from .terms import LETTERS, goto_target, slot_init, term_symbols
 
-_TOKEN_RE = re.compile(r"[0-9A-Za-zÀ-ÖØ-öø-ſ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ſ]+)*")
+_TOKEN_RE = re.compile(rf"[0-9{LETTERS}]+(?:['’-][0-9{LETTERS}]+)*")
 _SUFFIXES = ("s", "es", "ed", "ing")
 
 

@@ -8,7 +8,8 @@ and never survives into the model.
 
 The predicate vocabulary lives here too: ``FIELDS`` says which script field
 each field predicate fills and what argument it needs, and ``ako`` and
-``goto`` are the two other predicates the file format defines.
+``goto`` are the two other predicates the file format defines.  So is the
+alphabet of every symbol and every recognized word, ``LETTERS``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class NaType:
 NA = NaType()
 
 DEFAULT_UNITS = ("second", "USD", "in")
+# a regex class body: the letters of ASCII, Latin-1 and Latin Extended-A less × and ÷
+LETTERS = "A-Za-zÀ-ÖØ-öø-ſ"
 
 
 class Measure:

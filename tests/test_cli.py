@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -482,16 +483,27 @@ _LAZY_BUILDS = [
     (["stats"], False, False),
     (["stats", "--csv"], False, False),
     (["--json", "stats"], False, False),
-    (["validate", *bundled_kb_paths()], False, True),
+    (["validate"], False, True),  # of the base's files
 ]
+
+
+def fixture_copy(root) -> list[str]:
+    """The paths of a copy of the bundled files under ``root``."""
+    return [shutil.copy(p, root) for p in bundled_kb_paths()]
 
 
 # ids from the command and the index column only, so each case keeps its name
 @pytest.mark.parametrize("argv, builds_index, builds_sites", _LAZY_BUILDS,
                          ids=[f"argv{i}-{index}" for i, (_, index, _) in enumerate(_LAZY_BUILDS)])
 def test_only_whole_base_queries_build_the_script_index(argv, builds_index, builds_sites,
-                                                        monkeypatch):
-    import scriptkb.cli
+                                                        tmp_path, monkeypatch):
+    # a warm load: the copy's entry is written first, whatever ran before
+    files = fixture_copy(tmp_path)
+    scriptkb.KnowledgeBase.from_paths(files)
+    if argv == ["validate"]:
+        argv = argv + files
+    else:
+        argv = [flag for p in files for flag in ("--kb", p)] + argv
     loaded = []
     load = scriptkb.cli._load
 
@@ -504,6 +516,15 @@ def test_only_whole_base_queries_build_the_script_index(argv, builds_index, buil
     assert code == 0 and out
     assert ("index" in vars(loaded[0])) == builds_index
     assert ("_sites" in vars(loaded[0])) == builds_sites
+
+
+def test_a_cold_load_holds_the_index_it_stored(tmp_path):
+    files = fixture_copy(tmp_path)
+    cold = scriptkb.KnowledgeBase.from_paths(files)
+    assert "index" in vars(cold)
+    warm = scriptkb.KnowledgeBase.from_paths(files)
+    assert "index" not in vars(warm)
+    assert warm.index == cold.index
 
 
 def test_the_script_index_builds_no_script_view(core_text, scripts_text, demo_text,

@@ -69,6 +69,12 @@ def test_instance_base():
     assert instance_base("blackout") is None
 
 
+def test_an_instance_name_ends_in_ascii_digits():
+    assert instance_base("room3") == "room"
+    assert instance_base("room٣") is None
+    assert instance_base("room\U00011f55") is None
+
+
 def test_grid_instance_reparented_under_base(kb):
     assert kb.ontology.is_a("hotel-room1", "hotel-room")
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import sys
 import threading
+from importlib.util import source_hash
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,58 @@ def test_an_entry_of_another_interpreter_is_parsed(one_file, parses, monkeypatch
         loads_as_text(path, parses)
     finally:
         parsecache._code_key.cache_clear()
+
+
+@pytest.fixture()
+def package_dir(tmp_path, monkeypatch):
+    """A package directory, not yet made, that the code key reads in place of
+    the package's own."""
+    root = tmp_path / "scriptkb"
+    monkeypatch.setattr(parsecache, "__file__", str(root / "parsecache.pyc"))
+    parsecache._code_key.cache_clear()
+    yield root
+    parsecache._code_key.cache_clear()
+
+
+def test_a_sourceless_install_fingerprints_its_bytecode(package_dir):
+    # as after `python -m compileall -b` and deleting the .py files
+    package_dir.mkdir()
+    for name in ("__init__.pyc", "parsecache.pyc", "parser.pyc"):
+        (package_dir / name).write_bytes(f"bytecode of {name}".encode())
+    keys = []
+    for edit in (b"", b" edited"):
+        with open(package_dir / "parser.pyc", "ab") as f:
+            f.write(edit)
+        parsecache._code_key.cache_clear()
+        keys.append(parsecache._code_key())
+    empty = parsecache._MAGIC + sys.version.encode() + b"\0" + source_hash(b"")
+    assert empty not in keys
+    assert keys[0] != keys[1]
+
+
+def test_a_package_with_no_module_file_keeps_no_entry(tmp_path, package_dir, parses):
+    # as from a zip import: the package directory is not one to list
+    (path,) = write_base(tmp_path, [("one.kb", "Object x\n[event01-of ^ [hum x]]\n")])
+    assert parsecache._code_key() == b""
+    for _ in range(2):
+        assert KnowledgeBase.from_paths([path]).script_concepts() == ["x"]
+    assert parses == [path, path]
+    assert entries([path]) == []
+
+
+def test_symbols_and_numbers_outside_the_table_are_errors_cold_and_warm(tmp_path, parses):
+    # a Kawi digit in a measure and a Glagolitic lowercase letter, which some
+    # interpreters' Unicode tables count as a digit and a letter
+    (path,) = write_base(tmp_path, [("m.kb", "Object x\n[event01-of ^ [hum x]]\n"
+                                             "[duration-of ^ NUMBER:second:\U00011f55]\n\n"
+                                             "Object y\n[event01-of ^ [hum \u2c5f]]\n")])
+    for parsed in ([path], []):
+        del parses[:]
+        kb = KnowledgeBase.from_paths([path])
+        assert parses == parsed
+        assert [(d.file, d.line, d.col, d.code) for d in kb.errors] == [
+            (path, 3, 16, "MalformedNumber"), (path, 6, 20, "KbSyntaxError")]
+        assert kb.script_concepts() == []
 
 
 def test_an_entry_that_came_with_its_source_is_parsed(tmp_path, one_file, parses):

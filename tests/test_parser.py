@@ -15,6 +15,7 @@ from scriptkb.errors import (
 )
 from scriptkb.ontology import Language
 from scriptkb.parser import is_symbol, parse_assertion, parse_database, parse_measure, serialize
+from scriptkb.recognizer import _TOKEN_RE
 from scriptkb.terms import NA, Assertion, Measure, term_symbols
 
 
@@ -47,15 +48,22 @@ def test_symbol_rejects(token):
     assert not is_symbol(token)
 
 
+# the characters a symbol is spelled in, on every interpreter: ASCII digits,
+# a-z, and the 97 lowercase letters of Latin-1 and Latin Extended-A
+SYMBOL_CHARS = frozenset(
+    "0123456789abcdefghijklmnopqrstuvwxyz"
+    "ßàáâãäåæçèéêëìíîïðñòóôõöøùúûüýþÿ"
+    "āăąćĉċčďđēĕėęěĝğġģĥħĩīĭįıĳĵķĸĺļľŀłńņňŉŋōŏőœŕŗřśŝşšţťŧũūŭůűųŵŷźżžſ")
+
+
 def symbol_reference(token: str) -> bool:
-    """The definition of a symbol, one character at a time."""
+    """The definition of a symbol, one character at a time, by the committed
+    table of symbol characters."""
     if not token:
         return False
-    first = token[0]
-    if not (first.isdigit() or (first.isalpha() and first.islower())):
+    if token[0] not in SYMBOL_CHARS:
         return False
-    return all(ch == "-" or ch.isdigit() or (ch.isalpha() and ch.islower())
-               for ch in token[1:])
+    return all(ch == "-" or ch in SYMBOL_CHARS for ch in token[1:])
 
 
 def test_symbol_matches_the_character_reference():
@@ -66,6 +74,31 @@ def test_symbol_matches_the_character_reference():
         "".join(rng.choice(mixed if rng.random() < 0.8 else chars)
                 for _ in range(rng.randint(1, 8))) for _ in range(20000)]
     assert [t for t in tokens if is_symbol(t) != symbol_reference(t)] == []
+
+
+def test_the_single_character_symbols_are_the_committed_set():
+    assert len(SYMBOL_CHARS) == 10 + 26 + 97
+    assert {c for c in map(chr, range(0x110000)) if is_symbol(c)} == SYMBOL_CHARS
+
+
+def test_every_symbol_character_is_a_recognizer_token_character():
+    assert _TOKEN_RE.pattern == r"[0-9A-Za-zÀ-ÖØ-öø-ſ]+(?:['’-][0-9A-Za-zÀ-ÖØ-öø-ſ]+)*"
+    assert [c for c in sorted(SYMBOL_CHARS) if not _TOKEN_RE.fullmatch(c)] == []
+
+
+# lowercase letters of other scripts (Greek, Cyrillic, Glagolitic U+2C5F), the
+# ordinal indicators, the micro sign, and digits that are not ASCII
+@pytest.mark.parametrize("token", ["α", "ж", "\u2c5f", "ª", "º", "µ", "x²", "room٣",
+                                   "\U00011f55", "r\u2c5f"])
+def test_symbol_rejects_letters_and_digits_outside_the_table(token):
+    assert not is_symbol(token)
+
+
+@pytest.mark.parametrize("token", ["NUMBER:second:٣", "٣in", "NUMBER:second:\U00011f55",
+                                   "\U00011f55in", "NUMBER:USD:1.٣"])
+def test_a_number_takes_ascii_digits_only(token):
+    with pytest.raises(MalformedNumber):
+        parse_measure(token)
 
 
 # -- measures ------------------------------------------------------------------
