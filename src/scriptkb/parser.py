@@ -18,7 +18,8 @@ A file is a sequence of blocks::
   concept, ``na`` is the unspecified placeholder, and measures are written
   ``NUMBER:<unit>:<value>`` or as a number with a unit suffix (``.25in``).
 * Symbols take ASCII digits, ``-`` after the first character and the
-  lowercase ``terms.LETTERS``, numbers ASCII digits, on every interpreter.
+  lowercase ``terms.LETTERS``; ``terms.Measure`` checks a measure's unit
+  and number.
 * An assertion holds assertions nested at most 100 levels below it; a
   bracket that goes deeper is an error at its position.
 * Lines starting with ``;`` are comments.  HTML character entities are
@@ -49,10 +50,9 @@ from .errors import (
     UnknownUnit,
 )
 from .ontology import Language
-from .terms import DEFAULT_UNITS, LETTERS, NA, Assertion, Measure, ObjectBlock
+from .terms import DEFAULT_UNITS, LETTERS, NA, NUMBER_RE, Assertion, Measure, ObjectBlock
 
-_NUM_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_SUFFIX_RE = re.compile(rf"({_NUM_RE.pattern})([A-Za-z]+)")
+_SUFFIX_RE = re.compile(rf"({NUMBER_RE.pattern})([A-Za-z]+)")
 _LEX_START = re.compile(r"\[([A-Z][A-Za-z]*)\]")
 _LEX_SECTION = re.compile(r"\[([A-Za-z]+)\]\s*(.*)$")
 # the table's lowercase letters, a-z and 97 more, whose case no Unicode version changed
@@ -75,23 +75,15 @@ def is_symbol(token: str) -> bool:
 
 
 def parse_measure(token: str) -> Measure:
-    """Parse ``NUMBER:<unit>:<value>`` or a suffixed number like ``.25in``."""
+    """Parse ``NUMBER:<unit>:<value>`` or ``.25in``; ``Measure`` checks unit and number."""
     if token.startswith("NUMBER:"):
         parts = token.split(":", 2)
         if len(parts) != 3 or not parts[1] or not parts[2]:
             raise MalformedNumber(f"expected NUMBER:<unit>:<value>, got {token!r}")
-        unit, num = parts[1], parts[2]
-        if unit not in DEFAULT_UNITS:
-            raise UnknownUnit(f"unknown unit {unit!r}")
-        if not _NUM_RE.fullmatch(num):
-            raise MalformedNumber(f"bad number {num!r}")
-        return Measure(unit, num)
+        return Measure(parts[1], parts[2])
     m = _SUFFIX_RE.fullmatch(token)
     if m:
-        num, unit = m.groups()
-        if unit not in DEFAULT_UNITS:
-            raise UnknownUnit(f"unknown unit {unit!r}")
-        return Measure(unit, num)
+        return Measure(m[2], m[1])
     raise MalformedNumber(f"not a measure token: {token!r}")
 
 
@@ -222,7 +214,7 @@ def _classify_atom(val):
         return val
     if m:
         raise UnknownUnit(f"unknown unit {m[2]!r} in {val!r}")
-    if _NUM_RE.fullmatch(val):
+    if NUMBER_RE.fullmatch(val):
         raise MalformedNumber(f"number without a unit: {val!r}")
     raise KbSyntaxError(f"invalid token {val!r}")
 

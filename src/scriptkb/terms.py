@@ -8,17 +8,18 @@ and never survives into the model.
 
 The predicate vocabulary lives here too: ``FIELDS`` says which script field
 each field predicate fills and what argument it needs, and ``ako`` and
-``goto`` are the two other predicates the file format defines.  So is the
-alphabet of every symbol and every recognized word, ``LETTERS``.
+``goto`` are the two other predicates the file format defines.  So are the
+alphabet of symbols and recognized words, ``LETTERS``, and a measure's rule.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from typing import Union
 
-from .errors import MalformedNumber
+from .errors import MalformedNumber, UnknownUnit
 from .ontology import Language
 
 
@@ -41,10 +42,16 @@ NA = NaType()
 DEFAULT_UNITS = ("second", "USD", "in")
 # a regex class body: the letters of ASCII, Latin-1 and Latin Extended-A less × and ÷
 LETTERS = "A-Za-zÀ-ÖØ-öø-ſ"
+# the number of a measure: ASCII digits, an optional sign, point and exponent
+NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class Measure:
     """A number with a unit, e.g. 3600 seconds or 0.33 USD.
+
+    A unit not in ``DEFAULT_UNITS`` raises ``UnknownUnit``, a text that
+    ``NUMBER_RE`` does not match ``MalformedNumber``.  The parser reads every
+    measure through here, so each ``render`` reparses to an equal measure.
 
     The numeric text is kept exactly as written so serialization is
     bit-faithful.  Its decimal value is parsed once, as ``quantity``, and
@@ -55,15 +62,16 @@ class Measure:
     __slots__ = ("unit", "text", "quantity")
 
     def __init__(self, unit: str, text):
+        if unit not in DEFAULT_UNITS:
+            raise UnknownUnit(f"unknown unit {unit!r}")
         self.unit = unit
-        self.text = str(text)
+        self.text = text = str(text)
+        if NUMBER_RE.fullmatch(text) is None:
+            raise MalformedNumber(f"bad number {text!r}")
         try:
-            self.quantity = Decimal(self.text)
-            finite = self.quantity.is_finite()
-        except InvalidOperation:
-            finite = False
-        if not finite:
-            raise MalformedNumber(f"bad numeric text {self.text!r}")
+            self.quantity = Decimal(text)
+        except InvalidOperation:  # an exponent past what Decimal holds
+            raise MalformedNumber(f"bad numeric text {text!r}") from None
 
     @property
     def value(self) -> float:

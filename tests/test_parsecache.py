@@ -68,9 +68,11 @@ def clear_entries(paths) -> None:
 def assert_same_base(kb, want):
     """Every table of the two bases is equal, in order: blocks, positions,
     diagnostics and errors, field assertions, census, hierarchy, lexicon,
-    grids and the index."""
+    grids and the index.  The blocks also serialize alike: measures compare
+    by quantity alone, so only their text shows that the notation is kept."""
     assert [(b, b.file, b.line, b.assertion_lines) for b in kb.blocks] \
         == [(b, b.file, b.line, b.assertion_lines) for b in want.blocks]
+    assert parser.serialize(kb.blocks) == parser.serialize(want.blocks)
     assert [(s, sites) for s, sites in kb._sites.items()] \
         == [(s, sites) for s, sites in want._sites.items()]
     assert kb.diagnostics == want.diagnostics

@@ -1,13 +1,14 @@
 from decimal import Decimal
 from functools import partial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import property_checks as pc
+from scriptkb.errors import KbError
 from scriptkb.kb import KnowledgeBase
 from scriptkb.parser import parse_assertion, parse_database, parse_measure, serialize
-from scriptkb.terms import Measure, ObjectBlock
+from scriptkb.terms import Assertion, Measure, ObjectBlock
 
 
 def test_isa_matches_bruteforce_closure():
@@ -129,6 +130,39 @@ def test_measure_text_round_trips(value):
     assert m.render() == token
     assert parse_measure(m.render()) == m
     assert m == Measure("second", str(value))
+
+
+def built(make):
+    """What ``make()`` returns, or None when it raises a ``KbError``."""
+    try:
+        return make()
+    except KbError:
+        return None
+
+
+# units the format knows, and two it does not; texts near a number's rule
+measure_units = st.sampled_from(("second", "USD", "in", "parsec", "Second"))
+numberish = st.from_regex(r"[+-]?[0-9٣_ .]{0,6}(?:[eE][+-]?[0-9٣_ ]{0,3})?", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(measure_units, (st.text() | numberish).filter(lambda text: ":" not in text))
+@example("second", "\u0663")
+@example("second", "1_000")
+@example("second", " 3 ")
+@example("parsec", "3")
+def test_measure_and_parser_share_one_rule(unit, text):
+    m = built(lambda: Measure(unit, text))
+    parsed = built(lambda: parse_measure(f"NUMBER:{unit}:{text}"))
+    assert (m is None) == (parsed is None)
+    if m is None:
+        return
+    assert parsed == m and parsed.text == m.text
+    block = ObjectBlock("x", [], [Assertion("duration-of", ("x", m))])
+    result = parse_database(serialize([block]))
+    assert result.diagnostics == []
+    assert result.blocks == [block]
+    assert result.blocks[0].assertions[0].args[1].text == m.text
 
 
 symbols = st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True)

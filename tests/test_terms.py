@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 import pytest
 from property_checks import plain_twin, run_record_matches_twin
 
-from scriptkb.errors import MalformedNumber
+from scriptkb.errors import MalformedNumber, UnknownUnit
 from scriptkb.terms import (CONCEPT, FIELDS, MEASURE, NA, TERM, Assertion, Field, Measure,
                             NaType, malformed, render_term, slot_init, term_symbols)
 
@@ -33,9 +33,21 @@ def test_measure_accepts_numbers():
 
 
 def test_measure_rejects_nonfinite():
-    for bad in ("abc", "NaN", "Infinity", ""):
+    # ٣, 1_000 and " 3 " are numbers to Decimal, not to the parser
+    for bad in ("abc", "NaN", "Infinity", "", "٣", "1_000", " 3 "):
         with pytest.raises(MalformedNumber):
             Measure("second", bad)
+
+
+def test_measure_keeps_the_parsers_messages():
+    with pytest.raises(UnknownUnit, match=r"^unknown unit 'parsec'$"):
+        Measure("parsec", "3")
+    with pytest.raises(UnknownUnit, match=r"^unknown unit 'parsec'$"):
+        Measure("parsec", "x")  # the unit is checked first
+    with pytest.raises(MalformedNumber, match=r"^bad number '1_000'$"):
+        Measure("second", "1_000")
+    with pytest.raises(MalformedNumber, match=r"^bad numeric text '1e9{26}'$"):
+        Measure("second", "1e" + "9" * 26)  # an exponent Decimal cannot hold
 
 
 def test_measure_value_and_quantity():
