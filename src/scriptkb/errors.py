@@ -105,3 +105,9 @@ class UnbalancedParen(PositionedError):
 
 class StrayAtom(PositionedError):
     """An atom outside any parenthesized form."""
+
+
+# snapshot entries
+class DamagedEntry(KbError):
+    """A part of a snapshot entry failed its checksum when read; the entry
+    has been removed, so the next load parses its files."""

@@ -36,15 +36,18 @@ call.  Recognition and the what-does, used-for and where-found questions
 also read two concept -> scripts maps, built by the first of them from the
 recorded field assertions, with no script view.
 
-A base decoded from a snapshot entry has its hierarchy, script names,
-census totals and grids at once, as they were stored.  Everything else
-stays in the entry, which the base keeps open, until a query first reads
-it: the error diagnostics, which a command reads first, and the whole
-diagnostics list, which only ``validate`` reads; the census rows; each
-language's phrase, reach and lexicon tables, one section each; each
-subject's field assertions; the two maps; and the blocks.  So a command
-pays to read and decode only what it reads.  Both kinds of base answer
-every query through the same tables.
+A base decoded from a snapshot entry has its census totals, grids and
+error diagnostics at once, as they were stored.  Everything else stays in
+the entry, which the base keeps open, until a query reads it.  Each keyed
+table is a ``KeyedTable`` that decodes the bucket holding a key on the
+key's first read: the parents, the script names, each subject's field
+assertions, each language's phrase, reach and lexicon tables, and the two
+maps.  The whole diagnostics list, which only ``validate`` reads, the
+census rows and the blocks are each decoded whole on first read.  So a
+command pays to read and decode only the keys and sections its query
+names, and a part that fails its checksum then raises ``DamagedEntry``
+(``parsecache``).  Both kinds of base answer every query through the same
+tables, each read by key.
 
 The cyclic garbage collector is paused while a base parses and assembles,
 or decodes (``collector_paused``).  Loading allocates tens of thousands of
@@ -60,7 +63,6 @@ and free nothing.
 from __future__ import annotations
 
 import gc
-import marshal
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -69,16 +71,19 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .errors import KbError, MalformedHeader, UnknownConcept
+from .errors import DamagedEntry, KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
+from .keyed import KeyedTable
 from .ontology import ROOT, Language, Ontology
-from .parsecache import (SectionTable, Sources, decode_assertions, decode_blocks,
-                         encode_assertion, encode_blocks, source_text)
+from .parsecache import (Sources, decode_assertions, decode_blocks,
+                         encode_assertions, encode_blocks, source_text)
 from .parser import ParseResult, _parse_database, normalize_text
 from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, slot_init, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)[0-9]+$")
+# the lexicon's tables, as ``Ontology.tables`` gives them after the parents
+_LEXICON_KINDS = ("phrases", "reach", "lexicon")
 
 
 @contextmanager
@@ -120,10 +125,11 @@ class CensusRow:
 
 
 class ScriptIndex(NamedTuple):
-    """The two concept -> scripts maps; script lists are sorted by name."""
+    """The two concept -> scripts maps, each a ``KeyedTable`` that reads a
+    concept no script names as ``()``; script lists are sorted by name."""
 
-    by_mention: dict[str, list[str]]  # concept -> scripts whose mention set holds it
-    by_role: dict[str, list[str]]  # concept -> scripts with a role of that concept
+    by_mention: KeyedTable  # concept -> scripts whose mention set holds it
+    by_role: KeyedTable  # concept -> scripts with a role of that concept
 
 
 @dataclass(frozen=True)
@@ -131,13 +137,13 @@ class KnowledgeBase:
     ontology: Ontology = field(default_factory=Ontology, init=False)
     grids: dict[str, Grid] = field(default_factory=dict, init=False)
     # subject -> its field assertions that are not malformed, in load order
-    _field_assertions: SectionTable = field(default_factory=SectionTable, init=False)
-    # the script names, sorted, as keys
-    _scripts: dict[str, None] = field(default_factory=dict, init=False)
+    _field_assertions: KeyedTable = field(default_factory=partial(KeyedTable, ()), init=False)
+    # the script names, sorted, as keys that read as True
+    _scripts: KeyedTable = field(default_factory=partial(KeyedTable, False), init=False)
     # the census rows' column sums: subevents, roles, places, other
     _census_totals: list[int] = field(default_factory=lambda: [0, 0, 0, 0], init=False)
-    # a base read from a snapshot entry: the entry's head, which gives each
-    # section's span by name, the open entry, and the load set's file names
+    # a base read from a snapshot entry: the open entry, whose head names
+    # each part, and the load set's file names
     _stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------------
@@ -159,8 +165,8 @@ class KnowledgeBase:
     def _read(self, name):
         """The value of the stored section ``name``; None for a parsed base,
         which stores none."""
-        span = self._stored.get(name)
-        return None if span is None else marshal.loads(self._stored["payload"][span[0]:span[1]])
+        entry = self._stored.get("payload")
+        return None if entry is None else entry.section(name)
 
     @cached_property
     def diagnostics(self) -> list[Diagnostic]:
@@ -173,11 +179,9 @@ class KnowledgeBase:
     def errors(self) -> list[Diagnostic]:
         """The error diagnostics, in load order, to be read and not changed: a
         command checks these alone, so a base read from a snapshot entry
-        decodes them from a section of their own, normally empty."""
-        stored = self._read("errors")
-        if stored is None:
-            return [d for d in self.diagnostics if d.severity == ERROR]
-        return self._decode_diagnostics(stored)
+        decodes them from a section of their own, normally empty, as it
+        loads."""
+        return [d for d in self.diagnostics if d.severity == ERROR]
 
     def _decode_diagnostics(self, stored) -> list[Diagnostic]:
         files = self._stored["files"]
@@ -193,11 +197,12 @@ class KnowledgeBase:
     @cached_property
     def blocks(self) -> list[ObjectBlock]:
         """The blocks as parsed, a concept's blocks together; a base read from
-        a snapshot entry decodes them, and the list of their spans, on first
-        read."""
-        spans = self._read("blocks")
-        return [] if spans is None else decode_blocks(
-            self._stored["payload"], spans, self._stored["files"], self._field_assertions)
+        a snapshot entry decodes them on first read."""
+        entry = self._stored.get("payload")
+        if entry is None:
+            return []
+        return decode_blocks(entry.read(*entry.head["blocks"]), entry.section("block sizes"),
+                             self._stored["files"], self._field_assertions)
 
     @cached_property
     def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
@@ -214,23 +219,25 @@ class KnowledgeBase:
 
     def script_concepts(self) -> list[str]:
         """Concepts with at least one event assertion, sorted by name."""
-        return list(self._scripts)
+        return list(self._scripts.whole())
 
     @cached_property
     def index(self) -> ScriptIndex:
-        """The script index, built or, from a snapshot entry, decoded on first
-        use: loading and the queries that need no map never pay for it."""
-        stored = self._read("index")
-        return self._build_index() if stored is None else ScriptIndex(*stored)
+        """The script index, built on first use or, from a snapshot entry, read
+        a concept at a time: loading and the queries that need no map never
+        pay for it."""
+        entry = self._stored.get("payload")
+        if entry is None:
+            return self._build_index()
+        return ScriptIndex(*map(entry.table, ScriptIndex._fields))
 
     def _build_index(self) -> ScriptIndex:
         """The script index from each script's recorded field assertions, read
         as ``mention_set(build_script(...))`` would read them, with no script
         view: a role's first value wins, goto events are left out, and the
         other events give every symbol inside them."""
-        by_mention: dict[str, list[str]] = {}
-        by_role: dict[str, list[str]] = {}
-        for name in self._scripts:  # sorted, so each script list is too
+        by_mention, by_role = KeyedTable(()), KeyedTable(())
+        for name in self._scripts.whole():  # sorted, so each script list is too
             roles: dict[int, str] = {}
             mentions: set[str] = set()
             for a in self._field_assertions[name]:
@@ -270,59 +277,64 @@ class KnowledgeBase:
         files = [str(p) for p in paths]
         with collector_paused():
             sources = Sources(files)
-            stored = sources.read()
-            if stored is not None:
-                return cls._from_snapshot(*stored, files)
+            entry = sources.read()
+            if entry is not None:
+                try:
+                    return cls._from_snapshot(entry, files)
+                except DamagedEntry:  # the entry is gone: parse, and write it again
+                    pass
             kb = cls.from_texts(sources.texts())
             sources.write(partial(kb._snapshot, files))
         return kb
 
-    def _snapshot(self, files: list[str], section):
-        """The head of the base's snapshot entry: each section's span by name,
-        of the sections that ``section`` writes, one table at a time: the
-        lexicon a table per language and kind, then each subject's field
-        assertions, the index, each block, and the list of the blocks'
-        spans.  Each file is stored as its index in ``files``."""
+    def _snapshot(self, files: list[str], out):
+        """The head of the base's snapshot entry, which names each part that
+        ``out`` writes, a part at a time: each keyed table, as buckets, and
+        the census totals, grids, diagnostics and errors, census rows, and
+        blocks with their sizes.  Each file is stored as its index in
+        ``files``."""
         at = {name: i for i, name in reversed(list(enumerate(files)))}
 
         def diagnostics(ds):
-            return section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
-                            for d in ds])
+            return out.section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
+                                for d in ds])
 
         parents, *lexicon = self.ontology.tables()
-        return {"parents": section(parents),
-                "scripts": section((list(self._scripts), self._census_totals)),
-                "grids": section([(g.name, g.rows, g.legend, g.extended_keys, g.line,
-                                   at[g.file]) for g in self.grids.values()]),
+        head = {"parents": out.table(parents),
+                "scripts": out.table(self._scripts),
+                "fields": out.table(self._field_assertions, encode_assertions),
+                "totals": self._census_totals,
+                "grids": out.section([(g.name, g.rows, g.legend, g.extended_keys, g.line,
+                                       at[g.file]) for g in self.grids.values()]),
                 "errors": diagnostics(self.errors),
                 "diagnostics": diagnostics(self.diagnostics),
-                "census": section([(r.script, r.subevents, r.roles, r.places, r.other)
-                                   for r in self._census]),
-                "lexicon": [{lang.value: section(table[lang]) for lang in Language}
-                            for table in lexicon],
-                "fields": {subject: section(list(map(encode_assertion, assertions)))
-                           for subject, assertions in self._field_assertions.items()
-                           if assertions},
-                "index": section(tuple(self.index)),
-                "blocks": section(encode_blocks(self.blocks, self._field_assertions, at,
-                                                section))}
+                "census": out.section([(r.script, r.subevents, r.roles, r.places, r.other)
+                                       for r in self._census]),
+                **{name: out.table(table) for name, table in zip(ScriptIndex._fields, self.index)}}
+        head["blocks"], sizes = out.series(encode_blocks(self.blocks, self._field_assertions, at))
+        head["block sizes"] = out.section(sizes)
+        for kind, tables in zip(_LEXICON_KINDS, lexicon):
+            for lang in Language:
+                head[f"{kind} {lang.value}"] = out.table(tables[lang])
+        return head
 
     @classmethod
-    def _from_snapshot(cls, head, payload, files: list[str]) -> "KnowledgeBase":
-        """The base of a snapshot entry: its hierarchy, script names, census
-        totals and grids decoded now, each other section when first read."""
+    def _from_snapshot(cls, entry, files: list[str]) -> "KnowledgeBase":
+        """The base of a snapshot entry: its census totals, grids and errors
+        decoded now, each keyed table a bucket at a time and each other
+        section when first read.  Damage found now raises ``DamagedEntry``."""
         kb = cls()
-        kb._stored.update(head, payload=payload, files=files)
+        kb._stored.update(payload=entry, files=files)
         init = partial(object.__setattr__, kb)
-        init("ontology", Ontology.from_tables(kb._read("parents"), *(
-            SectionTable(payload, {Language(name): span for name, span in spans.items()})
-            for spans in head["lexicon"])))
-        names, totals = kb._read("scripts")
-        init("_scripts", dict.fromkeys(names))
-        init("_census_totals", totals)
+        init("ontology", Ontology.from_tables(entry.table("parents"), *(
+            {lang: entry.table(f"{kind} {lang.value}") for lang in Language}
+            for kind in _LEXICON_KINDS)))
+        init("_scripts", entry.table("scripts"))
+        init("_field_assertions", entry.table("fields", decode_assertions))
+        init("_census_totals", entry.head["totals"])
         init("grids", {name: Grid(name, rows, legend, keys, line, files[file])
-                       for name, rows, legend, keys, line, file in kb._read("grids")})
-        init("_field_assertions", SectionTable(payload, head["fields"], decode_assertions))
+                       for name, rows, legend, keys, line, file in entry.section("grids")})
+        init("errors", kb._decode_diagnostics(entry.section("errors")))
         return kb
 
     def _merge_blocks(self, results: list[ParseResult]) -> None:
@@ -416,7 +428,7 @@ class KnowledgeBase:
         for s in sorted(counts):
             own = counts[s]
             if own[0]:
-                self._scripts[s] = None
+                self._scripts[s] = True
                 self._census.append(CensusRow(s, *own))
                 for column, n in enumerate(own):
                     totals[column] += n

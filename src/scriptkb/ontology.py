@@ -7,6 +7,12 @@ character of the query, so sentence-initial capitalization still matches
 while the rest of the phrase is compared exactly.  Lexicon methods take a
 ``Language`` member or a language's name, ``"English"`` or ``"French"``.
 A concept's lexicon is kept as linked, one phrase tuple per section.
+
+Each table is a ``KeyedTable``, which reads a key it lacks as the table's
+default: ``None`` for a concept's parents, since the root's are ``()``,
+and ``()`` or ``0`` in the lexicon.  A query reads a table by key, never
+by ``in`` or ``get``: a table read from a snapshot entry holds only the
+buckets read so far, and decodes the bucket of a key on its first read.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     UnknownConcept,
     UnknownParent,
 )
+from .keyed import KeyedTable
 
 ROOT = "concept"
 # a concept name holds none of these: they delimit the file format's tokens
@@ -49,14 +56,15 @@ class Ontology:
     """Mutable while loading; treated as read-only once a base is built."""
 
     def __init__(self):
-        self._parents: dict[str, tuple[str, ...]] = {}
-        # one table of each kind per language, so a lookup builds no key
-        self._by_phrase: dict[Language, dict[str, tuple[str, ...]]] = {
-            lang: {} for lang in Language}
+        # concept -> its parents, in registration order
+        self._parents: KeyedTable = KeyedTable(None)
+        # one table of each kind per language, so a lookup builds no key:
+        # phrase -> its concepts
+        self._by_phrase: dict[Language, KeyedTable] = {lang: KeyedTable(()) for lang in Language}
         # concept -> its linked sections' phrase tuples, in link order
-        self._lexicon: dict[Language, dict[str, tuple[tuple[str, ...], ...]]] = {
-            lang: {} for lang in Language}
-        self._reach: dict[Language, dict[str, int]] = {lang: {} for lang in Language}
+        self._lexicon: dict[Language, KeyedTable] = {lang: KeyedTable(()) for lang in Language}
+        # first word -> the word count of its longest phrase
+        self._reach: dict[Language, KeyedTable] = {lang: KeyedTable(0) for lang in Language}
 
     # -- stored tables -------------------------------------------------------
 
@@ -68,10 +76,9 @@ class Ontology:
     @classmethod
     def from_tables(cls, parents, by_phrase, reach, lexicon) -> "Ontology":
         """The ontology whose ``tables()`` these are, taken as they are: a
-        resolved hierarchy is not resolved again.  A lexicon map may decode
-        a language's table on its first read (``parsecache.SectionTable``),
-        so a base whose queries read no phrase of a language never decodes
-        that language's tables."""
+        resolved hierarchy is not resolved again.  Tables read from a
+        snapshot entry decode a key's bucket on its first read, so a base
+        decodes only the concepts and phrases its queries name."""
         onto = cls.__new__(cls)
         onto._parents = parents
         onto._by_phrase, onto._reach, onto._lexicon = by_phrase, reach, lexicon
@@ -134,13 +141,13 @@ class Ontology:
     # -- hierarchy queries --------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self._parents
+        return self._parents[name] is not None
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._parents.whole())
 
     def concepts(self) -> Iterator[str]:
-        return iter(self._parents)
+        return iter(self._parents.whole())
 
     def parents(self, name: str) -> tuple[str, ...]:
         self._require(name)
@@ -196,18 +203,18 @@ class Ontology:
                 lexicon[concept] = lexicon.get(concept, ()) + (phrases,)
 
     def lookup_phrase(self, phrase: str, language) -> tuple[str, ...]:
-        return self._by_phrase[as_language(language)].get(_normalize_phrase(phrase), ())
+        return self._by_phrase[as_language(language)][_normalize_phrase(phrase)]
 
     def phrase_reach(self, word: str, language) -> int:
         """Word count of the longest phrase starting with ``word``; 0 for none."""
-        return self._reach[as_language(language)].get(_normalize_phrase(word), 0)
+        return self._reach[as_language(language)][_normalize_phrase(word)]
 
     def lexemes_of(self, concept: str, language) -> list[str]:
         """The concept's phrases in the language, in link order, each once."""
         self._require(concept)
-        sections = self._lexicon[as_language(language)].get(concept, ())
+        sections = self._lexicon[as_language(language)][concept]
         return list(dict.fromkeys(p for phrases in sections for p in phrases))
 
     def _require(self, name: str) -> None:
-        if name not in self._parents:
+        if self._parents[name] is None:
             raise UnknownConcept(name)

@@ -21,8 +21,8 @@ assembling the files again.  An entry answers only when its header matches:
   (``st_ctime_ns``), which a user cannot set, so an entry that arrives with
   its sources (a copy, an archive, a checkout) never answers for them; its
   size in bytes; and the ``importlib.util.source_hash`` of its bytes;
-* a CRC-32 of the payload that follows, so a damaged entry is found before
-  any of it is decoded.
+* a CRC-32 of the head (see below), so a damaged head is found before any
+  of it is decoded.
 
 Editing any file of the set retires the entry, and the next load parses
 every file of the set.
@@ -41,26 +41,41 @@ directory that then replaces it, and a write that fails is skipped, so a
 read-only directory only costs the cache.  Deleting ``__pycache__`` clears
 the entries.
 
-The payload is a series of sections, then a head, then the head's size.
-The head and each section are ``marshal`` data of plain values (see
-``KnowledgeBase._snapshot``).  A load checks the payload's CRC-32 a
-chunk at a time, decodes the head, which gives each section's span by
-name, and keeps the entry open rather than a copy of its payload.  The
-sections of the hierarchy, the script names and census totals, and the
-grids are read from the file when the base is made; every other section,
-when a query first reads it: the error diagnostics and the whole
-diagnostics list, the census rows, each language's phrase, reach and
-lexicon tables, each subject's field assertions (``SectionTable`` serves
-both of these), the index, and the blocks with the list of their spans.
-So a base holds only what its queries decoded.  A writer replaces an entry
-and never changes one in place, so a base goes on reading the entry it
-checked after a later write replaces it or ``__pycache__`` is deleted; the
-file is closed when the base is freed.  Sections are written to the entry
-as they are made, so writing one never holds the whole payload either.  In
-a section, an assertion is the tuple ``(predicate, *args)``, a measure the
-list ``[unit, text]``, ``na`` is ``None`` and a symbol is its string; a
-block holds each of its field assertions as the assertion's subject, and
-its lexicon languages by value.  No part holds a file name: each file is stored as its index in the
+The payload is a series of parts, then the head, then the head's size.
+Each part is ``marshal`` data of plain values with a CRC-32 of its own,
+which the head holds beside its span (see ``KnowledgeBase._snapshot``).
+The base's keyed tables are stored as hash buckets (``keyed``): the
+parents, the script names, each subject's field assertions, each
+language's phrase, reach and lexicon tables, and the index's two maps.  A
+key's bucket is the CRC-32 of its UTF-8 bytes modulo the table's bucket
+count, which ``keyed.BUCKET_KEYS`` sets from the table's size; a bucket
+holds its keys, their values and their places in the table.  The head
+holds each table's default value for a key it lacks, its size, and its
+buckets' offsets and CRCs as ``array`` bytes.  Every other part is one
+section, read whole: the grids, the error diagnostics and the whole
+diagnostics list, the census rows, the blocks, and the blocks' sizes.
+
+A load checks and decodes the head, the grids and the error list, and
+keeps the entry open rather than a copy of its payload.  A query decodes
+only the buckets of the keys it names, and an absent key is answered by
+its bucket too; a section is read when a query first reads it.  So a
+warm command costs its query, not the size of the base.  A writer replaces
+an entry and never changes one in place, so a base goes on reading the
+entry it checked after a later write replaces it or ``__pycache__`` is
+deleted; the file is closed when the base is freed.
+
+The checksums find damage.  Damage in the header, the head, the grids or
+the error list makes the load parse the files and write the entry again.
+Damage in a bucket or a section that a later query reads removes the entry
+and raises ``DamagedEntry``, a KbError that names it: the query gives no
+answer from damaged bytes, and the next load parses.
+
+Parts are written to the entry as they are made, a bucket at a time, so
+writing one never holds a whole encoded table.  In a part, an assertion is
+the tuple ``(predicate, *args)``, a measure the list ``[unit, text]``,
+``na`` is ``None`` and a symbol is its string; a block holds each of its
+field assertions as the assertion's subject, and its lexicon languages by
+value.  No part holds a file name: each file is stored as its index in the
 set, and gets the path as the caller gave it when it is decoded.
 """
 
@@ -74,15 +89,17 @@ import sys
 import threading
 import weakref
 import zlib
+from array import array
 from importlib.util import source_hash
+from itertools import repeat
 from pathlib import Path
 
-from .errors import KbError
+from .errors import DamagedEntry, KbError
+from .keyed import KeyedTable, bucket_count, bucket_of
 from .parser import _LANGUAGES
 from .terms import FIELDS, NA, Assertion, Measure, ObjectBlock
 
-_MAGIC = b"scriptkb snapshot 1\0"
-_CHUNK = 1 << 18  # bytes of the payload read at a time for its CRC-32
+_MAGIC = b"scriptkb snapshot 2\0"
 
 
 def source_text(data: bytes, path) -> str:
@@ -139,10 +156,9 @@ class Sources:
         for name in self.files:
             yield name, source_text(data.pop(), name)
 
-    def read(self):
-        """The entry's head and the open ``Entry`` whose spans the head's
-        sections name, when the entry is the user's alone and its header
-        matches; else None."""
+    def read(self) -> Entry | None:
+        """The open entry, its head decoded, when it is the user's alone and
+        its key and head CRC-32 match; else None."""
         if self.entry is None:
             return None
         try:
@@ -150,46 +166,40 @@ class Sources:
         except OSError:
             return None
         try:
-            head = self._check(fd)
+            head = self._head(fd)
         except OSError:
             head = None
         if head is None:
             os.close(fd)
             return None
-        return head, Entry(fd, len(self.key) + 4)
+        return Entry(fd, len(self.key) + 4, head, self.entry)
 
-    def _check(self, fd: int):
+    def _head(self, fd: int):
         """The head of the open entry, when it is the user's alone and its
-        key and payload CRC-32 match; else None.  The payload is read a
-        chunk at a time, so no copy of it is kept."""
+        key and the head's CRC-32 match; else None."""
         st = os.fstat(fd)
         if st.st_uid != os.geteuid() or st.st_mode & 0o022:
             return None
-        n = len(self.key)
-        with open(fd, "rb", buffering=0, closefd=False) as f:
-            header = f.read(n + 4)
-            if header[:n] != self.key:
-                return None
-            buf = memoryview(bytearray(_CHUNK))
-            crc, end = 0, n + 4
-            while got := f.readinto(buf):
-                crc = zlib.crc32(buf[:got], crc)
-                end += got
-        if header[n:] != crc.to_bytes(4, "little"):
+        start = len(self.key) + 4
+        header = os.pread(fd, start, 0)
+        if header[:-4] != self.key or st.st_size < start + 8:
             return None
-        size = int.from_bytes(os.pread(fd, 8, end - 8), "little")
-        return marshal.loads(os.pread(fd, size, end - 8 - size))
+        size = int.from_bytes(os.pread(fd, 8, st.st_size - 8), "little")
+        if size > st.st_size - start - 8:
+            return None
+        head = os.pread(fd, size, st.st_size - 8 - size)
+        if zlib.crc32(head).to_bytes(4, "little") != header[-4:]:
+            return None
+        return marshal.loads(head)
 
     def write(self, make_head) -> None:
         """Write the entry through a temporary file in its directory, readable
         and writable by its owner alone.
 
-        ``make_head(section)`` makes the head to store; ``section(value)``
-        writes a value as a section and returns its span.  It is called only
-        once the temporary file is open, so a directory that takes no file
-        costs no encoding, and each section goes to the file as it is made,
-        so the whole payload is never held at once.  A failure leaves no file
-        behind and raises nothing."""
+        ``make_head(payload)`` writes the parts through the ``_Payload`` and
+        makes the head to store.  It is called only once the temporary file
+        is open, so a directory that takes no file costs no encoding.  A
+        failure leaves no file behind and raises nothing."""
         if self.entry is None:
             return
         tmp = f"{self.entry}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -201,12 +211,11 @@ class Sources:
         try:
             with f:
                 f.write(self.key + bytes(4))
-                out = _Payload(f)
-                head = marshal.dumps(make_head(out.section))
-                out.put(head)
-                out.put(len(head).to_bytes(8, "little"))
+                head = marshal.dumps(make_head(_Payload(f)))
+                f.write(head)
+                f.write(len(head).to_bytes(8, "little"))
                 f.seek(len(self.key))
-                f.write(out.crc.to_bytes(4, "little"))
+                f.write(zlib.crc32(head).to_bytes(4, "little"))
             os.replace(tmp, self.entry)
         except OSError:
             with contextlib.suppress(OSError):
@@ -214,36 +223,91 @@ class Sources:
 
 
 class Entry:
-    """The payload of an open snapshot entry: ``entry[start:end]`` reads the
-    bytes of that span from the file.  The file is closed when the last
+    """An open snapshot entry and its head, which names each part by its
+    span in the payload and its CRC-32.  The file is closed when the last
     reference to the entry goes."""
 
-    __slots__ = ("_fd", "_start", "__weakref__")
+    __slots__ = ("_fd", "_start", "head", "path", "__weakref__")
 
-    def __init__(self, fd: int, start: int):
-        self._fd, self._start = fd, start
+    def __init__(self, fd: int, start: int, head: dict, path: str):
+        self._fd, self._start, self.head, self.path = fd, start, head, path
         weakref.finalize(self, os.close, fd)
 
-    def __getitem__(self, span: slice) -> bytes:
-        return os.pread(self._fd, span.stop - span.start, self._start + span.start)
+    def read(self, start: int, end: int, crc: int) -> bytes:
+        """The bytes of a part, read from the file.  A part whose CRC-32 does
+        not match removes the entry and raises ``DamagedEntry``."""
+        data = os.pread(self._fd, end - start, self._start + start)
+        if zlib.crc32(data) != crc:
+            self._remove()
+            raise DamagedEntry(f"damaged snapshot entry {self.path} removed; "
+                               f"the next command parses its files")
+        return data
+
+    def section(self, name: str):
+        """The value of the section the head names ``name``."""
+        return marshal.loads(self.read(*self.head[name]))
+
+    def table(self, name: str, decode=None) -> KeyedTable:
+        """The keyed table the head names ``name``, its values made by
+        ``decode`` a bucket at a time, when given."""
+        return KeyedTable(*self.head[name], entry=self, decode=decode)
+
+    def _remove(self) -> None:
+        """Unlink the entry, unless a later write has replaced it."""
+        with contextlib.suppress(OSError):
+            st, own = os.stat(self.path), os.fstat(self._fd)
+            if (st.st_dev, st.st_ino) == (own.st_dev, own.st_ino):
+                os.unlink(self.path)
 
 
 class _Payload:
-    """A payload written to a file part by part, with its size and CRC-32 so
-    far: sections, then the head, then the head's size."""
+    """A payload written to a file part by part; each part written returns
+    what the head keeps of it."""
 
     def __init__(self, f):
-        self.f, self.size, self.crc = f, 0, 0
+        self.f, self.size = f, 0
 
-    def put(self, data: bytes) -> tuple[int, int]:
+    def section(self, value) -> tuple[int, int, int]:
+        """Write a value as a section; returns its span and CRC-32."""
+        data = marshal.dumps(value)
         self.f.write(data)
-        self.crc = zlib.crc32(data, self.crc)
         self.size += len(data)
-        return self.size - len(data), self.size
+        return self.size - len(data), self.size, zlib.crc32(data)
 
-    def section(self, value) -> tuple[int, int]:
-        """Write a value as a section; returns its span in the payload."""
-        return self.put(marshal.dumps(value))
+    def series(self, values) -> tuple[tuple[int, int, int], bytes]:
+        """Write the values one after another, each as it is made, as one
+        section; returns its span and CRC-32, and each value's size."""
+        start, crc, sizes = self.size, 0, array("Q")
+        for value in values:
+            data = marshal.dumps(value)
+            self.f.write(data)
+            crc = zlib.crc32(data, crc)
+            sizes.append(len(data))
+            self.size += len(data)
+        return (start, self.size, crc), sizes.tobytes()
+
+    def table(self, table: KeyedTable, encode=None) -> tuple:
+        """Write a table as its buckets, one section each, of its keys, their
+        values as ``encode`` makes them, when given, and their places in the
+        table; returns the table's default and size, and the buckets'
+        offsets and CRCs, as ``Entry.table`` reads them."""
+        whole = table.whole()
+        keys, values = list(whole), list(whole.values())
+        count = bucket_count(len(keys))
+        buckets: list[list[int]] = [[] for _ in range(count)]
+        for place, i in enumerate(map(bucket_of, keys, repeat(count))):
+            buckets[i].append(place)
+        offsets, crcs = array("Q"), array("I")
+        for places in buckets:
+            stored = [values[p] for p in places]
+            start, _, crc = self.section((
+                [keys[p] for p in places],
+                stored if encode is None else list(map(encode, stored)),
+                array("I", places).tobytes()))
+            offsets.append(start)
+            crcs.append(crc)
+        offsets.append(self.size)
+        return table.default, len(keys), offsets.tobytes(), crcs.tobytes()
 
 
 def _entry_path(files: list[str]) -> str | None:
@@ -305,44 +369,50 @@ def _term_decoder():
     return term
 
 
-def encode_blocks(blocks, fields, at: dict[str, int], section) -> list[tuple[int, int]]:
-    """Write each block as a section, its file as ``at[file]``; returns their
-    spans.  A block's field assertion is stored as its subject alone: it is
-    the subject's next assertion in ``fields``, which holds them in block
-    order, so no assertion is stored twice."""
+def encode_assertions(assertions) -> list:
+    """A subject's field assertions as the plain value a bucket stores."""
+    return [encode_assertion(a) for a in assertions]
+
+
+def decode_assertions(stored) -> list[Assertion]:
+    """A subject's field assertions from their stored value."""
+    term = _term_decoder()
+    return [term(a) for a in stored]
+
+
+def encode_blocks(blocks, fields, at: dict[str, int]):
+    """Each block as the plain value its part of the blocks section stores,
+    its file as ``at[file]``.  A block's field assertion is stored as its
+    subject alone: it is the subject's next assertion in ``fields``, which
+    holds them in block order, so no assertion is stored twice."""
     met: dict[str, int] = {}  # subject -> its field assertions stored so far
-    spans = []
     for b in blocks:
         stored = []
         for a in b.assertions:
             subject = a.args[0]
-            own = fields.get(subject) if a.predicate in FIELDS else None
+            own = fields[subject] if a.predicate in FIELDS else None
             i = met.get(subject, 0) if own else 0
             if own and i < len(own) and own[i] is a:
                 met[subject] = i + 1
                 stored.append(subject)
             else:
                 stored.append(encode_assertion(a))
-        spans.append(section((b.concept, [(lang.value, phrases) for lang, phrases in b.lexicon],
-                              stored, b.line, at[b.file], b.assertion_lines)))
-    return spans
+        yield (b.concept, [(lang.value, phrases) for lang, phrases in b.lexicon],
+               stored, b.line, at[b.file], b.assertion_lines)
 
 
-def decode_blocks(payload, spans, files: list[str], fields) -> list[ObjectBlock]:
-    """The blocks stored in the payload's sections at ``spans``, which follow
-    one another and are read at once; a field assertion is the one
-    ``fields`` holds, so blocks and fields share it, as they do in a parsed
-    base."""
-    if not spans:
-        return []
-    first = spans[0][0]
-    data = memoryview(payload[first:spans[-1][1]])
+def decode_blocks(data: bytes, sizes: bytes, files: list[str], fields) -> list[ObjectBlock]:
+    """The blocks stored one after another in ``data``, each of its size in
+    ``sizes``; a field assertion is the one ``fields`` holds, so blocks and
+    fields share it, as they do in a parsed base."""
+    data = memoryview(data)
     term = _term_decoder()
     taken: dict[str, int] = {}  # subject -> its field assertions read so far
     blocks = []
-    for start, end in spans:
-        concept, lexicon, stored, line, file, lines = marshal.loads(
-            data[start - first:end - first])
+    start = 0
+    for size in memoryview(sizes).cast("Q"):
+        concept, lexicon, stored, line, file, lines = marshal.loads(data[start:start + size])
+        start += size
         assertions = []
         for t in stored:
             if t.__class__ is str:
@@ -355,36 +425,3 @@ def decode_blocks(payload, spans, files: list[str], fields) -> list[ObjectBlock]
             concept, [(_LANGUAGES[lang], phrases) for lang, phrases in lexicon],
             assertions, line, files[file], lines))
     return blocks
-
-
-class SectionTable(dict):
-    """Key -> its value, which a base read from a snapshot entry decodes from
-    the key's section of the entry's payload on the key's first read and
-    then records, so a later read is a plain dict lookup.  ``decode(data)``
-    makes the value of a section's bytes.  A key with no section reads as
-    ``()``, recorded too: a parsed base's table has no sections, so it reads
-    a subject with no field assertions as ``()``.
-
-    Each subject's field assertions and each language's lexicon tables are
-    such tables, so a query decodes only the subjects and languages it
-    reads."""
-
-    __slots__ = ("payload", "spans", "decode")
-
-    def __init__(self, payload=None, spans=None, decode=marshal.loads):
-        super().__init__()
-        self.payload = payload
-        self.spans: dict = spans or {}
-        self.decode = decode
-
-    def __missing__(self, key):
-        span = self.spans.get(key)
-        value = () if span is None else self.decode(self.payload[span[0]:span[1]])
-        # setdefault: a thread that decoded it meanwhile keeps its value
-        return self.setdefault(key, value)
-
-
-def decode_assertions(data: bytes) -> list[Assertion]:
-    """The assertions stored in a section's bytes."""
-    term = _term_decoder()
-    return [term(a) for a in marshal.loads(data)]

@@ -117,7 +117,7 @@ def _what_does(kb, subject):
     # the subject fills a role when the role concept is the subject or an ancestor
     fills = {subject, *kb.ontology.ancestors(subject)}
     items = []
-    for name in sorted({s for concept in fills for s in kb.index.by_role.get(concept, ())}):
+    for name in sorted({s for concept in fills for s in kb.index.by_role[concept]}):
         script = build_script(kb, name)
         index, role_concept = next((i, c) for i, c in script.roles.items() if c in fills)
         items.append(RoleUse(name, index, script.role_scripts.get(index),
@@ -127,12 +127,12 @@ def _what_does(kb, subject):
 
 def _used_for(kb, subject):
     items = [Usage(name, _events_mentioning(build_script(kb, name), subject))
-             for name in kb.index.by_mention.get(subject, ())]
+             for name in kb.index.by_mention[subject]]
     return items, [item.script for item in items]
 
 
 def _where_found(kb, subject):
-    sources = list(kb.index.by_mention.get(subject, ()))
+    sources = list(kb.index.by_mention[subject])
     places = [place for name in sources for place in build_script(kb, name).places]
     for grid_name in sorted(kb.grids):
         grid = kb.grids[grid_name]

@@ -138,10 +138,10 @@ def score_scripts(activations: ActivationSet, kb: KnowledgeBase, *,
     by_mention = kb.index.by_mention
     evidence: dict[str, list[str]] = {}  # script -> the activated concepts it mentions
     for concept in concepts:
-        scripts = set(by_mention.get(concept, ()))
+        scripts = set(by_mention[concept])
         if generalization:
             for name in kb.ontology.ancestors(concept):
-                scripts.update(by_mention.get(name, ()))
+                scripts.update(by_mention[name])
         for script in scripts:
             evidence.setdefault(script, []).append(concept)
     # one bucket per score; names sorted once keep each bucket in name order

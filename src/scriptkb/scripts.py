@@ -99,7 +99,7 @@ def is_script(kb: KnowledgeBase, concept: str) -> bool:
     """Whether the concept is one of ``kb.script_concepts()``."""
     if concept not in kb:
         raise UnknownConcept(f"unknown concept {concept!r}")
-    return concept in kb._scripts
+    return kb._scripts[concept]
 
 
 def require_script(kb: KnowledgeBase, concept: str) -> None:

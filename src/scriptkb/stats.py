@@ -59,8 +59,9 @@ def census(kb: KnowledgeBase) -> list[CensusRow]:
 
 
 def summary(kb: KnowledgeBase) -> SummaryRow:
-    """Averages over the base's census, from the column totals loading keeps."""
-    n = len(kb._scripts)
+    """Averages over the base's census: its row count and the column totals
+    loading keeps."""
+    n = len(kb._census)
     if not n:
         raise EmptyDatabase("no scripts loaded; averages are undefined")
     return SummaryRow(n, *(total / n for total in kb._census_totals))

@@ -86,7 +86,8 @@ class Measure:
         return self.unit == other.unit and self.quantity == other.quantity
 
     def __hash__(self) -> int:
-        return hash((self.unit, self.quantity.normalize()))
+        # a Decimal's own hash agrees with its equality, at any exponent
+        return hash((self.unit, self.quantity))
 
     def __repr__(self) -> str:
         return f"Measure({self.unit!r}, {self.text!r})"

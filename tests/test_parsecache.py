@@ -18,6 +18,7 @@ from scriptkb import cli, parsecache, parser
 from scriptkb.diagnostics import ERROR
 from scriptkb.errors import CycleDetected, KbError
 from scriptkb.kb import KnowledgeBase, read_text
+from scriptkb.keyed import KeyedTable, bucket_count, bucket_of
 from scriptkb.ontology import Language
 from test_cli import invoke
 
@@ -80,17 +81,19 @@ def assert_same_base(kb, want):
     subjects = list(want.ontology.concepts())
     assert [list(kb._field_assertions[s]) for s in subjects] \
         == [list(want._field_assertions[s]) for s in subjects]
-    assert list(kb._scripts) == list(want._scripts)
+    # a keyed table is compared whole, in order: a read one reads every bucket
+    assert list(kb._scripts.whole().items()) == list(want._scripts.whole().items())
     assert list(kb._census) == list(want._census)  # rows by value, names included
     assert kb._census_totals == want._census_totals
     onto, other = kb.ontology, want.ontology
-    assert list(onto._parents.items()) == list(other._parents.items())
+    assert list(onto._parents.whole().items()) == list(other._parents.whole().items())
     for table in ("_by_phrase", "_lexicon", "_reach"):
-        assert [list(getattr(onto, table)[lang].items()) for lang in Language] \
-            == [list(getattr(other, table)[lang].items()) for lang in Language]
+        assert [list(getattr(onto, table)[lang].whole().items()) for lang in Language] \
+            == [list(getattr(other, table)[lang].whole().items()) for lang in Language]
     assert [(name, g, g.line, g.file) for name, g in kb.grids.items()] \
         == [(name, g, g.line, g.file) for name, g in want.grids.items()]
-    assert kb.index == want.index
+    assert [list(t.whole().items()) for t in kb.index] \
+        == [list(t.whole().items()) for t in want.index]
 
 
 def error_diagnostics_of_cold_warm_and_text_bases(paths):
@@ -500,62 +503,201 @@ def test_editing_one_file_of_a_set_loads_the_new_texts(tmp_path, parses, core_te
     assert "quiet" in kb.ontology and len(entries(paths)) == 1
 
 
-PARTS = ("diagnostics", "errors", "_census", "blocks", "_sites", "index")
-TABLES = ("_by_phrase", "_reach", "_lexicon")
-# every lazy section of a base read from an entry; a lexicon table is named
-# by its kind and language
-LAZY = {*PARTS, *(f"{table} {lang.value}" for table in TABLES for lang in Language)}
+@pytest.fixture()
+def parts_read(monkeypatch):
+    """The parts of snapshot entries read while the test runs, in order: a
+    section by its name in the head, a bucket as (table name, bucket)."""
+    original, reads = parsecache.Entry.read, []
+
+    def read(entry, start, end, crc):
+        reads.append(part_at(entry.head, start))
+        return original(entry, start, end, crc)
+
+    monkeypatch.setattr(parsecache.Entry, "read", read)
+    return reads
 
 
-def undecoded(kb) -> set[str]:
-    """The lazy sections of a base read from an entry that nothing has read yet."""
-    return {name for name in PARTS if name not in vars(kb)} | {
-        f"{table} {lang.value}" for table in TABLES for lang in Language
-        if lang not in getattr(kb.ontology, table)}
+def part_at(head, start):
+    for name, part in head.items():
+        if not isinstance(part, tuple):
+            continue  # the census totals
+        if isinstance(part[2], bytes):  # a table: default, size, offsets, CRCs
+            offsets = list(memoryview(part[2]).cast("Q"))[:-1]
+            if start in offsets:
+                return name, offsets.index(start)
+        elif part[0] == start:
+            return name
+    raise AssertionError(f"no part starts at {start}")
+
+
+def buckets(head, name, keys) -> set:
+    """The buckets of the table ``name`` that hold the keys, or would."""
+    count = bucket_count(head[name][1])
+    return {(name, bucket_of(key, count)) for key in keys}
+
+
+def tables_of(kb) -> dict:
+    """Each keyed table of a base by its name in the entry's head."""
+    onto = kb.ontology
+    tables = {id(onto._parents): "parents", id(kb._scripts): "scripts",
+              id(kb._field_assertions): "fields"}
+    for kind, by_lang in zip(("phrases", "reach", "lexicon"),
+                             (onto._by_phrase, onto._reach, onto._lexicon)):
+        tables.update((id(table), f"{kind} {lang.value}") for lang, table in by_lang.items())
+    if "index" in vars(kb):
+        tables.update((id(table), name) for name, table in zip(kb.index._fields, kb.index))
+    return tables
 
 
 def test_a_read_entry_decodes_each_section_when_it_is_first_read(
-        tmp_path, monkeypatch, core_text, scripts_text, demo_text):
+        tmp_path, monkeypatch, parts_read, core_text, scripts_text, demo_text):
     (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
     want = KnowledgeBase.from_paths([path])
     kb = KnowledgeBase.from_paths([path])
-    assert dict(kb._field_assertions) == {}
-    assert undecoded(kb) == LAZY
-    script = kb.script_concepts()[0]
-    assert kb._field_assertions[script] == want._field_assertions[script]
-    assert list(kb._field_assertions) == [script]
-    assert kb.index == want.index and undecoded(kb) == LAZY - {"index"}
+    head = kb._stored["payload"].head
+    # a load reads the grids and the error list, and nothing of a table
+    assert parts_read == ["grids", "errors"]
+    assert dict(kb._field_assertions) == {} and dict(kb.ontology._parents) == {}
+    del parts_read[:]
+    scripts = kb.script_concepts()  # a whole table reads each bucket once
+    assert parts_read == [("scripts", i) for i in range(bucket_count(head["scripts"][1]))]
+    script = scripts[len(scripts) // 2]
+    del parts_read[:]
+    # a key reads its one bucket, once
+    for _ in range(2):
+        assert kb._field_assertions[script] == want._field_assertions[script]
+    assert set(parts_read) == buckets(head, "fields", [script]) and len(parts_read) == 1
+    del parts_read[:]
     assert kb.ontology.lookup_phrase("blackout", "English") == ("blackout",)
-    assert undecoded(kb) == LAZY - {"index", "_by_phrase English"}
     assert kb.ontology.lexemes_of("blackout", "French") == want.ontology.lexemes_of(
         "blackout", "French")
-    assert undecoded(kb) == LAZY - {"index", "_by_phrase English", "_lexicon French"}
+    assert parts_read == [*buckets(head, "phrases English", ["blackout"]),
+                          *buckets(head, "parents", ["blackout"]),
+                          *buckets(head, "lexicon French", ["blackout"])]
+    # an absent key is read from its bucket too, once, and then recorded
+    del parts_read[:]
+    for _ in range(2):
+        assert kb.ontology.lookup_phrase("no such phrase", "English") == ()
+        assert "no-such-concept" not in kb.ontology
+    assert set(parts_read) <= buckets(head, "phrases English", ["no such phrase"]) \
+        | buckets(head, "parents", ["no-such-concept"])
+    assert len(parts_read) == len(set(parts_read))
+    assert kb.ontology._parents["no-such-concept"] is None
+    del parts_read[:]
     assert kb._census == want._census and kb.errors == []
     assert kb.diagnostics == want.diagnostics and len(kb.diagnostics) > 10
-    assert undecoded(kb) == {"blocks", "_sites", "_by_phrase French", "_reach English",
-                             "_reach French", "_lexicon English"}
+    assert parts_read == ["census", "diagnostics"]
 
-    # each warm command decodes the error list and what its query reads
-    # alone: neither the diagnostics nor the blocks, nor the census rows or
-    # the French tables unless it reads them
+    # each warm command reads the grids and the error list, then the sections
+    # its query reads and the buckets of the keys it names, each once
     fixtures = write_base(tmp_path / "fixtures", [
         ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)])
     flags = [f for p in fixtures for f in ("--kb", p)]
     invoke(*flags, "stats")  # writes the set's entry
-    loaded, load = [], cli._load
+    want = KnowledgeBase.from_paths(fixtures)
+    onto = want.ontology
+
+    def up(concept):
+        return [concept, *onto.ancestors(concept)]
+
+    loaded, load, named = [], cli._load, []
     monkeypatch.setattr(cli, "_load", lambda paths: loaded.append(load(paths)) or loaded[-1])
-    for command, decoded in [
-        (["show", "blackout"], {"errors"}),
-        (["grid", "hotel-room1"], {"errors"}),
-        (["stats"], {"errors", "_census"}),
-        (["stats", "--csv"], {"errors", "_census"}),
-        (["ask", "What does a waiter do?"], {"errors", "_by_phrase English", "index"}),
-        (["ask", "How long does eat in a restaurant take?"], {"errors", "_by_phrase English"}),
+    missing = KeyedTable.__missing__
+
+    def missed(table, key):
+        named.append((table, key))
+        return missing(table, key)
+
+    monkeypatch.setattr(KeyedTable, "__missing__", missed)
+    restaurant = "eat-in-restaurant"
+    waiter_scripts = sorted({s for c in up("waiter") for s in want.index.by_role[c]})
+    # the keys each command names, so show and grid read no phrase or index bucket
+    for command, sections, keys in [
+        (["show", "blackout"], [], {
+            "parents": ["blackout"], "scripts": ["blackout"], "fields": ["blackout"]}),
+        (["timeline", restaurant], [], {
+            "parents": [restaurant], "scripts": [restaurant], "fields": [restaurant]}),
+        (["grid", "hotel-room1"], [], {}),
+        (["stats"], ["census"], {}),
+        (["stats", "--csv"], ["census"], {}),
+        (["ask", "How long does eat in a restaurant take?"], [], {
+            "phrases English": ["eat in a restaurant"], "parents": up(restaurant),
+            "scripts": [restaurant], "fields": [restaurant]}),
+        (["ask", "What does a waiter do?"], [], {
+            "phrases English": ["waiter"], "parents": up("waiter") + waiter_scripts,
+            "by_role": up("waiter"), "fields": waiter_scripts}),
+        (["recognize", "John poured shampoo on his hair."], [], None),
     ]:
+        del parts_read[:], named[:]
         code, out, err = invoke(*flags, *command)
         assert code == 0 and out and not err, command
-        assert undecoded(loaded[-1]) == LAZY - decoded, command
-    assert len(loaded) == 6
+        head, tables = loaded[-1]._stored["payload"].head, tables_of(loaded[-1])
+        assert parts_read[:2] == ["grids", "errors"], command
+        assert [p for p in parts_read[2:] if isinstance(p, str)] == sections, command
+        read = [p for p in parts_read if isinstance(p, tuple)]
+        assert len(read) == len(set(read)), command  # no bucket is decoded twice
+        names = {(tables[id(table)], key) for table, key in named}
+        assert set(read) == {b for name, key in names for b in buckets(head, name, [key])}
+        if keys is None:  # recognition: words, phrases, their concepts' ancestors
+            assert {name for name, _ in names} <= {"reach English", "phrases English",
+                                                   "parents", "by_mention"}, command
+        else:
+            assert names <= {(name, key) for name, ks in keys.items() for key in ks}, command
+            assert set(read) == {b for name, ks in keys.items()
+                                 for b in buckets(head, name, ks)}, command
+    assert len(loaded) == 8
+
+
+def flip_byte(entry: Path, at: int) -> None:
+    """Flip every bit of the entry's byte at offset ``at``, in place."""
+    data = bytearray(entry.read_bytes())
+    data[at] ^= 0xFF
+    entry.write_bytes(bytes(data))
+
+
+def bucket_in_file(path: str, name: str, key: str) -> int:
+    """The offset in the entry's file of the middle of the table ``name``'s
+    bucket that holds the key, or would."""
+    kb = KnowledgeBase.from_paths([path])
+    head = kb._stored["payload"].head
+    offsets = memoryview(head[name][2]).cast("Q")
+    ((_, i),) = buckets(head, name, [key])
+    return len(parsecache.Sources([path]).key) + 4 + (offsets[i] + offsets[i + 1]) // 2
+
+
+def test_a_bucket_damaged_after_the_load_removes_the_entry(tmp_path, parses, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    KnowledgeBase.from_paths([path])
+    (entry,) = entries([path])
+    flip_byte(entry, bucket_in_file(path, "fields", "blackout"))
+    del parses[:]
+    kb = KnowledgeBase.from_paths([path])  # the load reads no bucket
+    assert parses == []
+    with pytest.raises(KbError, match=re.escape(str(entry))):
+        kb._field_assertions["blackout"]
+    assert not entry.exists()
+    loads_as_text(Path(path), parses)
+    assert entries([path]) == [entry]
+    flip_byte(entry, bucket_in_file(path, "fields", "blackout"))
+    code, out, err = invoke("--kb", path, "show", "blackout")
+    assert (code, out) == (3, "") and str(entry) in err and "Traceback" not in err
+    assert not entry.exists()
+    loads_as_text(Path(path), parses)
+
+
+def test_a_damaged_bucket_never_reads_as_absent(tmp_path, parses, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    KnowledgeBase.from_paths([path])
+    (entry,) = entries([path])
+    flip_byte(entry, bucket_in_file(path, "parents", "no-such-concept"))
+    kb = KnowledgeBase.from_paths([path])
+    with pytest.raises(KbError, match=re.escape(str(entry))):
+        "no-such-concept" in kb.ontology
+    loads_as_text(Path(path), parses)
+    flip_byte(entry, bucket_in_file(path, "parents", "no-such-concept"))
+    code, out, err = invoke("--kb", path, "show", "no-such-concept")
+    assert (code, out) == (3, "") and str(entry) in err and "unknown concept" not in err
+    loads_as_text(Path(path), parses)
 
 
 def test_a_read_base_keeps_reading_its_entry_once_replaced_or_deleted(tmp_path, scripts_text):

@@ -28,6 +28,14 @@ def test_measure_hash_consistent_with_equality():
     assert len({a, b}) == 1
 
 
+def test_a_measure_past_any_float_hashes():
+    # normalizing such a quantity would overflow the decimal context
+    huge = Measure("second", "1e9999999")
+    assert hash(huge) == hash(Measure("second", "10e9999998"))
+    held = Assertion("duration-of", ("x", huge))
+    assert len({held, Assertion("duration-of", ("x", Measure("second", "1.0e9999999")))}) == 1
+
+
 def test_measure_accepts_numbers():
     assert Measure("USD", 200) == Measure("USD", "200")
 
