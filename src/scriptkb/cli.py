@@ -19,19 +19,20 @@ A command parses its files only when the set of them is new or one of
 them has changed since an earlier command loaded the same set: the
 assembled base is kept in one snapshot entry in ``__pycache__`` beside the
 first file, keyed by each file's bytes and identity, the interpreter and
-the package's code (``parsecache``).  The entry stores each keyed table as
-hash buckets, each with its own checksum.  A later command decodes the
-entry's head, its grids and the base's ``errors`` (the error diagnostics
-alone, normally none), which it checks before its query.  The query then
-decodes only the buckets holding the keys it names: a script's parents,
-name and fields, a phrase, a concept's index entries.  The whole
-diagnostics list for ``validate``, the census rows for ``stats`` and the
-blocks are read whole when first used.  So a command costs little more
-than its query and the reading and hashing of its files, whatever the
-size of the base.  Damage found as the entry loads makes the command parse
-its files; damage in a part its query reads later removes the entry and
-ends the command with exit code 3 and an error naming the entry, and the
-next command parses.
+the package's code (``parsecache``).  The entry holds buckets and
+sections, each with its own checksum.  A later command decodes the
+entry's head alone, which holds the grids and the base's ``errors`` (the
+error diagnostics alone, normally none) that it checks before its query.
+The query then decodes only the buckets holding the keys it names: a
+script's parents, name and fields, a phrase, a concept's index entries.
+The whole diagnostics list for ``validate`` and the census rows for
+``stats`` are sections, read whole when first used, as are the blocks for
+``validate``.  So a command costs little more than its query and the
+reading and hashing of its files, whatever the size of the base.  Damage
+found in the header or the head makes the command parse its files; damage
+in a part its query reads later removes the entry and ends the command
+with exit code 3 and an error naming the entry, and the next command
+parses.
 """
 
 from __future__ import annotations

@@ -36,16 +36,18 @@ call.  Recognition and the what-does, used-for and where-found questions
 also read two concept -> scripts maps, built by the first of them from the
 recorded field assertions, with no script view.
 
-A base decoded from a snapshot entry has its census totals, grids and
-error diagnostics at once, as they were stored.  Everything else stays in
-the entry, which the base keeps open, until a query reads it.  Each keyed
-table is a ``KeyedTable`` that decodes the bucket holding a key on the
-key's first read: the parents, the script names, each subject's field
-assertions, each language's phrase, reach and lexicon tables, and the two
-maps.  The whole diagnostics list, which only ``validate`` reads, the
-census rows and the blocks are each decoded whole on first read.  So a
-command pays to read and decode only the keys and sections its query
-names, and a part that fails its checksum then raises ``DamagedEntry``
+A base decoded from a snapshot entry decodes the entry's head alone as it
+loads: its census totals, grids and error diagnostics are values there.
+Everything else stays in the entry, which the base keeps open, until a
+query reads it; the entry holds buckets and sections.  Each keyed table is
+a ``KeyedTable`` that decodes the bucket holding a key on the key's first
+read: the parents, the script names, each subject's field assertions,
+each concept's blocks, each language's phrase, reach and lexicon tables,
+and the two maps.  The whole diagnostics list, which only ``validate``
+reads, and the census rows are sections; they and the blocks are each
+decoded whole on first read.  So a command pays to read and decode only
+the keys and sections its query names, and a part that fails its
+checksum then raises ``DamagedEntry``
 (``parsecache``).  Both kinds of base answer every query through the same
 tables, each read by key.
 
@@ -71,10 +73,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .errors import DamagedEntry, KbError, MalformedHeader, UnknownConcept
+from .errors import KbError, MalformedHeader, UnknownConcept
 from .grid import Grid, parse_grid
 from .keyed import KeyedTable
-from .ontology import ROOT, Language, Ontology
+from .ontology import ROOT, Ontology
 from .parsecache import (Sources, decode_assertions, decode_blocks,
                          encode_assertions, encode_blocks, source_text)
 from .parser import ParseResult, _parse_database, normalize_text
@@ -82,8 +84,6 @@ from .terms import (AKO, EVENT_PREDICATES, FIELDS, GOTO, STRUCTURAL, Assertion,
                     ObjectBlock, goto_target, malformed, slot_init, term_symbols)
 
 _INSTANCE_RE = re.compile(r"(.+?)[0-9]+$")
-# the lexicon's tables, as ``Ontology.tables`` gives them after the parents
-_LEXICON_KINDS = ("phrases", "reach", "lexicon")
 
 
 @contextmanager
@@ -201,8 +201,9 @@ class KnowledgeBase:
         entry = self._stored.get("payload")
         if entry is None:
             return []
-        return decode_blocks(entry.read(*entry.head["blocks"]), entry.section("block sizes"),
-                             self._stored["files"], self._field_assertions)
+        table = entry.table("blocks", partial(decode_blocks, files=self._stored["files"],
+                                              fields=self._field_assertions))
+        return [b for same in table.whole().values() for b in same]
 
     @cached_property
     def _sites(self) -> dict[str, list[tuple[Assertion, str, int]]]:
@@ -254,6 +255,9 @@ class KnowledgeBase:
                 by_mention.setdefault(concept, []).append(name)
             for concept in dict.fromkeys(roles.values()):
                 by_role.setdefault(concept, []).append(name)
+        for table in (by_mention, by_role):
+            for concept, scripts in table.items():
+                table[concept] = tuple(scripts)
         return ScriptIndex(by_mention, by_role)
 
     # -- loading -------------------------------------------------------------
@@ -279,62 +283,54 @@ class KnowledgeBase:
             sources = Sources(files)
             entry = sources.read()
             if entry is not None:
-                try:
-                    return cls._from_snapshot(entry, files)
-                except DamagedEntry:  # the entry is gone: parse, and write it again
-                    pass
+                return cls._from_snapshot(entry, files)
             kb = cls.from_texts(sources.texts())
             sources.write(partial(kb._snapshot, files))
         return kb
 
-    def _snapshot(self, files: list[str], out):
-        """The head of the base's snapshot entry, which names each part that
-        ``out`` writes, a part at a time: each keyed table, as buckets, and
-        the census totals, grids, diagnostics and errors, census rows, and
-        blocks with their sizes.  Each file is stored as its index in
-        ``files``."""
+    def _snapshot(self, files: list[str], section):
+        """The head of the base's snapshot entry: the census totals, grids and
+        errors as values, and what ``section`` wrote of every other part, a
+        part at a time: each keyed table, a concept's blocks among them, as
+        buckets, and the diagnostics and the census rows as one section
+        each.  Each file is stored as its index in ``files``."""
         at = {name: i for i, name in reversed(list(enumerate(files)))}
 
         def diagnostics(ds):
-            return out.section([(at[d.file], d.line, d.col, d.severity, d.code, d.message)
-                                for d in ds])
+            return [(at[d.file], d.line, d.col, d.severity, d.code, d.message) for d in ds]
 
-        parents, *lexicon = self.ontology.tables()
-        head = {"parents": out.table(parents),
-                "scripts": out.table(self._scripts),
-                "fields": out.table(self._field_assertions, encode_assertions),
+        blocks = KeyedTable()  # concept -> its blocks, in block order
+        for b in self.blocks:
+            blocks.setdefault(b.concept, []).append(b)
+        fields = self._field_assertions
+        tables = {**self.ontology.tables(), "scripts": self._scripts,
+                  **dict(zip(ScriptIndex._fields, self.index))}
+        return {**{name: table.write(section) for name, table in tables.items()},
+                "fields": fields.write(section, encode_assertions),
+                "blocks": blocks.write(section, partial(encode_blocks, fields=fields, at=at)),
                 "totals": self._census_totals,
-                "grids": out.section([(g.name, g.rows, g.legend, g.extended_keys, g.line,
-                                       at[g.file]) for g in self.grids.values()]),
+                "grids": [(g.name, g.rows, g.legend, g.extended_keys, g.line, at[g.file])
+                          for g in self.grids.values()],
                 "errors": diagnostics(self.errors),
-                "diagnostics": diagnostics(self.diagnostics),
-                "census": out.section([(r.script, r.subevents, r.roles, r.places, r.other)
-                                       for r in self._census]),
-                **{name: out.table(table) for name, table in zip(ScriptIndex._fields, self.index)}}
-        head["blocks"], sizes = out.series(encode_blocks(self.blocks, self._field_assertions, at))
-        head["block sizes"] = out.section(sizes)
-        for kind, tables in zip(_LEXICON_KINDS, lexicon):
-            for lang in Language:
-                head[f"{kind} {lang.value}"] = out.table(tables[lang])
-        return head
+                "diagnostics": section(diagnostics(self.diagnostics)),
+                "census": section([(r.script, r.subevents, r.roles, r.places, r.other)
+                                   for r in self._census])}
 
     @classmethod
     def _from_snapshot(cls, entry, files: list[str]) -> "KnowledgeBase":
         """The base of a snapshot entry: its census totals, grids and errors
-        decoded now, each keyed table a bucket at a time and each other
-        section when first read.  Damage found now raises ``DamagedEntry``."""
+        decoded from the head now, each keyed table a bucket at a time and
+        each section when first read."""
         kb = cls()
         kb._stored.update(payload=entry, files=files)
-        init = partial(object.__setattr__, kb)
-        init("ontology", Ontology.from_tables(entry.table("parents"), *(
-            {lang: entry.table(f"{kind} {lang.value}") for lang in Language}
-            for kind in _LEXICON_KINDS)))
+        head, init = entry.head, partial(object.__setattr__, kb)
+        init("ontology", Ontology.from_tables(entry.table))
         init("_scripts", entry.table("scripts"))
         init("_field_assertions", entry.table("fields", decode_assertions))
-        init("_census_totals", entry.head["totals"])
+        init("_census_totals", head["totals"])
         init("grids", {name: Grid(name, rows, legend, keys, line, files[file])
-                       for name, rows, legend, keys, line, file in entry.section("grids")})
-        init("errors", kb._decode_diagnostics(entry.section("errors")))
+                       for name, rows, legend, keys, line, file in head["grids"]})
+        init("errors", kb._decode_diagnostics(head["errors"]))
         return kb
 
     def _merge_blocks(self, results: list[ParseResult]) -> None:

@@ -1,7 +1,8 @@
 """Tables read a key at a time: ``KeyedTable``.
 
 A keyed table of a base read from a snapshot entry (``parsecache``) is
-stored as hash buckets.  A key's bucket is the CRC-32 of its UTF-8 bytes
+stored as hash buckets, which ``KeyedTable.write`` writes and a table read
+from the entry reads.  A key's bucket is the CRC-32 of its UTF-8 bytes
 modulo the table's bucket count, and the count follows from the table's
 size: ``BUCKET_KEYS`` keys to a bucket, on average.  A bucket is one
 ``marshal`` section, with a CRC-32 of its own, of its keys, their values
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import marshal
 import zlib
+from array import array
+from itertools import repeat
 
 BUCKET_KEYS = 16  # a keyed table's keys to a bucket, on average
 
@@ -43,7 +46,7 @@ class KeyedTable(dict):
     are."""
 
     __slots__ = ("default", "_size", "_offsets", "_crcs", "_entry", "_decode", "_undecoded",
-                 "_loaded")
+                 "_loaded", "_whole")
 
     def __init__(self, default=None, size=0, offsets=b"", crcs=b"", entry=None, decode=None):
         super().__init__()
@@ -52,6 +55,7 @@ class KeyedTable(dict):
         self._crcs = memoryview(crcs).cast("I")
         self._loaded = bytearray(len(self._crcs))
         self._undecoded: dict = {}  # key -> its stored value, from a bucket read
+        self._whole = None  # the whole table, once read
 
     def __missing__(self, key):
         if self._entry is None or not isinstance(key, str):
@@ -68,31 +72,60 @@ class KeyedTable(dict):
         self._undecoded.pop(key, None)
         return value
 
+    def write(self, section, encode=None) -> tuple:
+        """Write the whole table as its buckets, each ``section(value)`` of its
+        keys, their values as ``encode`` makes them, when given, and their
+        places in the table; ``section`` returns the span and CRC-32 of what
+        it wrote.  A bucket is encoded as it is written, so no whole encoded
+        table is held.  Returns what ``parsecache.Entry.table`` reads the
+        table by: its default and size, and its buckets' offsets and CRCs."""
+        whole = self.whole()
+        keys, values = list(whole), list(whole.values())
+        count = bucket_count(len(keys))
+        buckets: list[list[int]] = [[] for _ in range(count)]
+        for place, i in enumerate(map(bucket_of, keys, repeat(count))):
+            buckets[i].append(place)
+        offsets, crcs = array("Q"), array("I")
+        for places in buckets:
+            stored = [values[p] for p in places]
+            start, end, crc = section((
+                [keys[p] for p in places],
+                stored if encode is None else list(map(encode, stored)),
+                array("I", places).tobytes()))
+            offsets.append(start)
+            crcs.append(crc)
+        offsets.append(end)
+        return self.default, len(keys), offsets.tobytes(), crcs.tobytes()
+
     def _load(self, i: int):
-        """Read the stored bucket ``i`` and record its keys, with their values
-        or, where they need decoding, their stored values; returns its keys
-        and their places in the table."""
+        """Read the stored bucket ``i`` and, on its first read, record its keys,
+        with their values or, where they need decoding, their stored values;
+        returns its keys and their places in the table."""
         keys, values, places = marshal.loads(self._entry.read(
             self._offsets[i], self._offsets[i + 1], self._crcs[i]))
-        if self._decode is None:
-            for k, v in zip(keys, values):
-                self.setdefault(k, v)
-        else:
-            self._undecoded.update(zip(keys, values))
-        self._loaded[i] = 1
+        if not self._loaded[i]:
+            if self._decode is None:
+                for k, v in zip(keys, values):
+                    self.setdefault(k, v)
+            else:
+                self._undecoded.update(zip(keys, values))
+            self._loaded[i] = 1
         return keys, memoryview(places).cast("I")
 
     def whole(self) -> dict:
         """Every key and value, in the table's order; a table read from an
-        entry reads each bucket once, and keeps the values it holds."""
+        entry reads each bucket on the first call, and keeps the values it
+        holds and the whole table."""
         if self._entry is None:
             return self
-        ordered: list = [None] * self._size
-        for i in range(len(self._crcs)):
-            keys, places = self._load(i)
-            for k, place in zip(keys, places):
-                ordered[place] = (k, self[k])
-        return dict(ordered)
+        if self._whole is None:
+            ordered: list = [None] * self._size
+            for i in range(len(self._crcs)):
+                keys, places = self._load(i)
+                for k, place in zip(keys, places):
+                    ordered[place] = (k, self[k])
+            self._whole = dict(ordered)
+        return self._whole
 
     def __eq__(self, other):
         if isinstance(other, KeyedTable):

@@ -31,6 +31,8 @@ from .errors import (
 from .keyed import KeyedTable
 
 ROOT = "concept"
+# the lexicon's kinds of table, each one per language
+_KINDS = ("phrases", "reach", "lexicon")
 # a concept name holds none of these: they delimit the file format's tokens
 _BAD_NAME_CHAR = re.compile(r"[ \t\n\[\]]")
 
@@ -68,20 +70,23 @@ class Ontology:
 
     # -- stored tables -------------------------------------------------------
 
-    def tables(self):
-        """The resolved tables as they are: the parents map, then the phrase,
-        reach and lexicon maps, each a table per ``Language``."""
-        return self._parents, self._by_phrase, self._reach, self._lexicon
+    def tables(self) -> dict[str, KeyedTable]:
+        """The resolved tables as they are, by their names in a snapshot entry:
+        ``parents``, and a kind and a language, ``phrases English`` say."""
+        by_kind = zip(_KINDS, (self._by_phrase, self._reach, self._lexicon))
+        return {"parents": self._parents, **{f"{kind} {lang.value}": tables[lang]
+                                             for kind, tables in by_kind for lang in Language}}
 
     @classmethod
-    def from_tables(cls, parents, by_phrase, reach, lexicon) -> "Ontology":
-        """The ontology whose ``tables()`` these are, taken as they are: a
-        resolved hierarchy is not resolved again.  Tables read from a
+    def from_tables(cls, table) -> "Ontology":
+        """The ontology whose ``tables()`` are ``table(name)``, taken as they
+        are: a resolved hierarchy is not resolved again.  Tables read from a
         snapshot entry decode a key's bucket on its first read, so a base
         decodes only the concepts and phrases its queries name."""
         onto = cls.__new__(cls)
-        onto._parents = parents
-        onto._by_phrase, onto._reach, onto._lexicon = by_phrase, reach, lexicon
+        onto._parents = table("parents")
+        onto._by_phrase, onto._reach, onto._lexicon = (
+            {lang: table(f"{kind} {lang.value}") for lang in Language} for kind in _KINDS)
         return onto
 
     # -- construction ------------------------------------------------------

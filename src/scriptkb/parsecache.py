@@ -41,42 +41,45 @@ directory that then replaces it, and a write that fails is skipped, so a
 read-only directory only costs the cache.  Deleting ``__pycache__`` clears
 the entries.
 
-The payload is a series of parts, then the head, then the head's size.
-Each part is ``marshal`` data of plain values with a CRC-32 of its own,
-which the head holds beside its span (see ``KnowledgeBase._snapshot``).
-The base's keyed tables are stored as hash buckets (``keyed``): the
-parents, the script names, each subject's field assertions, each
-language's phrase, reach and lexicon tables, and the index's two maps.  A
-key's bucket is the CRC-32 of its UTF-8 bytes modulo the table's bucket
-count, which ``keyed.BUCKET_KEYS`` sets from the table's size; a bucket
-holds its keys, their values and their places in the table.  The head
-holds each table's default value for a key it lacks, its size, and its
-buckets' offsets and CRCs as ``array`` bytes.  Every other part is one
-section, read whole: the grids, the error diagnostics and the whole
-diagnostics list, the census rows, the blocks, and the blocks' sizes.
+An entry is its header, then its parts, then the head and the head's
+size.  A part is ``marshal`` data of plain values with a CRC-32 of its
+own, which the head holds beside its span in the file (see
+``KnowledgeBase._snapshot``).  Parts are of two kinds.  The base's keyed
+tables are stored as hash buckets (``keyed``), a part each: the parents,
+the script names, each subject's field assertions, each concept's
+blocks, each language's phrase, reach and lexicon tables, and the index's
+two maps.  A key's bucket is the CRC-32 of its UTF-8 bytes modulo the
+table's bucket count, which ``keyed.BUCKET_KEYS`` sets from the table's
+size; a bucket holds its keys, their values and their places in the
+table.  The head holds each table's default value for a key it lacks, its
+size, and its buckets' offsets and CRCs as ``array`` bytes.  A section is
+one part, read whole: the whole diagnostics list and the census rows.
+The census totals, the grids and the error diagnostics are values in the
+head itself.
 
-A load checks and decodes the head, the grids and the error list, and
-keeps the entry open rather than a copy of its payload.  A query decodes
-only the buckets of the keys it names, and an absent key is answered by
-its bucket too; a section is read when a query first reads it.  So a
-warm command costs its query, not the size of the base.  A writer replaces
-an entry and never changes one in place, so a base goes on reading the
-entry it checked after a later write replaces it or ``__pycache__`` is
-deleted; the file is closed when the base is freed.
+A load checks and decodes the head alone, and keeps the entry open rather
+than a copy of its payload.  A query decodes only the buckets of the keys
+it names, and an absent key is answered by its bucket too; a section is
+read when a query first reads it.  So a warm command costs its query, not
+the size of the base.  A writer replaces an entry and never changes one
+in place, so a base goes on reading the entry it checked after a later
+write replaces it or ``__pycache__`` is deleted; the file is closed when
+the base is freed.
 
-The checksums find damage.  Damage in the header, the head, the grids or
-the error list makes the load parse the files and write the entry again.
-Damage in a bucket or a section that a later query reads removes the entry
-and raises ``DamagedEntry``, a KbError that names it: the query gives no
-answer from damaged bytes, and the next load parses.
+The checksums find damage.  Damage in the header or the head makes the
+load parse the files and write the entry again.  Damage in a bucket or a
+section that a later query reads removes the entry and raises
+``DamagedEntry``, a KbError that names it: the query gives no answer from
+damaged bytes, and the next load parses.
 
 Parts are written to the entry as they are made, a bucket at a time, so
 writing one never holds a whole encoded table.  In a part, an assertion is
 the tuple ``(predicate, *args)``, a measure the list ``[unit, text]``,
 ``na`` is ``None`` and a symbol is its string; a block holds each of its
-field assertions as the assertion's subject, and its lexicon languages by
-value.  No part holds a file name: each file is stored as its index in the
-set, and gets the path as the caller gave it when it is decoded.
+field assertions as ``[subject, i]``, its place among the subject's field
+assertions, and its lexicon languages by value.  No part holds a file
+name: each file is stored as its index in the set, and gets the path as
+the caller gave it when it is decoded.
 """
 
 from __future__ import annotations
@@ -89,17 +92,15 @@ import sys
 import threading
 import weakref
 import zlib
-from array import array
 from importlib.util import source_hash
-from itertools import repeat
 from pathlib import Path
 
 from .errors import DamagedEntry, KbError
-from .keyed import KeyedTable, bucket_count, bucket_of
+from .keyed import KeyedTable
 from .parser import _LANGUAGES
 from .terms import FIELDS, NA, Assertion, Measure, ObjectBlock
 
-_MAGIC = b"scriptkb snapshot 2\0"
+_MAGIC = b"scriptkb snapshot 3\0"
 
 
 def source_text(data: bytes, path) -> str:
@@ -172,7 +173,7 @@ class Sources:
         if head is None:
             os.close(fd)
             return None
-        return Entry(fd, len(self.key) + 4, head, self.entry)
+        return Entry(fd, head, self.entry)
 
     def _head(self, fd: int):
         """The head of the open entry, when it is the user's alone and its
@@ -196,10 +197,11 @@ class Sources:
         """Write the entry through a temporary file in its directory, readable
         and writable by its owner alone.
 
-        ``make_head(payload)`` writes the parts through the ``_Payload`` and
-        makes the head to store.  It is called only once the temporary file
-        is open, so a directory that takes no file costs no encoding.  A
-        failure leaves no file behind and raises nothing."""
+        ``make_head(section)`` writes the parts and makes the head to store;
+        ``section(value)`` writes a value as a section and returns its span
+        in the file and its CRC-32.  It is called only once the temporary
+        file is open, so a directory that takes no file costs no encoding.
+        A failure leaves no file behind and raises nothing."""
         if self.entry is None:
             return
         tmp = f"{self.entry}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -211,7 +213,14 @@ class Sources:
         try:
             with f:
                 f.write(self.key + bytes(4))
-                head = marshal.dumps(make_head(_Payload(f)))
+
+                def section(value) -> tuple[int, int, int]:
+                    data = marshal.dumps(value)
+                    start = f.tell()
+                    f.write(data)
+                    return start, start + len(data), zlib.crc32(data)
+
+                head = marshal.dumps(make_head(section))
                 f.write(head)
                 f.write(len(head).to_bytes(8, "little"))
                 f.seek(len(self.key))
@@ -224,19 +233,19 @@ class Sources:
 
 class Entry:
     """An open snapshot entry and its head, which names each part by its
-    span in the payload and its CRC-32.  The file is closed when the last
+    span in the file and its CRC-32.  The file is closed when the last
     reference to the entry goes."""
 
-    __slots__ = ("_fd", "_start", "head", "path", "__weakref__")
+    __slots__ = ("_fd", "head", "path", "__weakref__")
 
-    def __init__(self, fd: int, start: int, head: dict, path: str):
-        self._fd, self._start, self.head, self.path = fd, start, head, path
+    def __init__(self, fd: int, head: dict, path: str):
+        self._fd, self.head, self.path = fd, head, path
         weakref.finalize(self, os.close, fd)
 
     def read(self, start: int, end: int, crc: int) -> bytes:
         """The bytes of a part, read from the file.  A part whose CRC-32 does
         not match removes the entry and raises ``DamagedEntry``."""
-        data = os.pread(self._fd, end - start, self._start + start)
+        data = os.pread(self._fd, end - start, start)
         if zlib.crc32(data) != crc:
             self._remove()
             raise DamagedEntry(f"damaged snapshot entry {self.path} removed; "
@@ -258,56 +267,6 @@ class Entry:
             st, own = os.stat(self.path), os.fstat(self._fd)
             if (st.st_dev, st.st_ino) == (own.st_dev, own.st_ino):
                 os.unlink(self.path)
-
-
-class _Payload:
-    """A payload written to a file part by part; each part written returns
-    what the head keeps of it."""
-
-    def __init__(self, f):
-        self.f, self.size = f, 0
-
-    def section(self, value) -> tuple[int, int, int]:
-        """Write a value as a section; returns its span and CRC-32."""
-        data = marshal.dumps(value)
-        self.f.write(data)
-        self.size += len(data)
-        return self.size - len(data), self.size, zlib.crc32(data)
-
-    def series(self, values) -> tuple[tuple[int, int, int], bytes]:
-        """Write the values one after another, each as it is made, as one
-        section; returns its span and CRC-32, and each value's size."""
-        start, crc, sizes = self.size, 0, array("Q")
-        for value in values:
-            data = marshal.dumps(value)
-            self.f.write(data)
-            crc = zlib.crc32(data, crc)
-            sizes.append(len(data))
-            self.size += len(data)
-        return (start, self.size, crc), sizes.tobytes()
-
-    def table(self, table: KeyedTable, encode=None) -> tuple:
-        """Write a table as its buckets, one section each, of its keys, their
-        values as ``encode`` makes them, when given, and their places in the
-        table; returns the table's default and size, and the buckets'
-        offsets and CRCs, as ``Entry.table`` reads them."""
-        whole = table.whole()
-        keys, values = list(whole), list(whole.values())
-        count = bucket_count(len(keys))
-        buckets: list[list[int]] = [[] for _ in range(count)]
-        for place, i in enumerate(map(bucket_of, keys, repeat(count))):
-            buckets[i].append(place)
-        offsets, crcs = array("Q"), array("I")
-        for places in buckets:
-            stored = [values[p] for p in places]
-            start, _, crc = self.section((
-                [keys[p] for p in places],
-                stored if encode is None else list(map(encode, stored)),
-                array("I", places).tobytes()))
-            offsets.append(start)
-            crcs.append(crc)
-        offsets.append(self.size)
-        return table.default, len(keys), offsets.tobytes(), crcs.tobytes()
 
 
 def _entry_path(files: list[str]) -> str | None:
@@ -380,48 +339,44 @@ def decode_assertions(stored) -> list[Assertion]:
     return [term(a) for a in stored]
 
 
-def encode_blocks(blocks, fields, at: dict[str, int]):
-    """Each block as the plain value its part of the blocks section stores,
-    its file as ``at[file]``.  A block's field assertion is stored as its
-    subject alone: it is the subject's next assertion in ``fields``, which
-    holds them in block order, so no assertion is stored twice."""
-    met: dict[str, int] = {}  # subject -> its field assertions stored so far
+def encode_blocks(blocks, fields, at: dict[str, int]) -> list:
+    """A concept's blocks as the plain value a bucket stores, each file as
+    ``at[file]``.  A block's field assertion is stored as ``[subject, i]``,
+    the place in ``fields[subject]`` where that very assertion sits, so no
+    assertion is stored twice and each bucket decodes on its own; an
+    assertion ``fields`` does not hold is stored in full."""
+    # subject -> the place of its next field assertion when the blocks meet
+    # them in order, as they mostly do; ``places`` finds the others
+    nexts: dict = {}
+    places: dict = {}  # subject -> its field assertions' ids -> their places
+    encoded = []
     for b in blocks:
         stored = []
         for a in b.assertions:
-            subject = a.args[0]
-            own = fields[subject] if a.predicate in FIELDS else None
-            i = met.get(subject, 0) if own else 0
-            if own and i < len(own) and own[i] is a:
-                met[subject] = i + 1
-                stored.append(subject)
-            else:
+            i = None
+            if a.predicate in FIELDS:
+                subject = a.args[0]
+                own, i = fields[subject], nexts.get(subject, 0)
+                if i >= len(own) or own[i] is not a:
+                    if subject not in places:
+                        places[subject] = {id(f): place for place, f in enumerate(own)}
+                    i = places[subject].get(id(a))
+            if i is None:
                 stored.append(encode_assertion(a))
-        yield (b.concept, [(lang.value, phrases) for lang, phrases in b.lexicon],
-               stored, b.line, at[b.file], b.assertion_lines)
-
-
-def decode_blocks(data: bytes, sizes: bytes, files: list[str], fields) -> list[ObjectBlock]:
-    """The blocks stored one after another in ``data``, each of its size in
-    ``sizes``; a field assertion is the one ``fields`` holds, so blocks and
-    fields share it, as they do in a parsed base."""
-    data = memoryview(data)
-    term = _term_decoder()
-    taken: dict[str, int] = {}  # subject -> its field assertions read so far
-    blocks = []
-    start = 0
-    for size in memoryview(sizes).cast("Q"):
-        concept, lexicon, stored, line, file, lines = marshal.loads(data[start:start + size])
-        start += size
-        assertions = []
-        for t in stored:
-            if t.__class__ is str:
-                i = taken.get(t, 0)
-                taken[t] = i + 1
-                assertions.append(fields[t][i])
             else:
-                assertions.append(term(t))
-        blocks.append(ObjectBlock(
-            concept, [(_LANGUAGES[lang], phrases) for lang, phrases in lexicon],
-            assertions, line, files[file], lines))
-    return blocks
+                nexts[subject] = i + 1
+                stored.append([subject, i])
+        encoded.append((b.concept, [(lang.value, phrases) for lang, phrases in b.lexicon],
+                        stored, b.line, at[b.file], b.assertion_lines))
+    return encoded
+
+
+def decode_blocks(stored, files: list[str], fields) -> list[ObjectBlock]:
+    """A concept's blocks from their stored value; a field assertion is the
+    one ``fields`` holds, so blocks and fields share it, as they do in a
+    parsed base."""
+    term = _term_decoder()
+    return [ObjectBlock(concept, [(_LANGUAGES[lang], phrases) for lang, phrases in lexicon],
+                        [fields[t[0]][t[1]] if t.__class__ is list else term(t)
+                         for t in assertions], line, files[file], lines)
+            for concept, lexicon, assertions, line, file, lines in stored]

@@ -17,7 +17,7 @@ from scriptkb import kb as kbmodule
 from scriptkb import cli, parsecache, parser
 from scriptkb.diagnostics import ERROR
 from scriptkb.errors import CycleDetected, KbError
-from scriptkb.kb import KnowledgeBase, read_text
+from scriptkb.kb import KnowledgeBase, ScriptIndex, read_text
 from scriptkb.keyed import KeyedTable, bucket_count, bucket_of
 from scriptkb.ontology import Language
 from test_cli import invoke
@@ -520,7 +520,7 @@ def parts_read(monkeypatch):
 def part_at(head, start):
     for name, part in head.items():
         if not isinstance(part, tuple):
-            continue  # the census totals
+            continue  # a value in the head: the census totals, grids or errors
         if isinstance(part[2], bytes):  # a table: default, size, offsets, CRCs
             offsets = list(memoryview(part[2]).cast("Q"))[:-1]
             if start in offsets:
@@ -538,14 +538,10 @@ def buckets(head, name, keys) -> set:
 
 def tables_of(kb) -> dict:
     """Each keyed table of a base by its name in the entry's head."""
-    onto = kb.ontology
-    tables = {id(onto._parents): "parents", id(kb._scripts): "scripts",
-              id(kb._field_assertions): "fields"}
-    for kind, by_lang in zip(("phrases", "reach", "lexicon"),
-                             (onto._by_phrase, onto._reach, onto._lexicon)):
-        tables.update((id(table), f"{kind} {lang.value}") for lang, table in by_lang.items())
+    tables = {id(table): name for name, table in kb.ontology.tables().items()}
+    tables.update({id(kb._scripts): "scripts", id(kb._field_assertions): "fields"})
     if "index" in vars(kb):
-        tables.update((id(table), name) for name, table in zip(kb.index._fields, kb.index))
+        tables.update((id(table), name) for name, table in zip(ScriptIndex._fields, kb.index))
     return tables
 
 
@@ -555,11 +551,12 @@ def test_a_read_entry_decodes_each_section_when_it_is_first_read(
     want = KnowledgeBase.from_paths([path])
     kb = KnowledgeBase.from_paths([path])
     head = kb._stored["payload"].head
-    # a load reads the grids and the error list, and nothing of a table
-    assert parts_read == ["grids", "errors"]
+    # a load reads the head alone: the grids and the error list are in it
+    assert parts_read == []
+    assert kb.grids == want.grids and kb.errors == []
     assert dict(kb._field_assertions) == {} and dict(kb.ontology._parents) == {}
-    del parts_read[:]
-    scripts = kb.script_concepts()  # a whole table reads each bucket once
+    scripts = kb.script_concepts()  # a whole table reads each bucket once, once
+    assert kb.script_concepts() == scripts
     assert parts_read == [("scripts", i) for i in range(bucket_count(head["scripts"][1]))]
     script = scripts[len(scripts) // 2]
     del parts_read[:]
@@ -588,8 +585,8 @@ def test_a_read_entry_decodes_each_section_when_it_is_first_read(
     assert kb.diagnostics == want.diagnostics and len(kb.diagnostics) > 10
     assert parts_read == ["census", "diagnostics"]
 
-    # each warm command reads the grids and the error list, then the sections
-    # its query reads and the buckets of the keys it names, each once
+    # each warm command reads no part as it loads, then the sections its
+    # query reads and the buckets of the keys it names, each once
     fixtures = write_base(tmp_path / "fixtures", [
         ("core.kb", core_text), ("scripts.kb", scripts_text), ("demo.kb", demo_text)])
     flags = [f for p in fixtures for f in ("--kb", p)]
@@ -632,8 +629,7 @@ def test_a_read_entry_decodes_each_section_when_it_is_first_read(
         code, out, err = invoke(*flags, *command)
         assert code == 0 and out and not err, command
         head, tables = loaded[-1]._stored["payload"].head, tables_of(loaded[-1])
-        assert parts_read[:2] == ["grids", "errors"], command
-        assert [p for p in parts_read[2:] if isinstance(p, str)] == sections, command
+        assert [p for p in parts_read if isinstance(p, str)] == sections, command
         read = [p for p in parts_read if isinstance(p, tuple)]
         assert len(read) == len(set(read)), command  # no bucket is decoded twice
         names = {(tables[id(table)], key) for table, key in named}
@@ -662,27 +658,74 @@ def bucket_in_file(path: str, name: str, key: str) -> int:
     head = kb._stored["payload"].head
     offsets = memoryview(head[name][2]).cast("Q")
     ((_, i),) = buckets(head, name, [key])
-    return len(parsecache.Sources([path]).key) + 4 + (offsets[i] + offsets[i + 1]) // 2
+    return (offsets[i] + offsets[i + 1]) // 2
 
 
 def test_a_bucket_damaged_after_the_load_removes_the_entry(tmp_path, parses, scripts_text):
     (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
     KnowledgeBase.from_paths([path])
     (entry,) = entries([path])
-    flip_byte(entry, bucket_in_file(path, "fields", "blackout"))
-    del parses[:]
-    kb = KnowledgeBase.from_paths([path])  # the load reads no bucket
-    assert parses == []
-    with pytest.raises(KbError, match=re.escape(str(entry))):
-        kb._field_assertions["blackout"]
-    assert not entry.exists()
+    for table, read, argv in [
+            ("fields", lambda kb: kb._field_assertions["blackout"],
+             ["--kb", path, "show", "blackout"]),
+            ("blocks", lambda kb: kb.blocks, ["validate", path])]:  # for the sites
+        flip_byte(entry, bucket_in_file(path, table, "blackout"))
+        del parses[:]
+        kb = KnowledgeBase.from_paths([path])  # the load reads no bucket
+        assert parses == []
+        with pytest.raises(KbError, match=re.escape(str(entry))):
+            read(kb)
+        assert not entry.exists()
+        loads_as_text(Path(path), parses)
+        assert entries([path]) == [entry]
+        flip_byte(entry, bucket_in_file(path, table, "blackout"))
+        code, out, err = invoke(*argv)
+        assert (code, out) == (3, "") and str(entry) in err and "Traceback" not in err
+        assert not entry.exists()
+        loads_as_text(Path(path), parses)
+
+
+@pytest.mark.parametrize("needle", [b"room", b"Bad"], ids=["grids", "errors"])
+def test_a_byte_flipped_in_the_heads_grids_or_errors_is_parsed_and_written_again(
+        tmp_path, parses, needle):
+    # the entry's last "room" and "Bad" are the grid's name and the error's
+    # message in the head
+    (path,) = write_base(tmp_path, [("one.kb", "Object hum\n[event01-of ^ [buzz hum]]\n"
+                                               "==room//\nxy    x:hum\n\n"
+                                               "Object bad\n[event01-of ^ Bad]\n")])
+    kb = KnowledgeBase.from_paths([path])
+    assert list(kb.grids) == ["room"] and kb.errors[0].message == "invalid token 'Bad'"
+    (entry,) = entries([path])
+    good = entry.read_bytes()
+    at = good.rindex(needle)
+    assert at >= len(good) - 8 - int.from_bytes(good[-8:], "little")  # in the head
+    flip_byte(entry, at)
     loads_as_text(Path(path), parses)
-    assert entries([path]) == [entry]
-    flip_byte(entry, bucket_in_file(path, "fields", "blackout"))
-    code, out, err = invoke("--kb", path, "show", "blackout")
-    assert (code, out) == (3, "") and str(entry) in err and "Traceback" not in err
-    assert not entry.exists()
-    loads_as_text(Path(path), parses)
+    assert entry.read_bytes() == good
+
+
+def test_a_whole_table_is_read_once(tmp_path, parts_read, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    want = KnowledgeBase.from_paths([path])._field_assertions
+    kb = KnowledgeBase.from_paths([path])
+    fields = kb._field_assertions
+    fields[kb.script_concepts()[0]]  # decodes one key of its bucket
+    assert fields._undecoded
+    del parts_read[:]
+    whole = fields.whole()
+    assert list(whole.items()) == list(want.whole().items())
+    assert len(parts_read) == bucket_count(kb._stored["payload"].head["fields"][1])
+    del parts_read[:]
+    assert fields.whole() is whole and fields == want
+    assert parts_read == [] and fields._undecoded == {}
+
+
+def test_the_index_holds_tuples_parsed_cold_and_warm(tmp_path, scripts_text):
+    (path,) = write_base(tmp_path, [("scripts.kb", scripts_text)])
+    for kb in (KnowledgeBase.from_texts([(path, scripts_text)]),
+               KnowledgeBase.from_paths([path]), KnowledgeBase.from_paths([path])):
+        for table in kb.index:
+            assert table.whole() and {type(v) for v in table.whole().values()} == {tuple}
 
 
 def test_a_damaged_bucket_never_reads_as_absent(tmp_path, parses, scripts_text):
